@@ -14,6 +14,7 @@ import math
 import sys
 import time
 import warnings
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
@@ -25,9 +26,8 @@ from .certify import (
     FeasibilityError,
     SeparabilityCertificate,
     build_certificate,
-    certificate_constants,
-    critical_beta,
     immediate_entanglement_check,
+    n_scaling_study,
     product_initial_covariance,
     verify_all_times_separable,
 )
@@ -35,12 +35,12 @@ from .entanglement import PPT_TOL, ppt_verdict, reduce_two_mode, lambda_of_block
 from .model import OscillatorNetwork, SpectralFamily, build_potential_matrix, \
     build_quadratic_form, make_spectral_model
 from .symplectic import (
-    _propagator_from_modes,
     is_valid_covariance,
     make_pure_gaussian,
     mean_energy,
     normal_modes,
     symplectic_spectrum,
+    trajectory,
 )
 
 
@@ -48,9 +48,11 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-_STATE_KINDS = ("vacuum", "squeezed", "matrix", "certificate")
 _TOP_KEYS = {"version", "model", "beta", "system_state", "time_grid",
              "tolerances", "seed", "sweep_ns"}
+#: system_state kind -> the keys that kind requires, and the only ones it allows
+_STATE_KEYS = {"vacuum": ("kind",), "squeezed": ("kind", "r", "theta"),
+               "matrix": ("kind", "entries"), "certificate": ("kind",)}
 
 
 @dataclass
@@ -77,9 +79,7 @@ class ExperimentConfig:
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    _check_keys(data, "top level", optional=_TOP_KEYS)
     version = data.get("version", 1)
     if version != 1:
         raise ConfigError(f"version: unsupported schema version {version!r}")
@@ -93,20 +93,20 @@ def parse_config(data: dict) -> ExperimentConfig:
             "model: exactly one of {omegas, kappas} or {family} must be given"
         )
     if has_explicit:
+        _check_keys(model, "model", required=("omegas", "kappas"))
         for key in ("omegas", "kappas"):
-            if key not in model:
-                raise ConfigError(f"model.{key}: missing")
             _require_number_list(model[key], f"model.{key}")
         for i, w in enumerate(model["omegas"]):
             if w <= 0.0:
                 raise ConfigError(f"model.omegas[{i}]: must be positive, got {w!r}")
     else:
+        _check_keys(model, "model", required=("family",))
         fam = model["family"]
         if not isinstance(fam, dict):
             raise ConfigError("model.family: must be an object")
-        for key in ("p", "omega_max", "coupling_norm", "n_env"):
-            if key not in fam:
-                raise ConfigError(f"model.family.{key}: missing")
+        required = ("p", "omega_max", "coupling_norm", "n_env")
+        _check_keys(fam, "model.family", required, optional=("omega_sys",))
+        for key in required:
             if not isinstance(fam[key], (int, float)) or isinstance(fam[key], bool):
                 raise ConfigError(f"model.family.{key}: must be a number")
         if fam["omega_max"] <= 0:
@@ -146,6 +146,17 @@ def parse_config(data: dict) -> ExperimentConfig:
                             seed=seed, sweep_ns=sweep_ns, raw=data)
 
 
+def _check_keys(obj: dict, where: str, required: Collection[str] = (),
+                optional: Collection[str] = ()) -> None:
+    """Reject a config object that lacks a required key or has any other key."""
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}.{key}: missing")
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
 def _require_number_list(value, name: str) -> None:
     if (not isinstance(value, list)
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -157,8 +168,9 @@ def _validate_state(state) -> None:
     if not isinstance(state, dict) or "kind" not in state:
         raise ConfigError("system_state: must be an object with a 'kind' key")
     kind = state["kind"]
-    if kind not in _STATE_KINDS:
-        raise ConfigError(f"system_state.kind: must be one of {_STATE_KINDS}")
+    if kind not in _STATE_KEYS:
+        raise ConfigError(f"system_state.kind: must be one of {tuple(_STATE_KEYS)}")
+    _check_keys(state, "system_state", required=_STATE_KEYS[kind])
     if kind == "squeezed":
         for key in ("r", "theta"):
             if not isinstance(state.get(key), (int, float)) or isinstance(state.get(key), bool):
@@ -178,9 +190,8 @@ def _validate_state(state) -> None:
 def _validate_grid(grid) -> None:
     if not isinstance(grid, dict):
         raise ConfigError("time_grid: must be an object")
-    for key in ("start", "stop", "points"):
-        if key not in grid:
-            raise ConfigError(f"time_grid.{key}: missing")
+    _check_keys(grid, "time_grid", required=("start", "stop", "points"),
+                optional=("spacing",))
     start, stop, points = grid["start"], grid["stop"], grid["points"]
     spacing = grid.get("spacing", "linear")
     if spacing not in ("linear", "log"):
@@ -198,9 +209,16 @@ def _validate_grid(grid) -> None:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    def finite(text: str) -> float:
+        # also receives NaN, Infinity and -Infinity, which json accepts
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: non-finite number {text} is not allowed")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: JSON syntax error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
@@ -214,16 +232,21 @@ def _grid_times(grid: dict) -> np.ndarray:
     return np.linspace(grid["start"], grid["stop"], grid["points"])
 
 
+def _spectral_family(config: ExperimentConfig) -> tuple[SpectralFamily, float]:
+    """The config's coupling family and system frequency omega_sys."""
+    fam = config.model["family"]
+    family = SpectralFamily(exponent=float(fam["p"]),
+                            omega_max=float(fam["omega_max"]),
+                            coupling_norm=float(fam["coupling_norm"]),
+                            n_env=int(fam["n_env"]))
+    return family, float(fam.get("omega_sys", 1.0))
+
+
 def _materialize_network(config: ExperimentConfig) -> OscillatorNetwork:
     try:
         if "family" in config.model:
-            fam = config.model["family"]
-            family = SpectralFamily(exponent=float(fam["p"]),
-                                    omega_max=float(fam["omega_max"]),
-                                    coupling_norm=float(fam["coupling_norm"]),
-                                    n_env=int(fam["n_env"]))
-            return make_spectral_model(family,
-                                       omega_sys=float(fam.get("omega_sys", 1.0)))
+            family, omega_sys = _spectral_family(config)
+            return make_spectral_model(family, omega_sys=omega_sys)
         return OscillatorNetwork(omegas=np.asarray(config.model["omegas"], float),
                                  kappas=np.asarray(config.model["kappas"], float))
     except ValueError as exc:
@@ -376,12 +399,11 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
     times = _grid_times(config.time_grid)
     gamma_sys, beta = _system_covariance(config, net)
     gamma0 = product_initial_covariance(gamma_sys, net, beta)
-    modes = normal_modes(build_potential_matrix(net))
-    w = build_quadratic_form(build_potential_matrix(net))
+    v = build_potential_matrix(net)
+    modes = normal_modes(v)
+    w = build_quadratic_form(v)
     rows = []
-    for t in times:
-        s = _propagator_from_modes(modes, float(t))
-        gamma_t = s @ gamma0 @ s.T
+    for t, gamma_t in zip(times, trajectory(gamma0, modes, times)):
         verdict = ppt_verdict(gamma_t, tol=config.ppt_tol)
         rows.append((float(t), verdict.min_pt_symplectic, verdict.log_negativity,
                      mean_energy(gamma_t, w), float(symplectic_spectrum(gamma_t).min())))
@@ -485,7 +507,6 @@ def run_sweep(config: ExperimentConfig) -> ResultTable:
         raise ConfigError("sweep_ns: required for sweep")
     if "family" not in config.model:
         raise ConfigError("model.family: sweep requires a spectral-family model")
-    fam_cfg = config.model["family"]
     ns = sorted(set(config.sweep_ns))
     if len(ns) != len(config.sweep_ns):
         warnings.warn("sweep_ns contains duplicates; deduplicated", stacklevel=2)
@@ -494,16 +515,11 @@ def run_sweep(config: ExperimentConfig) -> ResultTable:
     for n in ns:
         t0 = time.perf_counter()
         try:
-            fam = SpectralFamily(exponent=float(fam_cfg["p"]),
-                                 omega_max=float(fam_cfg["omega_max"]),
-                                 coupling_norm=float(fam_cfg["coupling_norm"]),
-                                 n_env=int(n))
-            net = make_spectral_model(fam, omega_sys=float(fam_cfg.get("omega_sys", 1.0)))
-            constants = certificate_constants(net)
-            beta_star = critical_beta(net, margin=config.margin)
-            rows.append((int(n), constants.delta, constants.omega_bound,
-                         constants.gamma_ref, beta_star,
-                         time.perf_counter() - t0, "ok"))
+            family, omega_sys = _spectral_family(config)
+            (row,) = n_scaling_study(family, [n], margin=config.margin,
+                                     omega_sys=omega_sys)
+            rows.append((row.n_env, row.delta, row.omega_bound, row.gamma_ref,
+                         row.beta_star, time.perf_counter() - t0, "ok"))
             n_ok += 1
         except (ValueError, FeasibilityError) as exc:
             rows.append((int(n), "", "", "", "", time.perf_counter() - t0,

@@ -106,7 +106,7 @@ def _potential_entries(omegas: NDArray[np.float64],
     return v
 
 
-def _check_positive_definite(v: NDArray[np.float64]) -> NDArray[np.float64]:
+def _check_positive_definite(v: NDArray[np.float64]) -> None:
     eigs = np.linalg.eigvalsh(v)
     norm = np.abs(eigs).max()
     if eigs.min() <= POS_DEF_RTOL * norm:
@@ -115,19 +115,16 @@ def _check_positive_definite(v: NDArray[np.float64]) -> NDArray[np.float64]:
             f"(min eigenvalue {eigs.min():.3e}, norm {norm:.3e}); "
             "couplings are too strong for the given frequencies"
         )
-    return eigs
 
 
 def build_potential_matrix(net: OscillatorNetwork) -> NDArray[np.float64]:
     """Return the (N+1)x(N+1) stiffness matrix V with H = p.p/2 + x^T V x.
 
     Diagonal entries are omega_j^2/2; row/column 0 carries -kappa_j/2.
-    Raises ValueError if V is not strictly positive definite (tolerance
-    1e-12 relative to ||V||).
+    OscillatorNetwork checks on construction that V is strictly positive
+    definite (tolerance 1e-12 relative to ||V||); its arrays are read-only.
     """
-    v = _potential_entries(net.omegas, net.kappas)
-    _check_positive_definite(v)
-    return v
+    return _potential_entries(net.omegas, net.kappas)
 
 
 def bath_potential_matrix(net: OscillatorNetwork) -> NDArray[np.float64]:

@@ -8,15 +8,15 @@ at least 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .model import OscillatorNetwork, build_potential_matrix
 
-#: condition number of Gamma beyond which the Schur-form fallback is used
+#: condition number of Gamma beyond which the Hermitian-form fallback is used
 ILL_CONDITIONED = 1e8
 
 #: default tolerance on symplectic eigenvalues for physicality checks
@@ -141,6 +141,17 @@ def _propagator_from_modes(modes: NormalModes, t: float) -> NDArray[np.float64]:
     return tmat.T @ r @ tmat
 
 
+def trajectory(gamma0: NDArray[np.float64], modes: NormalModes,
+               times: Iterable[float]) -> Iterator[NDArray[np.float64]]:
+    """Yield Gamma_t = S_t Gamma_0 S_t^T for each t in times, one at a time.
+
+    Nothing is stacked, so memory stays at a few 2n x 2n matrices.
+    """
+    for t in times:
+        s = _propagator_from_modes(modes, float(t))
+        yield s @ gamma0 @ s.T
+
+
 def evolve(gamma: NDArray[np.float64], net: OscillatorNetwork,
            t: float) -> NDArray[np.float64]:
     """Evolve a covariance matrix: Gamma_t = S_t Gamma S_t^T."""
@@ -152,9 +163,9 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     """Symplectic eigenvalues of a symmetric positive definite matrix.
 
     Returned ascending.  Computed from the eigenvalues of Sigma*Gamma; for
-    condition numbers beyond 1e8 the skew-symmetric form
-    sqrt(Gamma) Sigma sqrt(Gamma) is reduced to real Schur form instead,
-    which is stabler for strongly squeezed states.
+    condition numbers beyond 1e8 they are instead the positive eigenvalues
+    of the Hermitian matrix i L^T Sigma L with Gamma = L L^T, L = U sqrt(w)
+    from Gamma = U diag(w) U^T, which is stabler for strongly squeezed states.
     """
     gamma = np.asarray(gamma, dtype=float)
     n2 = gamma.shape[0]
@@ -178,23 +189,10 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
 def _spectrum_schur(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     n = gamma.shape[0] // 2
     w, u = np.linalg.eigh(gamma)
-    root = (u * np.sqrt(w)) @ u.T
-    k = root @ symplectic_form(n) @ root
-    k = (k - k.T) / 2.0
-    tmat, _ = scipy.linalg.schur(k, output="real")
-    # quasi-triangular walk; a nonzero subdiagonal marks a 2x2 block whose
-    # complex pair +-i*d satisfies d^2 = -T[j,j+1]*T[j+1,j]
-    vals = []
-    j = 0
-    while j < 2 * n:
-        if j + 1 < 2 * n and tmat[j + 1, j] != 0.0:
-            vals.append(np.sqrt(max(0.0, -tmat[j, j + 1] * tmat[j + 1, j])))
-            j += 2
-        else:  # pragma: no cover - 1x1 block only for singular input
-            j += 1
-    if len(vals) != n:  # pragma: no cover - defensive
-        raise ValueError("symplectic spectrum extraction failed; matrix is singular")
-    return np.sort(np.asarray(vals))
+    root = u * np.sqrt(w)
+    # L^T Sigma L is real antisymmetric with eigenvalues +-i*d, so the
+    # Hermitian matrix i L^T Sigma L has eigenvalues +-d, the upper n ascending
+    return np.linalg.eigvalsh(1j * (root.T @ symplectic_form(n) @ root))[n:]
 
 
 def is_valid_covariance(gamma: NDArray[np.float64], tol: float = COV_TOL) -> bool:
@@ -211,18 +209,9 @@ def is_valid_covariance(gamma: NDArray[np.float64], tol: float = COV_TOL) -> boo
     return bool(spec.min() >= 1.0 - tol)
 
 
-def assert_valid_covariance(gamma: NDArray[np.float64], tol: float = COV_TOL) -> None:
-    if not is_valid_covariance(gamma, tol=tol):
-        raise ValueError("matrix violates the covariance uncertainty relation")
-
-
 def is_pure(gamma: NDArray[np.float64], tol: float = 1e-9) -> bool:
     """Purity test: (Sigma Gamma)^2 = -1 exactly on pure Gaussian states."""
-    gamma = np.asarray(gamma, dtype=float)
-    n = gamma.shape[0] // 2
-    sg = symplectic_form(n) @ gamma
-    resid = np.linalg.norm(sg @ sg + np.eye(2 * n))
-    return bool(resid <= tol)
+    return bool(purity_residual(gamma) <= tol)
 
 
 def purity_residual(gamma: NDArray[np.float64]) -> float:

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import qbmsim
 from qbmsim import critical_beta, make_spectral_model, thermal_factor
 from qbmsim.cli import (
     ConfigError,
@@ -121,6 +126,19 @@ def test_parse_tolerance_overrides():
     (minimal(sweep_ns=[]), "sweep_ns"),
     (minimal(sweep_ns=[4, "8"]), "sweep_ns"),
     (minimal(sweep_ns=8), "sweep_ns"),
+    (minimal(time_grid={"start": 0.0, "stop": 1.0, "points": 5,
+                        "spacng": "log"}), "time_grid: unknown keys.*spacng"),
+    ({"model": {"family": {"p": 1, "omega_max": 2, "coupling_norm": 0.1,
+                           "n_env": 4, "omega_sy": 1.0}}, "beta": 1.0},
+     "model.family: unknown keys.*omega_sy"),
+    ({"model": {"omegas": [1.0, 1.5], "kappas": [0.1], "masses": [1, 1]},
+      "beta": 1.0}, "model: unknown keys.*masses"),
+    (minimal(system_state={"kind": "vacuum", "r": 1.0}),
+     r"system_state: unknown keys \['r'\]"),
+    (minimal(system_state={"kind": "squeezed", "r": 1.0, "theta": 0.0,
+                           "phi": 0.1}), "system_state: unknown keys.*phi"),
+    (minimal(system_state={"kind": "certificate", "margin": 1e-3}),
+     "system_state: unknown keys.*margin"),
 ])
 def test_parse_rejects_and_names_the_field(data, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -449,6 +467,24 @@ def test_main_invalid_json(tmp_path, capsys):
     assert "JSON syntax error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("field", ["beta", "stop"])
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, field, literal):
+    values = {"beta": "1.0", "stop": "1.0"}
+    values[field] = literal
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"model": {"omegas": [1.0, 1.5], "kappas": [0.1]}, '
+        f'"beta": {values["beta"]}, '
+        f'"time_grid": {{"start": 0.0, "stop": {values["stop"]}, "points": 4}}}}',
+        encoding="utf-8")
+    code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"non-finite number {literal}" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_main_bad_flag_values(tmp_path, capsys):
     grid = {"start": 0.0, "stop": 1.0, "points": 4}
     config = write_config(tmp_path, minimal(time_grid=grid))
@@ -473,3 +509,13 @@ def test_main_unwritable_output_path(tmp_path, capsys):
     out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
     assert main(["evolve", "--config", config, "--out", out]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: the library and the CLI need numpy alone
+    src = str(Path(qbmsim.__file__).resolve().parents[1])
+    code = ("import sys, qbmsim, qbmsim.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

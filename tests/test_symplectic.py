@@ -22,6 +22,7 @@ from qbmsim import (
     symplectic_form,
     symplectic_spectrum,
     thermal_factor,
+    trajectory,
 )
 
 from conftest import random_covariance, random_network
@@ -164,6 +165,18 @@ def test_propagator_symplectic(rng):
         sig = symplectic_form(net.n_modes)
         s = propagator(net, rng.uniform(0.0, 50.0))
         assert np.abs(s @ sig @ s.T - sig).max() <= 1e-10
+
+
+def test_trajectory_matches_propagator_conjugation(rng):
+    net = random_network(rng, 4)
+    gamma0 = random_covariance(rng, net.n_modes)
+    modes = normal_modes(build_potential_matrix(net))
+    times = [0.0, -2.5, 0.3, 1e4, -1e3]
+    states = list(trajectory(gamma0, modes, times))
+    assert len(states) == len(times)
+    for t, gamma_t in zip(times, states):
+        s = propagator(net, t)
+        assert np.array_equal(gamma_t, s @ gamma0 @ s.T)
 
 
 def test_evolve_quarter_period_squeezed():
