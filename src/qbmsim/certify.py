@@ -22,19 +22,18 @@ from .entanglement import ppt_verdict, reduce_two_mode, lambda_of_block, TwoMode
 from .model import (
     OscillatorNetwork,
     SpectralFamily,
-    bath_potential_matrix,
     build_potential_matrix,
     build_quadratic_form,
     make_spectral_model,
 )
 from .symplectic import (
-    NormalModes,
     gibbs_covariance,
     is_valid_covariance,
     normal_modes,
     purity_residual,
     symplectic_form,
     symplectic_spectrum,
+    thermal_diagonal,
     trajectory,
 )
 
@@ -158,8 +157,8 @@ def certificate_constants(net: OscillatorNetwork) -> CertificateConstants:
 
 
 def bath_gibbs_covariance(net: OscillatorNetwork, beta: float) -> NDArray[np.float64]:
-    """Thermal covariance of the uncoupled bath, shape (2N, 2N)."""
-    return gibbs_covariance(normal_modes(bath_potential_matrix(net)), beta)
+    """Thermal covariance of the uncoupled bath, shape (2N, 2N); it is diagonal."""
+    return np.diag(thermal_diagonal(net.omegas[1:], beta))
 
 
 def product_initial_covariance(gamma_sys: NDArray[np.float64],
@@ -169,17 +168,48 @@ def product_initial_covariance(gamma_sys: NDArray[np.float64],
     gamma_sys = np.asarray(gamma_sys, dtype=float)
     if gamma_sys.shape != (2, 2):
         raise ValueError("system covariance must be 2x2")
-    gamma_bath = bath_gibbs_covariance(net, beta)
-    out = np.zeros((gamma_bath.shape[0] + 2,) * 2)
+    d = thermal_diagonal(net.omegas[1:], beta)
+    out = np.zeros((d.size + 2,) * 2)
     out[:2, :2] = gamma_sys
-    out[2:, 2:] = gamma_bath
+    np.fill_diagonal(out[2:, 2:], d)
     return out
 
 
-def _bath_feasible(bath_modes: NormalModes, env_block: NDArray[np.float64],
+def _bath_gap(omega_bath: NDArray[np.float64], env_block: NDArray[np.float64],
+              beta: float) -> NDArray[np.float64]:
+    """Gamma(beta H_bath) - env_block, adding the bath's diagonal in place."""
+    # (0 - e) + d rounds exactly like d - e, signed zeros included
+    gap = 0.0 - env_block
+    gap[np.diag_indices_from(gap)] += thermal_diagonal(omega_bath, beta)
+    return gap
+
+
+def _bath_feasible(omega_bath: NDArray[np.float64], env_block: NDArray[np.float64],
                    beta: float, margin: float) -> bool:
-    gap = gibbs_covariance(bath_modes, beta) - env_block
+    gap = _bath_gap(omega_bath, env_block, beta)
     return bool(np.linalg.eigvalsh(gap).min() >= margin)
+
+
+def _bisect_beta(omega_bath: NDArray[np.float64], env_block: NDArray[np.float64],
+                 margin: float) -> float:
+    """Bisect BETA_BRACKET for the largest beta whose bath gap is >= margin."""
+    if margin <= 0.0:
+        raise ValueError("margin must be positive")
+    lo, hi = BETA_BRACKET
+    if not _bath_feasible(omega_bath, env_block, lo, margin):
+        raise FeasibilityError(
+            f"bath condition infeasible across the whole bracket ({lo:g}, {hi:g}); "
+            f"margin {margin:g} may be too large for this model"
+        )
+    if _bath_feasible(omega_bath, env_block, hi, margin):
+        return hi
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if _bath_feasible(omega_bath, env_block, mid, margin):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> float:
@@ -190,28 +220,10 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     is monotone and bisection applies; the bracket is (1e-6, 1e3) and the
     returned value is feasible with bracket width below 1e-10.
     """
-    if margin <= 0.0:
-        raise ValueError("margin must be positive")
     constants = certificate_constants(net)
     full = gibbs_covariance(normal_modes(build_potential_matrix(net)),
                             constants.gamma_ref)
-    env_block = full[2:, 2:]
-    bath_modes = normal_modes(bath_potential_matrix(net))
-    lo, hi = BETA_BRACKET
-    if not _bath_feasible(bath_modes, env_block, lo, margin):
-        raise FeasibilityError(
-            f"bath condition infeasible across the whole bracket ({lo:g}, {hi:g}); "
-            f"margin {margin:g} may be too large for this model"
-        )
-    if _bath_feasible(bath_modes, env_block, hi, margin):
-        return hi
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if _bath_feasible(bath_modes, env_block, mid, margin):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_beta(net.omegas[1:], full[2:, 2:], margin)
 
 
 def build_certificate(net: OscillatorNetwork,
@@ -225,13 +237,13 @@ def build_certificate(net: OscillatorNetwork,
     rounding) the margin is doubled, at most 8 attempts.
     """
     constants = certificate_constants(net)
-    beta_star = critical_beta(net, margin=margin)
-    beta = 0.5 * beta_star
     full = gibbs_covariance(normal_modes(build_potential_matrix(net)),
                             constants.gamma_ref)
+    beta_star = _bisect_beta(net.omegas[1:], full[2:, 2:], margin)
+    beta = 0.5 * beta_star
     sys_block = full[:2, :2]
     cross = full[:2, 2:]
-    gap = bath_gibbs_covariance(net, beta) - full[2:, 2:]
+    gap = _bath_gap(net.omegas[1:], full[2:, 2:], beta)
     schur = sys_block + cross @ np.linalg.solve(gap, cross.T)
     schur = (schur + schur.T) / 2.0
     m = margin

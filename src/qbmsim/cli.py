@@ -2,7 +2,8 @@
 
 Configs are JSON with a versioned schema; results are written as CSV (RFC
 4180 quoting, LF endings, 17 significant digits) or as a static SVG line
-chart.  Exit codes: 0 success, 1 scientific failure, 2 config or I/O error.
+chart.  Exit codes: 0 success, 1 scientific or numerical failure, 2 config
+or I/O error.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         for key in required:
             if not isinstance(fam[key], (int, float)) or isinstance(fam[key], bool):
                 raise ConfigError(f"model.family.{key}: must be a number")
+        omega_sys = fam.get("omega_sys", 1.0)
+        if (not isinstance(omega_sys, (int, float)) or isinstance(omega_sys, bool)
+                or omega_sys <= 0):
+            raise ConfigError(
+                f"model.family.omega_sys: must be a positive number, got {omega_sys!r}")
         if fam["omega_max"] <= 0:
             raise ConfigError("model.family.omega_max: must be positive")
         if fam["coupling_norm"] < 0:
@@ -591,7 +597,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FeasibilityError as exc:
+    except (FeasibilityError, ValueError, np.linalg.LinAlgError) as exc:
+        # numerics errors; ConfigError is a ValueError and is caught above
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {args.out}")

@@ -127,11 +127,6 @@ def build_potential_matrix(net: OscillatorNetwork) -> NDArray[np.float64]:
     return _potential_entries(net.omegas, net.kappas)
 
 
-def bath_potential_matrix(net: OscillatorNetwork) -> NDArray[np.float64]:
-    """Stiffness matrix of the bath alone (couplings removed), shape (N, N)."""
-    return np.diag(net.omegas[1:] ** 2 / 2.0)
-
-
 def build_quadratic_form(v: NDArray[np.float64]) -> NDArray[np.float64]:
     """Assemble the phase-space quadratic form W with H = (1/2) o^T W o.
 

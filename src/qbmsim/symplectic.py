@@ -97,20 +97,30 @@ def normal_modes(v: NDArray[np.float64]) -> NormalModes:
     )
 
 
-def gibbs_covariance(modes: NormalModes, beta: float) -> NDArray[np.float64]:
-    """Covariance of the Gibbs state exp(-beta H) for a quadratic H.
+def thermal_diagonal(omegas: NDArray[np.float64], beta: float) -> NDArray[np.float64]:
+    """Gibbs covariance of uncoupled oscillators, which is diagonal.
 
-    Each normal mode contributes diag(f(beta*w)/w, f(beta*w)*w) in mode
-    coordinates with f the thermal factor; the result is rotated back to the
-    original coordinates as T^T D T.  beta = inf gives the ground state.
+    Returns the interleaved diagonal (f(beta*w)/w, f(beta*w)*w) per
+    frequency w, with f the thermal factor; beta = inf gives the ground
+    state.  Callers place it on the diagonal of a matrix they already own.
     """
     if not beta > 0.0:
         raise ValueError("beta must be positive")
-    tw = modes.tilde_omegas
-    f = np.atleast_1d(thermal_factor(beta * tw))
-    d = np.empty(2 * tw.size)
-    d[0::2] = f / tw
-    d[1::2] = f * tw
+    omegas = np.asarray(omegas, dtype=float)
+    f = np.atleast_1d(thermal_factor(beta * omegas))
+    d = np.empty(2 * omegas.size)
+    d[0::2] = f / omegas
+    d[1::2] = f * omegas
+    return d
+
+
+def gibbs_covariance(modes: NormalModes, beta: float) -> NDArray[np.float64]:
+    """Covariance of the Gibbs state exp(-beta H) for a quadratic H.
+
+    The thermal diagonal of the normal-mode frequencies, rotated back to the
+    original coordinates as T^T D T.
+    """
+    d = thermal_diagonal(modes.tilde_omegas, beta)
     t = modes.embedded
     return t.T @ (d[:, None] * t)
 

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import qbmsim.certify
 from qbmsim import (
     FeasibilityError,
     OscillatorNetwork,
@@ -179,6 +181,39 @@ def test_product_state_layout():
     npt.assert_allclose(gamma[:2, 2:], 0.0)
     f = thermal_factor(2.0)
     npt.assert_allclose(gamma[2:, 2:], np.diag([f / 2.0, 2.0 * f]), rtol=1e-13)
+
+
+def test_bath_gibbs_closed_form_is_bit_identical_to_eigh_path(rng):
+    nets = [make_spectral_model(replace(OHMIC, n_env=n)) for n in (1, 8, 64)]
+    nets += [random_network(rng, rng.integers(1, 9)) for _ in range(10)]
+    nets.append(OscillatorNetwork(omegas=[1.0, 2.5, 0.3, 1.7, 0.3, 0.9],
+                                  kappas=[0.1, 0.05, 0.0, 0.02, 0.1]))
+    assert np.any(np.diff(nets[-1].omegas[1:]) < 0.0)
+    gamma_sys = make_pure_gaussian(0.4, 0.3)
+    for net in nets:
+        bath_modes = normal_modes(np.diag(net.omegas[1:] ** 2 / 2))
+        for beta in (1e-6, 0.05, 1.0, 30.0, 1e3):
+            expected = gibbs_covariance(bath_modes, beta)
+            assert np.array_equal(bath_gibbs_covariance(net, beta), expected)
+            gamma = product_initial_covariance(gamma_sys, net, beta)
+            assert np.array_equal(gamma[2:, 2:], expected)
+            assert np.array_equal(gamma[:2, :2], gamma_sys)
+            assert not gamma[:2, 2:].any() and not gamma[2:, :2].any()
+
+
+def test_certificate_diagonalises_and_thermalises_once(monkeypatch):
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("normal_modes", "gibbs_covariance"):
+        monkeypatch.setattr(qbmsim.certify, name, counting(getattr(qbmsim.certify, name)))
+    build_certificate(make_spectral_model(OHMIC))
+    assert calls == {"normal_modes": 1, "gibbs_covariance": 1}
 
 
 def test_product_state_rejects_bad_system_shape():

@@ -139,6 +139,8 @@ def test_parse_tolerance_overrides():
                            "phi": 0.1}), "system_state: unknown keys.*phi"),
     (minimal(system_state={"kind": "certificate", "margin": 1e-3}),
      "system_state: unknown keys.*margin"),
+    *[({"model": {"family": {**FAMILY["family"], "omega_sys": w0}}, "beta": 1.0},
+       "model.family.omega_sys: ") for w0 in ("x", True, 0, -1.0)],
 ])
 def test_parse_rejects_and_names_the_field(data, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -334,6 +336,14 @@ def test_sweep_all_failed_exits_one(tmp_path, capsys):
     assert "result: FAIL" in capsys.readouterr().err
 
 
+def test_sweep_bad_omega_sys_is_a_config_error(tmp_path, capsys):
+    data = {"model": {"family": {**FAMILY["family"], "omega_sys": "x"}},
+            "sweep_ns": [2, 4]}
+    config = write_config(tmp_path, data)
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: model.family.omega_sys:")
+
+
 # ----------------------------------------------------------------- emitting
 
 
@@ -509,6 +519,17 @@ def test_main_unwritable_output_path(tmp_path, capsys):
     out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
     assert main(["evolve", "--config", config, "--out", out]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_main_numerics_error_is_a_one_line_failure(tmp_path, capsys):
+    # r = 30 squeezes one quadrature below double precision
+    data = minimal(system_state={"kind": "squeezed", "r": 30, "theta": 0},
+                   time_grid={"start": 0.0, "stop": 1.0, "points": 4})
+    config = write_config(tmp_path, data)
+    assert main(["evolve", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ") and "positive definite" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_runtime_imports_no_scipy():

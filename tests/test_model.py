@@ -5,7 +5,6 @@ import pytest
 from qbmsim import (
     OscillatorNetwork,
     SpectralFamily,
-    bath_potential_matrix,
     build_potential_matrix,
     build_quadratic_form,
     make_spectral_model,
@@ -133,12 +132,6 @@ def test_norm_bound_from_couplings(rng):
         delta = 2.0 * np.sum(net.kappas ** 2)
         bound = np.max(net.omegas) ** 2 / 2 + np.sqrt(delta)
         assert np.linalg.norm(v, 2) <= bound + 1e-12
-
-
-def test_bath_potential_is_diagonal(rng):
-    net = random_network(rng, 4)
-    npt.assert_array_equal(bath_potential_matrix(net),
-                           np.diag(net.omegas[1:] ** 2 / 2))
 
 
 def test_network_arrays_read_only():
