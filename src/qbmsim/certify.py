@@ -13,6 +13,9 @@ analytic time derivative at t = 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +30,7 @@ from .model import (
     make_spectral_model,
 )
 from .symplectic import (
+    NormalModes,
     gibbs_covariance,
     is_valid_covariance,
     normal_modes,
@@ -135,6 +139,33 @@ class ScalingRow:
     beta_star: float
 
 
+#: (network, its normal modes) while a workflow shares one decomposition
+_SHARED_MODES: ContextVar[tuple[OscillatorNetwork, NormalModes] | None] = ContextVar(
+    "_SHARED_MODES", default=None)
+
+
+def _network_modes(net: OscillatorNetwork) -> NormalModes:
+    """Normal modes of the full network, or the ones `_shared_modes` holds for it."""
+    shared = _SHARED_MODES.get()
+    if shared is not None and shared[0] is net:
+        return shared[1]
+    return normal_modes(build_potential_matrix(net))
+
+
+@contextmanager
+def _shared_modes(net: OscillatorNetwork, modes: NormalModes) -> Iterator[None]:
+    """Within the block, `_network_modes(net)` returns modes instead of an eigh.
+
+    Lets a workflow that calls several public functions on the same network
+    diagonalise it once; nothing is kept after the block ends.
+    """
+    token = _SHARED_MODES.set((net, modes))
+    try:
+        yield
+    finally:
+        _SHARED_MODES.reset(token)
+
+
 def certificate_constants(net: OscillatorNetwork) -> CertificateConstants:
     """Compute the reference inverse temperature and its ingredients.
 
@@ -184,28 +215,54 @@ def _bath_gap(omega_bath: NDArray[np.float64], env_block: NDArray[np.float64],
     return gap
 
 
-def _bath_feasible(omega_bath: NDArray[np.float64], env_block: NDArray[np.float64],
+def _bath_feasible(omega_bath: NDArray[np.float64],
+                   neg_blocks: tuple[NDArray[np.float64], NDArray[np.float64]],
                    beta: float, margin: float) -> bool:
-    gap = _bath_gap(omega_bath, env_block, beta)
-    return bool(np.linalg.eigvalsh(gap).min() >= margin)
+    """True when the bath gap minus margin * identity is positive definite.
+
+    neg_blocks are the position and momentum blocks of -env_block.  The gap
+    has no x-p entries, so it is definite exactly when both blocks are; each
+    is tested by a Cholesky factorisation on its own diagonal-shifted copy.
+    """
+    d = thermal_diagonal(omega_bath, beta)
+    for neg, diag in zip(neg_blocks, (d[0::2], d[1::2])):
+        shifted = neg.copy()
+        # same rounding as ((0 - e) + d) - margin on the full gap's diagonal
+        shifted[np.diag_indices_from(shifted)] += diag
+        shifted[np.diag_indices_from(shifted)] -= margin
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 def _bisect_beta(omega_bath: NDArray[np.float64], env_block: NDArray[np.float64],
                  margin: float) -> float:
-    """Bisect BETA_BRACKET for the largest beta whose bath gap is >= margin."""
+    """Bisect BETA_BRACKET for the largest beta whose bath gap is >= margin.
+
+    Feasibility is tested by Cholesky on the position and momentum blocks of
+    the gap, which needs env_block to have no x-p entries; a Gibbs state of
+    the network has none, and any other input raises ValueError.
+    """
     if margin <= 0.0:
         raise ValueError("margin must be positive")
+    if np.any(env_block[0::2, 1::2]) or np.any(env_block[1::2, 0::2]):
+        raise ValueError("env_block has x-p correlations; the bath gap does not "
+                         "split into position and momentum blocks")
+    # (0 - e) rounds like the full gap's 0.0 - env_block, signed zeros included
+    neg_blocks = (0.0 - env_block[0::2, 0::2], 0.0 - env_block[1::2, 1::2])
     lo, hi = BETA_BRACKET
-    if not _bath_feasible(omega_bath, env_block, lo, margin):
+    if not _bath_feasible(omega_bath, neg_blocks, lo, margin):
         raise FeasibilityError(
             f"bath condition infeasible across the whole bracket ({lo:g}, {hi:g}); "
             f"margin {margin:g} may be too large for this model"
         )
-    if _bath_feasible(omega_bath, env_block, hi, margin):
+    if _bath_feasible(omega_bath, neg_blocks, hi, margin):
         return hi
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if _bath_feasible(omega_bath, env_block, mid, margin):
+        if _bath_feasible(omega_bath, neg_blocks, mid, margin):
             lo = mid
         else:
             hi = mid
@@ -218,11 +275,12 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     Finds beta* such that Gamma(beta H_bath) - [Gamma(gamma_ref H)]_EE >=
     margin * identity.  The thermal factor decreases in beta, so feasibility
     is monotone and bisection applies; the bracket is (1e-6, 1e3) and the
-    returned value is feasible with bracket width below 1e-10.
+    returned value is feasible with bracket width below 1e-10.  Each step
+    tests feasibility by Cholesky on the position and momentum blocks of the
+    gap, which decouple because the reference Gibbs state has no x-p entries.
     """
     constants = certificate_constants(net)
-    full = gibbs_covariance(normal_modes(build_potential_matrix(net)),
-                            constants.gamma_ref)
+    full = gibbs_covariance(_network_modes(net), constants.gamma_ref)
     return _bisect_beta(net.omegas[1:], full[2:, 2:], margin)
 
 
@@ -237,8 +295,7 @@ def build_certificate(net: OscillatorNetwork,
     rounding) the margin is doubled, at most 8 attempts.
     """
     constants = certificate_constants(net)
-    full = gibbs_covariance(normal_modes(build_potential_matrix(net)),
-                            constants.gamma_ref)
+    full = gibbs_covariance(_network_modes(net), constants.gamma_ref)
     beta_star = _bisect_beta(net.omegas[1:], full[2:, 2:], margin)
     beta = 0.5 * beta_star
     sys_block = full[:2, :2]
@@ -281,7 +338,7 @@ def verify_all_times_separable(cert: SeparabilityCertificate,
     """Evolve the certified state and run the PPT test at every grid time."""
     times = np.asarray(times, dtype=float)
     gamma0 = product_initial_covariance(cert.gamma0_sys, net, cert.beta)
-    modes = normal_modes(build_potential_matrix(net))
+    modes = _network_modes(net)
     minima = np.empty(times.size)
     for i, (t, gamma_t) in enumerate(zip(times, trajectory(gamma0, modes, times))):
         spec = symplectic_spectrum(gamma_t)
@@ -364,7 +421,7 @@ def lambda_dot_finite_difference(gamma_sys: NDArray[np.float64],
                                  beta: float, h: float = 1e-6) -> float:
     """Richardson-refined central difference of lambda_t at t = 0."""
     gamma0 = product_initial_covariance(gamma_sys, net, beta)
-    modes = normal_modes(build_potential_matrix(net))
+    modes = _network_modes(net)
     half = h / 2.0
     lam_h, lam_mh, lam_half, lam_mhalf = (
         lambda_of_block(reduce_two_mode(gamma_t, env_mode))
@@ -401,7 +458,7 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     if not probed:
         probed = tuple(range(1, net.n_modes))
     gamma0 = product_initial_covariance(gamma_sys, net, beta)
-    modes = normal_modes(build_potential_matrix(net))
+    modes = _network_modes(net)
     lam = np.empty((times.size, len(probed)))
     pt_min = np.empty(times.size)
     for i, gamma_t in enumerate(trajectory(gamma0, modes, times)):
@@ -419,7 +476,8 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     leading = probed[int(np.argmin(lam[0]))]
     try:
         ld0 = lambda_dot_analytic(gamma_sys, net, leading, beta)
-        ld0_fd = lambda_dot_finite_difference(gamma_sys, net, leading, beta)
+        with _shared_modes(net, modes):
+            ld0_fd = lambda_dot_finite_difference(gamma_sys, net, leading, beta)
     except ValueError:
         ld0 = ld0_fd = float("nan")
     order, coeff = _fit_onset(times, pt_min ** 2)

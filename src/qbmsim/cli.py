@@ -26,6 +26,7 @@ from .certify import (
     DEFAULT_MARGIN,
     FeasibilityError,
     SeparabilityCertificate,
+    _shared_modes,
     build_certificate,
     immediate_entanglement_check,
     n_scaling_study,
@@ -403,10 +404,12 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
     if config.time_grid is None:
         raise ConfigError("time_grid: required for evolve")
     times = _grid_times(config.time_grid)
-    gamma_sys, beta = _system_covariance(config, net)
-    gamma0 = product_initial_covariance(gamma_sys, net, beta)
     v = build_potential_matrix(net)
     modes = normal_modes(v)
+    # a certificate state reuses the modes the trajectory needs
+    with _shared_modes(net, modes):
+        gamma_sys, beta = _system_covariance(config, net)
+    gamma0 = product_initial_covariance(gamma_sys, net, beta)
     w = build_quadratic_form(v)
     rows = []
     for t, gamma_t in zip(times, trajectory(gamma0, modes, times)):
@@ -427,10 +430,12 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
 def run_certify(config: ExperimentConfig) -> tuple[ResultTable, SeparabilityCertificate]:
     t0 = time.perf_counter()
     net = _materialize_network(config)
-    cert = build_certificate(net, margin=config.margin)
     grid = config.time_grid or {"start": 0.0, "stop": 100.0, "points": 400,
                                 "spacing": "linear"}
-    report = verify_all_times_separable(cert, net, _grid_times(grid))
+    # the certificate and its verification share one normal-mode decomposition
+    with _shared_modes(net, normal_modes(build_potential_matrix(net))):
+        cert = build_certificate(net, margin=config.margin)
+        report = verify_all_times_separable(cert, net, _grid_times(grid))
     rows = [(float(t), float(m))
             for t, m in zip(report.times, report.min_pt_by_time)]
     meta = _base_metadata(config, "certify")

@@ -172,6 +172,93 @@ def test_critical_beta_within_bracket(rng):
 # -------------------------------------------------------------- certificate
 
 
+def reference_env_block(net):
+    return reference_gibbs(net, certificate_constants(net).gamma_ref)[2:, 2:]
+
+
+def eigvalsh_bisect(omega_bath, env_block, margin):
+    """The bisection by eigvalsh of the whole 2N x 2N gap; None when infeasible."""
+    def feasible(beta):
+        gap = qbmsim.certify._bath_gap(omega_bath, env_block, beta)
+        return np.linalg.eigvalsh(gap).min() >= margin
+
+    lo, hi = qbmsim.certify.BETA_BRACKET
+    if not feasible(lo):
+        return None
+    if feasible(hi):
+        return hi
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def eigvalsh_beta_oracle(net, margin):
+    return eigvalsh_bisect(net.omegas[1:], reference_env_block(net), margin)
+
+
+def explicit_networks(rng):
+    """Random explicit networks; some have unsorted or repeated bath frequencies."""
+    nets = [random_network(rng, int(n)) for n in rng.integers(1, 12, 10)]
+    omegas = [1.0, 2.5, 0.7, 0.7, 1.9, 0.3, 1.9]
+    nets.append(OscillatorNetwork(omegas=omegas, kappas=[0.05, 0.1, 0.08, 0.02, 0.1, 0.04]))
+    nets.append(OscillatorNetwork(omegas=[1.0, 0.9, 0.9, 0.9], kappas=[0.3, 0.0, 0.2]))
+    return nets
+
+
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 2.0])
+def test_critical_beta_is_bit_identical_to_eigvalsh_oracle(exponent):
+    for n_env in (1, 4, 33, 128):
+        net = make_spectral_model(replace(OHMIC, exponent=exponent, n_env=n_env))
+        for margin in ((1e-6, 1e-3) if n_env < 128 else (1e-6,)):
+            assert critical_beta(net, margin) == eigvalsh_beta_oracle(net, margin)
+
+
+def test_critical_beta_explicit_networks_match_eigvalsh_oracle(rng):
+    nets, infeasible = explicit_networks(rng), 0
+    for net in nets:
+        for margin in (1e-6, 1e-3, 1e7):
+            expected = eigvalsh_beta_oracle(net, margin)
+            if expected is None:
+                infeasible += 1
+                with pytest.raises(FeasibilityError, match="infeasible"):
+                    critical_beta(net, margin)
+            else:
+                assert critical_beta(net, margin) == expected
+    # margin 1e7 is infeasible everywhere, and only it
+    assert infeasible == len(nets)
+
+
+def test_reference_gibbs_has_exactly_zero_xp_entries(rng):
+    for net in explicit_networks(rng):
+        for beta in (1e-3, 0.7, 50.0):
+            g = reference_gibbs(net, beta)
+            assert not np.any(g[0::2, 1::2])
+            assert not np.any(g[1::2, 0::2])
+
+
+def test_bisect_beta_tests_the_momentum_block_too():
+    # on network Gibbs states the position block binds; a hotter momentum
+    # block makes the momentum block bind instead
+    net = make_spectral_model(OHMIC)
+    env_block = reference_env_block(net)
+    env_block[1::2, 1::2] *= 1.5
+    beta = qbmsim.certify._bisect_beta(net.omegas[1:], env_block, 1e-6)
+    assert beta == eigvalsh_bisect(net.omegas[1:], env_block, 1e-6)
+    assert beta < critical_beta(net, 1e-6)
+
+
+def test_bisect_beta_rejects_xp_correlations():
+    net = make_spectral_model(OHMIC)
+    env_block = reference_env_block(net)
+    env_block[4, 7] = 1e-300
+    with pytest.raises(ValueError, match="x-p correlations"):
+        qbmsim.certify._bisect_beta(net.omegas[1:], env_block, 1e-6)
+
+
 def test_product_state_layout():
     net = OscillatorNetwork(omegas=[1.0, 2.0], kappas=[0.1])
     gamma_sys = make_pure_gaussian(0.3, 0.1)
@@ -214,6 +301,15 @@ def test_certificate_diagonalises_and_thermalises_once(monkeypatch):
         monkeypatch.setattr(qbmsim.certify, name, counting(getattr(qbmsim.certify, name)))
     build_certificate(make_spectral_model(OHMIC))
     assert calls == {"normal_modes": 1, "gibbs_covariance": 1}
+
+
+def test_shared_modes_serve_their_network_only_and_end_with_the_block():
+    net, other = make_spectral_model(OHMIC), make_spectral_model(replace(OHMIC, n_env=3))
+    modes = normal_modes(build_potential_matrix(net))
+    with qbmsim.certify._shared_modes(net, modes):
+        assert qbmsim.certify._network_modes(net) is modes
+        assert qbmsim.certify._network_modes(other).tilde_omegas.size == 4
+    assert qbmsim.certify._network_modes(net) is not modes
 
 
 def test_product_state_rejects_bad_system_shape():

@@ -540,3 +540,46 @@ def test_runtime_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_config_runs(tmp_path, capsys, name):
+    # each shipped config is named after its subcommand: certify_ohmic8.json -> certify
+    command = name.split("_")[0]
+    out = str(tmp_path / f"{name}.csv")
+    assert main([command, "--config", str(CONFIGS / name), "--out", out]) == 0
+    assert "result: OK" in capsys.readouterr().out
+    assert Path(out).stat().st_size > 0
+
+
+def test_every_subcommand_has_a_shipped_config():
+    assert sorted(p.name.split("_")[0] for p in CONFIGS.glob("*.json")) == [
+        "certify", "evolve", "immediate", "sweep"]
+
+
+@pytest.mark.parametrize("command, name", [("certify", "certify_ohmic8.json"),
+                                           ("immediate", "immediate_squeezed.json"),
+                                           ("evolve", None)])
+def test_workflow_diagonalises_the_network_once(tmp_path, monkeypatch, command, name):
+    if name is None:
+        config = write_config(tmp_path, {
+            "model": {"family": FAMILY["family"] | {"n_env": 8}},
+            "system_state": {"kind": "certificate"},
+            "time_grid": {"start": 0.0, "stop": 1.0, "points": 4}})
+    else:
+        config = str(CONFIGS / name)
+    calls = []
+    original = qbmsim.certify.normal_modes
+
+    def counting(v):
+        calls.append(v.shape)
+        return original(v)
+
+    for module in (qbmsim.certify, qbmsim.cli):
+        monkeypatch.setattr(module, "normal_modes", counting)
+    out = str(tmp_path / "out.csv")
+    assert main([command, "--config", config, "--out", out]) == 0
+    assert calls == [(9, 9)]
