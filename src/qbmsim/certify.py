@@ -13,27 +13,16 @@ analytic time derivative at t = 0.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .entanglement import ppt_verdict, reduce_two_mode, lambda_of_block, TwoModeBlock, _adjugate2
-from .model import (
-    OscillatorNetwork,
-    SpectralFamily,
-    build_potential_matrix,
-    build_quadratic_form,
-    make_spectral_model,
-)
+from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
-    NormalModes,
     gibbs_covariance,
     is_valid_covariance,
-    normal_modes,
     purity_residual,
     symplectic_form,
     symplectic_spectrum,
@@ -137,33 +126,6 @@ class ScalingRow:
     omega_bound: float
     gamma_ref: float
     beta_star: float
-
-
-#: (network, its normal modes) while a workflow shares one decomposition
-_SHARED_MODES: ContextVar[tuple[OscillatorNetwork, NormalModes] | None] = ContextVar(
-    "_SHARED_MODES", default=None)
-
-
-def _network_modes(net: OscillatorNetwork) -> NormalModes:
-    """Normal modes of the full network, or the ones `_shared_modes` holds for it."""
-    shared = _SHARED_MODES.get()
-    if shared is not None and shared[0] is net:
-        return shared[1]
-    return normal_modes(build_potential_matrix(net))
-
-
-@contextmanager
-def _shared_modes(net: OscillatorNetwork, modes: NormalModes) -> Iterator[None]:
-    """Within the block, `_network_modes(net)` returns modes instead of an eigh.
-
-    Lets a workflow that calls several public functions on the same network
-    diagonalise it once; nothing is kept after the block ends.
-    """
-    token = _SHARED_MODES.set((net, modes))
-    try:
-        yield
-    finally:
-        _SHARED_MODES.reset(token)
 
 
 def certificate_constants(net: OscillatorNetwork) -> CertificateConstants:
@@ -280,7 +242,7 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     gap, which decouple because the reference Gibbs state has no x-p entries.
     """
     constants = certificate_constants(net)
-    full = gibbs_covariance(_network_modes(net), constants.gamma_ref)
+    full = gibbs_covariance(net.modes, constants.gamma_ref)
     return _bisect_beta(net.omegas[1:], full[2:, 2:], margin)
 
 
@@ -295,7 +257,7 @@ def build_certificate(net: OscillatorNetwork,
     rounding) the margin is doubled, at most 8 attempts.
     """
     constants = certificate_constants(net)
-    full = gibbs_covariance(_network_modes(net), constants.gamma_ref)
+    full = gibbs_covariance(net.modes, constants.gamma_ref)
     beta_star = _bisect_beta(net.omegas[1:], full[2:, 2:], margin)
     beta = 0.5 * beta_star
     sys_block = full[:2, :2]
@@ -338,9 +300,8 @@ def verify_all_times_separable(cert: SeparabilityCertificate,
     """Evolve the certified state and run the PPT test at every grid time."""
     times = np.asarray(times, dtype=float)
     gamma0 = product_initial_covariance(cert.gamma0_sys, net, cert.beta)
-    modes = _network_modes(net)
     minima = np.empty(times.size)
-    for i, (t, gamma_t) in enumerate(zip(times, trajectory(gamma0, modes, times))):
+    for i, (t, gamma_t) in enumerate(zip(times, trajectory(gamma0, net.modes, times))):
         spec = symplectic_spectrum(gamma_t)
         if spec.min() < 1.0 - 1e-9:
             raise RuntimeError(
@@ -363,13 +324,20 @@ def _derivative_blocks(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
     """Two-mode block of the initial state and of its exact time derivative.
 
     d Gamma/dt = G Gamma + Gamma G^T with generator G = Sigma W; restriction
-    to a principal submatrix commutes with differentiation.
+    to a principal submatrix commutes with differentiation.  The product
+    state has no entries between different modes, so the pair's block of
+    the derivative is g P + P g^T with P the pair's block of the state and g
+    the pair's 4x4 block of G.
     """
-    gamma0 = product_initial_covariance(gamma_sys, net, beta)
-    w = build_quadratic_form(build_potential_matrix(net))
-    gen = symplectic_form(net.n_modes) @ w
-    dgamma = gen @ gamma0 + gamma0 @ gen.T
-    return reduce_two_mode(gamma0, env_mode), reduce_two_mode(dgamma, env_mode)
+    block = reduce_two_mode(product_initial_covariance(gamma_sys, net, beta), env_mode)
+    kappa = net.kappas[env_mode - 1]
+    w = np.eye(4)
+    w[0::2, 0::2] = np.diag(net.omegas[[0, env_mode]] ** 2)
+    w[0, 2] = w[2, 0] = -kappa
+    gen = symplectic_form(2) @ w
+    pair = block.assembled
+    d = gen @ pair + pair @ gen.T
+    return block, TwoModeBlock(a=d[:2, :2], b=d[2:, 2:], c=d[:2, 2:])
 
 
 def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
@@ -421,11 +389,10 @@ def lambda_dot_finite_difference(gamma_sys: NDArray[np.float64],
                                  beta: float, h: float = 1e-6) -> float:
     """Richardson-refined central difference of lambda_t at t = 0."""
     gamma0 = product_initial_covariance(gamma_sys, net, beta)
-    modes = _network_modes(net)
     half = h / 2.0
     lam_h, lam_mh, lam_half, lam_mhalf = (
         lambda_of_block(reduce_two_mode(gamma_t, env_mode))
-        for gamma_t in trajectory(gamma0, modes, (h, -h, half, -half)))
+        for gamma_t in trajectory(gamma0, net.modes, (h, -h, half, -half)))
     central_h = (lam_h - lam_mh) / (2.0 * h)
     central_half = (lam_half - lam_mhalf) / (2.0 * half)
     return float((4.0 * central_half - central_h) / 3.0)
@@ -458,10 +425,9 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     if not probed:
         probed = tuple(range(1, net.n_modes))
     gamma0 = product_initial_covariance(gamma_sys, net, beta)
-    modes = _network_modes(net)
     lam = np.empty((times.size, len(probed)))
     pt_min = np.empty(times.size)
-    for i, gamma_t in enumerate(trajectory(gamma0, modes, times)):
+    for i, gamma_t in enumerate(trajectory(gamma0, net.modes, times)):
         for j, mode in enumerate(probed):
             lam[i, j] = lambda_of_block(reduce_two_mode(gamma_t, mode))
         pt_min[i] = ppt_verdict(gamma_t).min_pt_symplectic
@@ -476,8 +442,7 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     leading = probed[int(np.argmin(lam[0]))]
     try:
         ld0 = lambda_dot_analytic(gamma_sys, net, leading, beta)
-        with _shared_modes(net, modes):
-            ld0_fd = lambda_dot_finite_difference(gamma_sys, net, leading, beta)
+        ld0_fd = lambda_dot_finite_difference(gamma_sys, net, leading, beta)
     except ValueError:
         ld0 = ld0_fd = float("nan")
     order, coeff = _fit_onset(times, pt_min ** 2)

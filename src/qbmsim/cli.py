@@ -26,7 +26,6 @@ from .certify import (
     DEFAULT_MARGIN,
     FeasibilityError,
     SeparabilityCertificate,
-    _shared_modes,
     build_certificate,
     immediate_entanglement_check,
     n_scaling_study,
@@ -40,7 +39,6 @@ from .symplectic import (
     is_valid_covariance,
     make_pure_gaussian,
     mean_energy,
-    normal_modes,
     symplectic_spectrum,
     trajectory,
 )
@@ -55,6 +53,11 @@ _TOP_KEYS = {"version", "model", "beta", "system_state", "time_grid",
 #: system_state kind -> the keys that kind requires, and the only ones it allows
 _STATE_KEYS = {"vacuum": ("kind",), "squeezed": ("kind", "r", "theta"),
                "matrix": ("kind", "entries"), "certificate": ("kind",)}
+#: largest eigenvalue ratio of a system state that double precision can evolve;
+#: beyond it the evolved covariance loses positive definiteness in rounding
+_MAX_STATE_CONDITION = 2.0**52
+#: squeezing with e^{4|r|} = _MAX_STATE_CONDITION, about 9.011
+_MAX_SQUEEZING = math.log(_MAX_STATE_CONDITION) / 4.0
 
 
 @dataclass
@@ -182,6 +185,10 @@ def _validate_state(state) -> None:
         for key in ("r", "theta"):
             if not isinstance(state.get(key), (int, float)) or isinstance(state.get(key), bool):
                 raise ConfigError(f"system_state.{key}: must be a number")
+        if abs(state["r"]) > _MAX_SQUEEZING:
+            raise ConfigError(
+                f"system_state.r: |r| must be at most {_MAX_SQUEEZING:.4f} = ln(2^52)/4, "
+                f"beyond which double precision cannot evolve the state; got {state['r']!r}")
     if kind == "matrix":
         entries = state.get("entries")
         if (not isinstance(entries, list) or len(entries) != 2
@@ -192,6 +199,11 @@ def _validate_state(state) -> None:
             raise ConfigError(
                 "system_state.entries: not a valid single-mode covariance matrix"
             )
+        evals = np.linalg.eigvalsh(m)
+        if evals[1] > _MAX_STATE_CONDITION * evals[0]:
+            raise ConfigError(
+                f"system_state.entries: eigenvalue ratio {evals[1] / evals[0]:.3e} "
+                "exceeds 2^52, beyond which double precision cannot evolve the state")
 
 
 def _validate_grid(grid) -> None:
@@ -404,15 +416,11 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
     if config.time_grid is None:
         raise ConfigError("time_grid: required for evolve")
     times = _grid_times(config.time_grid)
-    v = build_potential_matrix(net)
-    modes = normal_modes(v)
-    # a certificate state reuses the modes the trajectory needs
-    with _shared_modes(net, modes):
-        gamma_sys, beta = _system_covariance(config, net)
+    gamma_sys, beta = _system_covariance(config, net)
     gamma0 = product_initial_covariance(gamma_sys, net, beta)
-    w = build_quadratic_form(v)
+    w = build_quadratic_form(build_potential_matrix(net))
     rows = []
-    for t, gamma_t in zip(times, trajectory(gamma0, modes, times)):
+    for t, gamma_t in zip(times, trajectory(gamma0, net.modes, times)):
         verdict = ppt_verdict(gamma_t, tol=config.ppt_tol)
         rows.append((float(t), verdict.min_pt_symplectic, verdict.log_negativity,
                      mean_energy(gamma_t, w), float(symplectic_spectrum(gamma_t).min())))
@@ -432,10 +440,8 @@ def run_certify(config: ExperimentConfig) -> tuple[ResultTable, SeparabilityCert
     net = _materialize_network(config)
     grid = config.time_grid or {"start": 0.0, "stop": 100.0, "points": 400,
                                 "spacing": "linear"}
-    # the certificate and its verification share one normal-mode decomposition
-    with _shared_modes(net, normal_modes(build_potential_matrix(net))):
-        cert = build_certificate(net, margin=config.margin)
-        report = verify_all_times_separable(cert, net, _grid_times(grid))
+    cert = build_certificate(net, margin=config.margin)
+    report = verify_all_times_separable(cert, net, _grid_times(grid))
     rows = [(float(t), float(m))
             for t, m in zip(report.times, report.min_pt_by_time)]
     meta = _base_metadata(config, "certify")

@@ -8,15 +8,19 @@ bath oscillators (indices 1..N), all of unit mass, with Hamiltonian
       - x0 * sum_j kj xj                          (coupling)
 
 Everything downstream works with the stiffness matrix V (positions) and the
-full phase-space quadratic form W, ordered as (x0, p0, x1, p1, ...).
+full phase-space quadratic form W, ordered as (x0, p0, x1, p1, ...).  A
+network diagonalises V once, on construction, and keeps the result as its
+`modes`; the Gibbs states, the propagator and every workflow reuse it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .symplectic import NormalModes, normal_modes
 
 POS_DEF_RTOL = 1e-12
 
@@ -40,10 +44,12 @@ class OscillatorNetwork:
 
     All frequencies must be positive and the resulting stiffness matrix
     strictly positive definite; values are immutable after construction.
+    modes holds the normal modes of V, computed once on construction.
     """
 
     omegas: NDArray[np.float64]
     kappas: NDArray[np.float64]
+    modes: NormalModes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         omegas = _readonly(self.omegas)
@@ -62,7 +68,8 @@ class OscillatorNetwork:
             raise ValueError("couplings must be nonnegative")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "kappas", kappas)
-        _check_positive_definite(_potential_entries(omegas, kappas))
+        object.__setattr__(self, "modes",
+                           _positive_definite_modes(_potential_entries(omegas, kappas)))
 
     @property
     def n_env(self) -> int:
@@ -106,15 +113,21 @@ def _potential_entries(omegas: NDArray[np.float64],
     return v
 
 
-def _check_positive_definite(v: NDArray[np.float64]) -> None:
-    eigs = np.linalg.eigvalsh(v)
-    norm = np.abs(eigs).max()
-    if eigs.min() <= POS_DEF_RTOL * norm:
+def _positive_definite_modes(v: NDArray[np.float64]) -> NormalModes:
+    """Normal modes of V, which must be positive definite beyond POS_DEF_RTOL."""
+    advice = "couplings are too strong for the given frequencies"
+    try:
+        modes = normal_modes(v)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; {advice}") from None
+    # eigenvalues of V, ascending
+    eigs = modes.tilde_omegas**2 / 2.0
+    if eigs[0] <= POS_DEF_RTOL * eigs[-1]:
         raise ValueError(
             "stiffness matrix is not positive definite "
-            f"(min eigenvalue {eigs.min():.3e}, norm {norm:.3e}); "
-            "couplings are too strong for the given frequencies"
+            f"(min eigenvalue {eigs[0]:.3e}, norm {eigs[-1]:.3e}); {advice}"
         )
+    return modes
 
 
 def build_potential_matrix(net: OscillatorNetwork) -> NDArray[np.float64]:
@@ -122,7 +135,8 @@ def build_potential_matrix(net: OscillatorNetwork) -> NDArray[np.float64]:
 
     Diagonal entries are omega_j^2/2; row/column 0 carries -kappa_j/2.
     OscillatorNetwork checks on construction that V is strictly positive
-    definite (tolerance 1e-12 relative to ||V||); its arrays are read-only.
+    definite (tolerance 1e-12 relative to ||V||) and keeps its normal modes;
+    its arrays are read-only.
     """
     return _potential_entries(net.omegas, net.kappas)
 

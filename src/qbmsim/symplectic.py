@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import OscillatorNetwork, build_potential_matrix
+if TYPE_CHECKING:
+    from .model import OscillatorNetwork
 
 #: condition number of Gamma beyond which the Hermitian-form fallback is used
 ILL_CONDITIONED = 1e8
@@ -63,6 +65,8 @@ class NormalModes:
     mode_matrix M satisfies M^T (2V) M = diag(tilde_omegas**2) with columns
     ordered by ascending frequency; embedded is the orthogonal *and*
     symplectic phase-space map T sending original to mode coordinates.
+    The arrays are read-only, since an OscillatorNetwork shares its modes
+    with every caller.
     """
 
     mode_matrix: NDArray[np.float64]
@@ -82,7 +86,8 @@ def normal_modes(v: NDArray[np.float64]) -> NormalModes:
     -------
     NormalModes
         Mode frequencies sqrt(eig(2V)) ascending and the transformation
-        matrices; raises ValueError when 2V has a nonpositive eigenvalue.
+        matrices, all read-only; raises ValueError when 2V has a nonpositive
+        eigenvalue.
     """
     v = np.asarray(v, dtype=float)
     evals, m = np.linalg.eigh(2.0 * v)
@@ -90,11 +95,11 @@ def normal_modes(v: NDArray[np.float64]) -> NormalModes:
         raise ValueError(
             f"stiffness matrix is not positive definite (min eig of 2V = {evals.min():.3e})"
         )
-    return NormalModes(
-        mode_matrix=m,
-        tilde_omegas=np.sqrt(evals),
-        embedded=embed_orthogonal(m.T),
-    )
+    modes = NormalModes(mode_matrix=m, tilde_omegas=np.sqrt(evals),
+                        embedded=embed_orthogonal(m.T))
+    for a in (modes.mode_matrix, modes.tilde_omegas, modes.embedded):
+        a.setflags(write=False)
+    return modes
 
 
 def thermal_diagonal(omegas: NDArray[np.float64], beta: float) -> NDArray[np.float64]:
@@ -128,13 +133,12 @@ def gibbs_covariance(modes: NormalModes, beta: float) -> NDArray[np.float64]:
 def propagator(net: OscillatorNetwork, t: float) -> NDArray[np.float64]:
     """Symplectic phase-space map S_t = exp(t Sigma W) of the network flow.
 
-    Built from the normal modes: each mode rotates as
+    Built from the network's normal modes: each mode rotates as
     [[cos(w t), sin(w t)/w], [-w sin(w t), cos(w t)]], conjugated back to
     the original coordinates.  Valid for any real t; S_0 is the identity
     and S_{t+s} = S_t S_s.
     """
-    modes = normal_modes(build_potential_matrix(net))
-    return _propagator_from_modes(modes, t)
+    return _propagator_from_modes(net.modes, t)
 
 
 def _propagator_from_modes(modes: NormalModes, t: float) -> NDArray[np.float64]:

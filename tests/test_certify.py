@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import qbmsim.certify
+import qbmsim.model
 from qbmsim import (
     FeasibilityError,
     OscillatorNetwork,
@@ -15,6 +16,7 @@ from qbmsim import (
     bath_gibbs_covariance,
     build_certificate,
     build_potential_matrix,
+    build_quadratic_form,
     certificate_constants,
     critical_beta,
     gibbs_covariance,
@@ -27,6 +29,8 @@ from qbmsim import (
     n_scaling_study,
     normal_modes,
     product_initial_covariance,
+    reduce_two_mode,
+    symplectic_form,
     thermal_factor,
     verify_all_times_separable,
 )
@@ -297,19 +301,10 @@ def test_certificate_diagonalises_and_thermalises_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("normal_modes", "gibbs_covariance"):
-        monkeypatch.setattr(qbmsim.certify, name, counting(getattr(qbmsim.certify, name)))
+    for module, name in ((qbmsim.model, "normal_modes"), (qbmsim.certify, "gibbs_covariance")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     build_certificate(make_spectral_model(OHMIC))
     assert calls == {"normal_modes": 1, "gibbs_covariance": 1}
-
-
-def test_shared_modes_serve_their_network_only_and_end_with_the_block():
-    net, other = make_spectral_model(OHMIC), make_spectral_model(replace(OHMIC, n_env=3))
-    modes = normal_modes(build_potential_matrix(net))
-    with qbmsim.certify._shared_modes(net, modes):
-        assert qbmsim.certify._network_modes(net) is modes
-        assert qbmsim.certify._network_modes(other).tilde_omegas.size == 4
-    assert qbmsim.certify._network_modes(net) is not modes
 
 
 def test_product_state_rejects_bad_system_shape():
@@ -411,6 +406,28 @@ def test_lambda_dot_matches_finite_difference(rng):
         ld = lambda_dot_analytic(gamma_sys, net, mode, beta)
         fd = lambda_dot_finite_difference(gamma_sys, net, mode, beta)
         assert abs(ld - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_derivative_blocks_match_the_dense_generator(rng):
+    def dense(gamma_sys, net, env_mode, beta):
+        gamma0 = product_initial_covariance(gamma_sys, net, beta)
+        gen = symplectic_form(net.n_modes) @ build_quadratic_form(build_potential_matrix(net))
+        dgamma = gen @ gamma0 + gamma0 @ gen.T
+        return reduce_two_mode(gamma0, env_mode), reduce_two_mode(dgamma, env_mode)
+
+    nets = [make_spectral_model(replace(OHMIC, exponent=p, n_env=n))
+            for p in (0.5, 1.0, 2.0) for n in (1, 8, 64)]
+    nets += [random_network(rng, rng.integers(1, 9)) for _ in range(6)]
+    for net in nets:
+        for gamma_sys in (np.eye(2), make_pure_gaussian(0.7, 0.4)):
+            for beta in (0.1, 1.0, 5.0):
+                for mode in sorted({1, net.n_env // 2 + 1, net.n_env}):
+                    got = qbmsim.certify._derivative_blocks(gamma_sys, net, mode, beta)
+                    want = dense(gamma_sys, net, mode, beta)
+                    for block, expected in zip(got, want):
+                        for name in "abc":
+                            assert np.array_equal(getattr(block, name),
+                                                  getattr(expected, name))
 
 
 def test_lambda_dot_rejects_mixed_system():

@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbmsim
 from qbmsim import critical_beta, make_spectral_model, thermal_factor
@@ -522,14 +527,78 @@ def test_main_unwritable_output_path(tmp_path, capsys):
 
 
 def test_main_numerics_error_is_a_one_line_failure(tmp_path, capsys):
-    # r = 30 squeezes one quadrature below double precision
-    data = minimal(system_state={"kind": "squeezed", "r": 30, "theta": 0},
+    # the margin passes the schema but no bath temperature can honour it
+    data = minimal(tolerances={"margin": 1e7},
                    time_grid={"start": 0.0, "stop": 1.0, "points": 4})
     config = write_config(tmp_path, data)
-    assert main(["evolve", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+    assert main(["certify", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("failure: ") and "positive definite" in err
+    assert err.startswith("failure: bath condition infeasible")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("state, field", [
+    # e^{4|r|} beyond 2^52, i.e. |r| > 9.0109: the evolved covariance would
+    # lose positive definiteness
+    ({"kind": "squeezed", "r": 30, "theta": 0}, "r"),
+    ({"kind": "squeezed", "r": 9.011, "theta": 0}, "r"),
+    ({"kind": "squeezed", "r": -400, "theta": 0.3}, "r"),
+    ({"kind": "matrix", "entries": [[1e10, 0], [0, 1e-10]]}, "entries"),
+])
+def test_main_rejects_states_double_precision_cannot_evolve(tmp_path, capsys, state, field):
+    data = minimal(system_state=state, time_grid={"start": 0.0, "stop": 1.0, "points": 4})
+    config = write_config(tmp_path, data)
+    assert main(["evolve", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: system_state.{field}: ")
+    assert len(err.splitlines()) == 1
+
+
+@st.composite
+def small_configs(draw):
+    """A subcommand and a config of at most 4 modes and 6 grid points."""
+    n_env = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        model = {"omegas": draw(st.lists(st.floats(0.1, 4.0), min_size=n_env + 1,
+                                         max_size=n_env + 1)),
+                 "kappas": draw(st.lists(st.floats(0.0, 1.5), min_size=n_env,
+                                         max_size=n_env))}
+    else:
+        model = {"family": {"p": draw(st.floats(0.0, 2.0)),
+                            "omega_max": draw(st.floats(0.1, 4.0)),
+                            "coupling_norm": draw(st.floats(0.0, 1.0)),
+                            "n_env": max(n_env, 1)}}
+    kind = draw(st.sampled_from(["vacuum", "squeezed", "matrix", "certificate"]))
+    state = {"kind": kind}
+    if kind == "squeezed":
+        # across the bound ln(2^52)/4 = 9.011
+        state.update(r=draw(st.floats(-12.0, 12.0)), theta=draw(st.floats(0.0, 6.3)))
+    elif kind == "matrix":
+        a, b = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+        c = draw(st.floats(-1e3, 1e3))
+        state["entries"] = [[a, c], [c, b]]
+    start = draw(st.floats(0.0, 5.0))
+    data = {"model": model, "beta": draw(st.floats(1e-3, 50.0)), "system_state": state,
+            "time_grid": {"start": start, "stop": start + draw(st.floats(1e-3, 50.0)),
+                          "points": draw(st.integers(2, 6)),
+                          "spacing": draw(st.sampled_from(["linear", "log"]))},
+            "tolerances": {"margin": draw(st.sampled_from([1e-6, 1e-2, 1e7]))},
+            "sweep_ns": draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))}
+    return draw(st.sampled_from(["evolve", "certify", "immediate", "sweep"])), data
+
+
+@pytest.mark.filterwarnings("ignore:sweep_ns contains duplicates")
+@given(small_configs())
+@settings(max_examples=60, deadline=None)
+def test_main_exit_code_is_0_1_or_2_for_any_small_config(case):
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), data)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--config", config, "--out", str(Path(tmp) / "x.csv")])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 def test_runtime_imports_no_scipy():
@@ -572,14 +641,13 @@ def test_workflow_diagonalises_the_network_once(tmp_path, monkeypatch, command, 
     else:
         config = str(CONFIGS / name)
     calls = []
-    original = qbmsim.certify.normal_modes
+    original = qbmsim.model.normal_modes
 
     def counting(v):
         calls.append(v.shape)
         return original(v)
 
-    for module in (qbmsim.certify, qbmsim.cli):
-        monkeypatch.setattr(module, "normal_modes", counting)
+    monkeypatch.setattr(qbmsim.model, "normal_modes", counting)
     out = str(tmp_path / "out.csv")
     assert main([command, "--config", config, "--out", out]) == 0
     assert calls == [(9, 9)]

@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import qbmsim.model
 from qbmsim import (
     OscillatorNetwork,
     SpectralFamily,
     build_potential_matrix,
     build_quadratic_form,
+    evolve,
     make_spectral_model,
+    propagator,
 )
 
 from conftest import random_network
@@ -25,9 +30,35 @@ def test_potential_entries_half_convention():
 
 
 def test_potential_rejects_indefinite():
-    # 2x2 eigenvalues are omega^2/2 -+ kappa/2; kappa = 1.1 pushes one below 0
-    with pytest.raises(ValueError):
-        OscillatorNetwork(omegas=[1.0, 1.0], kappas=[1.1])
+    # 2x2 eigenvalues are omega^2/2 -+ kappa/2: below 0, 0, and 5e-15 <= 1e-12 ||V||
+    for kappa in (1.1, 1.0, 1.0 - 1e-14):
+        with pytest.raises(ValueError, match="couplings are too strong"):
+            OscillatorNetwork(omegas=[1.0, 1.0], kappas=[kappa])
+
+
+def test_network_diagonalises_once_and_shares_read_only_modes(monkeypatch):
+    calls = []
+    original = qbmsim.model.normal_modes
+
+    def counting(v):
+        calls.append(v.shape)
+        return original(v)
+
+    monkeypatch.setattr(qbmsim.model, "normal_modes", counting)
+    net = OscillatorNetwork(omegas=[1.0, 1.5, 2.0], kappas=[0.2, 0.1])
+    propagator(net, 0.5)
+    evolve(np.eye(6), net, 1.0)
+    assert calls == [(3, 3)]
+    expected = original(build_potential_matrix(net))
+    for name in ("mode_matrix", "tilde_omegas", "embedded"):
+        assert np.array_equal(getattr(net.modes, name), getattr(expected, name))
+        with pytest.raises(ValueError):
+            getattr(net.modes, name)[0] = 5.0
+    changed = replace(net, kappas=[0.3, 0.0])
+    assert calls == [(3, 3), (3, 3)]
+    assert np.array_equal(changed.modes.tilde_omegas,
+                          original(build_potential_matrix(changed)).tilde_omegas)
+    assert not np.array_equal(changed.modes.tilde_omegas, net.modes.tilde_omegas)
 
 
 def test_network_field_validation():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import qbmsim.symplectic
 from qbmsim import (
     OscillatorNetwork,
     build_potential_matrix,
@@ -273,3 +277,14 @@ def test_make_pure_gaussian_axis_aligned():
     npt.assert_allclose(make_pure_gaussian(0.0, 0.0), np.eye(2), atol=1e-15)
     npt.assert_allclose(make_pure_gaussian(0.5, 0.0),
                         np.diag([np.e, 1.0 / np.e]), rtol=1e-15)
+
+
+def test_symplectic_imports_model_for_type_checking_only():
+    # the dependency runs one way, model -> symplectic
+    tree = ast.parse(Path(qbmsim.symplectic.__file__).read_text(encoding="utf-8"))
+    guarded = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+               for inner in ast.walk(node)}
+    model_imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[-1] == "model"]
+    assert all(id(node) in guarded for node in model_imports)
