@@ -18,13 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import ppt_verdict, reduce_two_mode, lambda_of_block, TwoModeBlock, _adjugate2
+from .entanglement import ppt_verdict, reduce_two_mode, lambda_of_block
 from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
     gibbs_covariance,
     is_valid_covariance,
     purity_residual,
-    symplectic_form,
     symplectic_spectrum,
     thermal_diagonal,
     trajectory,
@@ -319,69 +318,29 @@ def verify_all_times_separable(cert: SeparabilityCertificate,
     )
 
 
-def _derivative_blocks(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
-                       env_mode: int, beta: float) -> tuple[TwoModeBlock, TwoModeBlock]:
-    """Two-mode block of the initial state and of its exact time derivative.
-
-    d Gamma/dt = G Gamma + Gamma G^T with generator G = Sigma W; restriction
-    to a principal submatrix commutes with differentiation.  The product
-    state has no entries between different modes, so the pair's block of
-    the derivative is g P + P g^T with P the pair's block of the state and g
-    the pair's 4x4 block of G.
-    """
-    block = reduce_two_mode(product_initial_covariance(gamma_sys, net, beta), env_mode)
-    kappa = net.kappas[env_mode - 1]
-    w = np.eye(4)
-    w[0::2, 0::2] = np.diag(net.omegas[[0, env_mode]] ** 2)
-    w[0, 2] = w[2, 0] = -kappa
-    gen = symplectic_form(2) @ w
-    pair = block.assembled
-    d = gen @ pair + pair @ gen.T
-    return block, TwoModeBlock(a=d[:2, :2], b=d[2:, 2:], c=d[:2, 2:])
-
-
 def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
                         env_mode: int, beta: float) -> float:
-    """Exact d(lambda)/dt at t = 0 for a pure system and a thermal bath.
+    """Exact d(lambda)/dt at t = 0 for a pure system and a thermal bath: 0.
 
-    Differentiates lambda = d/2 - sqrt(disc) through the block determinants,
-    with the discriminant derivative arranged so that the factor
-    (det A - det B) cancels against sqrt(disc) analytically; this keeps the
-    evaluation stable for near-pure bath modes.  The value is 0 for every
-    valid input: the onset of entanglement is of higher order in t.
+    Take lambda = d/2 - sqrt(disc) as in lambda_of_block.  At t = 0 the
+    product state has C = 0 and C = O(t), so det C and disc's C terms are
+    O(t^2).  A and B move under their own traceless generators Sigma W_jj,
+    so det A and det B are fixed to first order.  As det A = 1 < det B,
+    sqrt(disc) = (det B - det A)/2 + O(t^2), hence lambda'(0) = 0.  Raises
+    ValueError for an impure system, env_mode outside 1..n_env, or
+    det B - 1 <= DEGENERATE_DET_B (a bath mode effectively at zero temperature).
     """
     resid = purity_residual(np.asarray(gamma_sys, dtype=float))
     if resid > 1e-8:
         raise ValueError(f"system state must be pure (purity residual {resid:.3e})")
-    block, dblock = _derivative_blocks(gamma_sys, net, env_mode, beta)
-    a, b, c = block.a, block.b, block.c
-    da, db, dc = dblock.a, dblock.b, dblock.c
-    det_a, det_b, det_c = map(np.linalg.det, (a, b, c))
+    block = reduce_two_mode(product_initial_covariance(gamma_sys, net, beta), env_mode)
+    det_b = np.linalg.det(block.b)
     if det_b - 1.0 <= DEGENERATE_DET_B:
         raise ValueError(
             f"bath mode {env_mode} is effectively at zero temperature "
             f"(det B - 1 = {det_b - 1.0:.3e}); the derivative at t = 0 is one-sided"
         )
-    adj_a, adj_b, adj_c = map(_adjugate2, (a, b, c))
-    ddet_a = float(np.trace(adj_a @ da))
-    ddet_b = float(np.trace(adj_b @ db))
-    ddet_c = float(np.trace(adj_c @ dc))
-    ddot = ddet_a + ddet_b - 2.0 * ddet_c
-    disc = ((det_a - det_b) ** 2 / 4.0
-            - det_c * (det_a + det_b)
-            + np.trace(adj_a @ c @ adj_b @ c.T))
-    root = np.sqrt(max(disc, 0.0))
-    # d(disc)/dt, with the C-dependent part kept separate; it vanishes
-    # identically at t = 0 where C = 0
-    ddisc_ab = 0.5 * (det_a - det_b) * (ddet_a - ddet_b)
-    ddisc_c = (-ddet_c * (det_a + det_b) - det_c * (ddet_a + ddet_b)
-               + np.trace(_adjugate2(da) @ c @ adj_b @ c.T)
-               + np.trace(adj_a @ dc @ adj_b @ c.T)
-               + np.trace(adj_a @ c @ _adjugate2(db) @ c.T)
-               + np.trace(adj_a @ c @ adj_b @ dc.T))
-    # (det_a - det_b) / (2 root) is -sign(det_b - det_a) up to rounding
-    ratio = (det_a - det_b) / (2.0 * root)
-    return float(ddot / 2.0 - (0.5 * ddet_a - 0.5 * ddet_b) * ratio - ddisc_c / (2.0 * root))
+    return 0.0
 
 
 def lambda_dot_finite_difference(gamma_sys: NDArray[np.float64],
@@ -442,9 +401,11 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     leading = probed[int(np.argmin(lam[0]))]
     try:
         ld0 = lambda_dot_analytic(gamma_sys, net, leading, beta)
-        ld0_fd = lambda_dot_finite_difference(gamma_sys, net, leading, beta)
     except ValueError:
+        # purity and the mode index hold here: only a zero-temperature mode raises
         ld0 = ld0_fd = float("nan")
+    else:
+        ld0_fd = lambda_dot_finite_difference(gamma_sys, net, leading, beta)
     order, coeff = _fit_onset(times, pt_min ** 2)
     return OnsetReport(
         times=times,

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
@@ -104,6 +103,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         for i, w in enumerate(model["omegas"]):
             if w <= 0.0:
                 raise ConfigError(f"model.omegas[{i}]: must be positive, got {w!r}")
+        if not model["kappas"]:
+            raise ConfigError("model.kappas: the bath needs at least one mode")
     else:
         _check_keys(model, "model", required=("family",))
         fam = model["family"]
@@ -149,8 +150,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     sweep_ns = data.get("sweep_ns")
     if sweep_ns is not None:
         if (not isinstance(sweep_ns, list) or not sweep_ns
-                or not all(isinstance(n, int) and not isinstance(n, bool) for n in sweep_ns)):
-            raise ConfigError("sweep_ns: must be a nonempty list of integers")
+                or not all(isinstance(n, int) and not isinstance(n, bool) for n in sweep_ns)
+                or len(set(sweep_ns)) != len(sweep_ns)):
+            raise ConfigError("sweep_ns: must be a nonempty list of distinct integers")
     return ExperimentConfig(model=model, version=version, beta=beta,
                             system_state=state, time_grid=grid, tolerances=tol,
                             seed=seed, sweep_ns=sweep_ns, raw=data)
@@ -524,12 +526,9 @@ def run_sweep(config: ExperimentConfig) -> ResultTable:
         raise ConfigError("sweep_ns: required for sweep")
     if "family" not in config.model:
         raise ConfigError("model.family: sweep requires a spectral-family model")
-    ns = sorted(set(config.sweep_ns))
-    if len(ns) != len(config.sweep_ns):
-        warnings.warn("sweep_ns contains duplicates; deduplicated", stacklevel=2)
     rows = []
     n_ok = 0
-    for n in ns:
+    for n in sorted(config.sweep_ns):
         t0 = time.perf_counter()
         try:
             family, omega_sys = _spectral_family(config)
@@ -608,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FeasibilityError, ValueError, np.linalg.LinAlgError) as exc:
+    except (FeasibilityError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
         # numerics errors; ConfigError is a ValueError and is caught above
         print(f"failure: {exc}", file=sys.stderr)
         return 1

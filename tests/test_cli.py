@@ -146,6 +146,7 @@ def test_parse_tolerance_overrides():
      "system_state: unknown keys.*margin"),
     *[({"model": {"family": {**FAMILY["family"], "omega_sys": w0}}, "beta": 1.0},
        "model.family.omega_sys: ") for w0 in ("x", True, 0, -1.0)],
+    ({"model": {"omegas": [1.0], "kappas": []}, "beta": 1.0}, "model.kappas: "),
 ])
 def test_parse_rejects_and_names_the_field(data, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -239,7 +240,7 @@ def test_certify_writes_sidecar(tmp_path, capsys):
     config = write_config(tmp_path, {"model": dict(FAMILY), "time_grid": grid})
     out = str(tmp_path / "certify.csv")
     assert main(["certify", "--config", config, "--out", out]) == 0
-    sidecar = json.loads(open(out + ".certificate.json", encoding="utf-8").read())
+    sidecar = json.loads(Path(out + ".certificate.json").read_text(encoding="utf-8"))
     assert set(sidecar) == {"constants", "beta_star", "beta", "margin", "gamma0_sys"}
     assert sidecar["beta"] == 0.5 * sidecar["beta_star"]
     assert np.asarray(sidecar["gamma0_sys"]).shape == (2, 2)
@@ -295,6 +296,17 @@ def test_immediate_decoupled_fails_with_exit_one(tmp_path, capsys):
     assert meta["epsilon_found"] == "0"
 
 
+def test_immediate_frozen_bath_writes_nan_derivatives(tmp_path):
+    # beta*omega >= 5e4 for every bath mode: det B - 1 underflows, so the
+    # derivative at t = 0 is one-sided and neither estimate is defined
+    config = write_config(tmp_path, {"model": dict(FAMILY), "beta": 1e5})
+    out = str(tmp_path / "cold.csv")
+    assert main(["immediate", "--config", config, "--out", out]) == 0
+    meta, _, _ = read_csv(out)
+    assert meta["lambda_dot0"] == "nan"
+    assert meta["lambda_dot0_fd"] == "nan"
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -319,11 +331,11 @@ def test_sweep_gamma_constant_across_sizes():
     npt.assert_allclose(gammas, gammas[0], atol=1e-12)
 
 
-def test_sweep_deduplicates_sizes():
-    with pytest.warns(UserWarning, match="duplicates"):
-        table = run_sweep(parse_config({"model": dict(FAMILY),
-                                        "sweep_ns": [4, 4, 2]}))
-    assert [row[0] for row in table.rows] == [2, 4]
+def test_sweep_rejects_duplicate_sizes(tmp_path, capsys):
+    config = write_config(tmp_path, {"model": dict(FAMILY), "sweep_ns": [4, 4, 2]})
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: sweep_ns: must be a nonempty list of distinct integers\n"
 
 
 def test_sweep_requires_family_and_sizes():
@@ -421,7 +433,7 @@ def test_svg_via_main(tmp_path):
     out = str(tmp_path / "evolve.svg")
     code = main(["evolve", "--config", config, "--out", out, "--format", "svg"])
     assert code == 0
-    ET.fromstring(open(out, encoding="utf-8").read())
+    ET.fromstring(Path(out).read_text(encoding="utf-8"))
 
 
 # ----------------------------------------------------- reproducible artifacts
@@ -537,6 +549,19 @@ def test_main_numerics_error_is_a_one_line_failure(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_main_out_of_memory_is_a_one_line_failure(tmp_path, capsys, monkeypatch):
+    # a bath too large for memory; raised by a stand-in, nothing is allocated
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(qbmsim.cli, "run_evolve", exhausted)
+    config = write_config(tmp_path, {"model": dict(FAMILY), "beta": 1.0,
+                                     "time_grid": {"start": 0.0, "stop": 1.0, "points": 4}})
+    assert main(["evolve", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "failure: Unable to allocate 7.28 TiB for an array\n"
+
+
 @pytest.mark.parametrize("state, field", [
     # e^{4|r|} beyond 2^52, i.e. |r| > 9.0109: the evolved covariance would
     # lose positive definiteness
@@ -587,7 +612,6 @@ def small_configs(draw):
     return draw(st.sampled_from(["evolve", "certify", "immediate", "sweep"])), data
 
 
-@pytest.mark.filterwarnings("ignore:sweep_ns contains duplicates")
 @given(small_configs())
 @settings(max_examples=60, deadline=None)
 def test_main_exit_code_is_0_1_or_2_for_any_small_config(case):
