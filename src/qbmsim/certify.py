@@ -24,7 +24,6 @@ from .symplectic import (
     gibbs_covariance,
     is_valid_covariance,
     purity_residual,
-    symplectic_spectrum,
     thermal_diagonal,
     trajectory,
 )
@@ -296,17 +295,17 @@ def build_certificate(net: OscillatorNetwork,
 def verify_all_times_separable(cert: SeparabilityCertificate,
                                net: OscillatorNetwork,
                                times: NDArray[np.float64]) -> VerificationReport:
-    """Evolve the certified state and run the PPT test at every grid time."""
+    """Evolve the certified state and run the PPT test at every grid time.
+
+    Raises ValueError if cert.gamma0_sys is unphysical, checked once: the
+    symplectic flow keeps the product state's symplectic spectrum.
+    """
+    if not is_valid_covariance(cert.gamma0_sys):
+        raise ValueError("certificate gamma0_sys is not a valid single-mode covariance")
     times = np.asarray(times, dtype=float)
     gamma0 = product_initial_covariance(cert.gamma0_sys, net, cert.beta)
     minima = np.empty(times.size)
-    for i, (t, gamma_t) in enumerate(zip(times, trajectory(gamma0, net.modes, times))):
-        spec = symplectic_spectrum(gamma_t)
-        if spec.min() < 1.0 - 1e-9:
-            raise RuntimeError(
-                f"evolved covariance invalid at t={t:g} "
-                f"(min symplectic eigenvalue {spec.min():.12f}); propagator bug"
-            )
+    for i, gamma_t in enumerate(trajectory(gamma0, net.modes, times)):
         minima[i] = ppt_verdict(gamma_t).min_pt_symplectic
     min_pt = float(minima.min())
     return VerificationReport(

@@ -113,11 +113,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         required = ("p", "omega_max", "coupling_norm", "n_env")
         _check_keys(fam, "model.family", required, optional=("omega_sys",))
         for key in required:
-            if not isinstance(fam[key], (int, float)) or isinstance(fam[key], bool):
+            if not _is_number(fam[key]):
                 raise ConfigError(f"model.family.{key}: must be a number")
         omega_sys = fam.get("omega_sys", 1.0)
-        if (not isinstance(omega_sys, (int, float)) or isinstance(omega_sys, bool)
-                or omega_sys <= 0):
+        if not _is_number(omega_sys) or omega_sys <= 0:
             raise ConfigError(
                 f"model.family.omega_sys: must be a positive number, got {omega_sys!r}")
         if fam["omega_max"] <= 0:
@@ -128,7 +127,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError("model.family.n_env: must be a positive integer")
     beta = data.get("beta")
     if beta is not None:
-        if not isinstance(beta, (int, float)) or isinstance(beta, bool) or beta <= 0:
+        if not _is_number(beta) or beta <= 0:
             raise ConfigError(f"beta: must be a positive number, got {beta!r}")
         beta = float(beta)
     state = data.get("system_state", {"kind": "vacuum"})
@@ -142,20 +141,29 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key, val in tol.items():
         if key not in ("ppt", "margin"):
             raise ConfigError(f"tolerances.{key}: unknown tolerance")
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
+        if not _is_number(val) or val <= 0:
             raise ConfigError(f"tolerances.{key}: must be positive, got {val!r}")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
     sweep_ns = data.get("sweep_ns")
     if sweep_ns is not None:
         if (not isinstance(sweep_ns, list) or not sweep_ns
-                or not all(isinstance(n, int) and not isinstance(n, bool) for n in sweep_ns)
+                or not all(_is_int(n) for n in sweep_ns)
                 or len(set(sweep_ns)) != len(sweep_ns)):
             raise ConfigError("sweep_ns: must be a nonempty list of distinct integers")
     return ExperimentConfig(model=model, version=version, beta=beta,
                             system_state=state, time_grid=grid, tolerances=tol,
                             seed=seed, sweep_ns=sweep_ns, raw=data)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool (a subclass of int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_keys(obj: dict, where: str, required: Collection[str] = (),
@@ -170,9 +178,7 @@ def _check_keys(obj: dict, where: str, required: Collection[str] = (),
 
 
 def _require_number_list(value, name: str) -> None:
-    if (not isinstance(value, list)
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in value)):
+    if not isinstance(value, list) or not all(_is_number(x) for x in value):
         raise ConfigError(f"{name}: must be a list of numbers")
 
 
@@ -185,7 +191,7 @@ def _validate_state(state) -> None:
     _check_keys(state, "system_state", required=_STATE_KEYS[kind])
     if kind == "squeezed":
         for key in ("r", "theta"):
-            if not isinstance(state.get(key), (int, float)) or isinstance(state.get(key), bool):
+            if not _is_number(state.get(key)):
                 raise ConfigError(f"system_state.{key}: must be a number")
         if abs(state["r"]) > _MAX_SQUEEZING:
             raise ConfigError(
@@ -217,9 +223,9 @@ def _validate_grid(grid) -> None:
     spacing = grid.get("spacing", "linear")
     if spacing not in ("linear", "log"):
         raise ConfigError(f"time_grid.spacing: must be 'linear' or 'log', got {spacing!r}")
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
+    if not _is_int(points) or points < 2:
         raise ConfigError("time_grid.points: must be an integer >= 2")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (start, stop)):
+    if not (_is_number(start) and _is_number(stop)):
         raise ConfigError("time_grid.start/stop: must be numbers")
     if stop <= start:
         raise ConfigError("time_grid.stop: must exceed time_grid.start")
@@ -304,10 +310,8 @@ class ResultTable:
                 raise ValueError(
                     f"row {i} has {len(row)} cells, expected {len(self.columns)}"
                 )
-            for cell in row:
-                if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                    if not math.isfinite(cell):
-                        raise ValueError(f"row {i} contains a non-finite value")
+            if any(_is_number(cell) and not math.isfinite(cell) for cell in row):
+                raise ValueError(f"row {i} contains a non-finite value")
 
 
 def _format_cell(value) -> str:
@@ -421,11 +425,13 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
     gamma_sys, beta = _system_covariance(config, net)
     gamma0 = product_initial_covariance(gamma_sys, net, beta)
     w = build_quadratic_form(build_potential_matrix(net))
-    rows = []
-    for t, gamma_t in zip(times, trajectory(gamma0, net.modes, times)):
-        verdict = ppt_verdict(gamma_t, tol=config.ppt_tol)
-        rows.append((float(t), verdict.min_pt_symplectic, verdict.log_negativity,
-                     mean_energy(gamma_t, w), float(symplectic_spectrum(gamma_t).min())))
+    # the symplectic flow conserves W and the symplectic spectrum: evaluate both on gamma0
+    energy = mean_energy(gamma0, w)
+    min_symplectic = float(symplectic_spectrum(gamma0).min())
+    verdicts = (ppt_verdict(gamma_t, tol=config.ppt_tol)
+                for gamma_t in trajectory(gamma0, net.modes, times))
+    rows = [(float(t), v.min_pt_symplectic, v.log_negativity, energy, min_symplectic)
+            for t, v in zip(times, verdicts)]
     meta = _base_metadata(config, "evolve")
     meta["beta"] = _format_cell(float(beta))
     meta["wall_clock_s"] = f"{time.perf_counter() - t0:.6f}"
@@ -447,19 +453,11 @@ def run_certify(config: ExperimentConfig) -> tuple[ResultTable, SeparabilityCert
     rows = [(float(t), float(m))
             for t, m in zip(report.times, report.min_pt_by_time)]
     meta = _base_metadata(config, "certify")
-    c = cert.constants
-    meta.update({
-        "omega_env_max": _format_cell(c.omega_env_max),
-        "delta": _format_cell(c.delta),
-        "omega_bound": _format_cell(c.omega_bound),
-        "gamma_ref": _format_cell(c.gamma_ref),
-        "beta_star": _format_cell(cert.beta_star),
-        "beta": _format_cell(cert.beta),
-        "margin": _format_cell(cert.margin),
-        "gamma0_sys": json.dumps(cert.gamma0_sys.tolist()),
-        "min_pt_overall": _format_cell(report.min_pt),
-        "passed": str(report.passed),
-    })
+    cert_fields = certificate_to_dict(cert)
+    cert_fields.update(cert_fields.pop("constants"), min_pt_overall=report.min_pt)
+    meta.update({key: _format_cell(value) for key, value in cert_fields.items()})
+    meta["gamma0_sys"] = json.dumps(cert_fields["gamma0_sys"])
+    meta["passed"] = str(report.passed)
     meta["wall_clock_s"] = f"{time.perf_counter() - t0:.6f}"
     table = ResultTable(columns=["t", "min_pt_symplectic"], rows=rows, metadata=meta)
     return table, cert

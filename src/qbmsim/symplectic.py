@@ -169,8 +169,7 @@ def trajectory(gamma0: NDArray[np.float64], modes: NormalModes,
 def evolve(gamma: NDArray[np.float64], net: OscillatorNetwork,
            t: float) -> NDArray[np.float64]:
     """Evolve a covariance matrix: Gamma_t = S_t Gamma S_t^T."""
-    s = propagator(net, t)
-    return s @ gamma @ s.T
+    return next(trajectory(gamma, net.modes, (t,)))
 
 
 def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -236,8 +235,11 @@ def purity_residual(gamma: NDArray[np.float64]) -> float:
 
 
 def mean_energy(gamma: NDArray[np.float64], w: NDArray[np.float64]) -> float:
-    """Energy expectation tr(W Gamma)/4 of a zero-mean Gaussian state."""
-    return float(np.trace(np.asarray(w, float) @ np.asarray(gamma, float)) / 4.0)
+    """Energy expectation tr(W Gamma)/4 of a zero-mean Gaussian state.
+
+    Summed elementwise in O(n^2).  The flow of W conserves it along a trajectory.
+    """
+    return float(np.einsum("ij,ji->", np.asarray(w, float), np.asarray(gamma, float)) / 4.0)
 
 
 def make_pure_gaussian(r: float, theta: float) -> NDArray[np.float64]:

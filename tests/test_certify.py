@@ -12,6 +12,7 @@ from qbmsim import (
     FeasibilityError,
     OscillatorNetwork,
     ScalingRow,
+    SeparabilityCertificate,
     SpectralFamily,
     bath_gibbs_covariance,
     build_certificate,
@@ -371,6 +372,16 @@ def test_overheated_bath_breaks_the_certificate():
     report = verify_all_times_separable(hot, net, np.linspace(0.0, 100.0, 400))
     assert not report.passed
     assert report.min_pt <= 0.99
+
+
+def test_unphysical_certificate_is_rejected_before_evolving():
+    # I/2 violates the uncertainty relation; the 2x2 block is checked once
+    net = make_spectral_model(OHMIC)
+    cert = SeparabilityCertificate(constants=certificate_constants(net),
+                                   beta_star=1.0, beta=0.5,
+                                   gamma0_sys=0.5 * np.eye(2), margin=1e-6)
+    with pytest.raises(ValueError, match="gamma0_sys"):
+        verify_all_times_separable(cert, net, np.linspace(0.0, 10.0, 5))
 
 
 # ---------------------------------------------------------- lambda derivative

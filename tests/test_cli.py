@@ -16,7 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbmsim
-from qbmsim import critical_beta, make_spectral_model, thermal_factor
+from qbmsim import (
+    build_certificate,
+    build_potential_matrix,
+    build_quadratic_form,
+    critical_beta,
+    make_pure_gaussian,
+    make_spectral_model,
+    product_initial_covariance,
+    propagator,
+    symplectic_spectrum,
+    thermal_factor,
+)
 from qbmsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -31,6 +42,8 @@ from qbmsim.cli import (
     run_sweep,
 )
 from qbmsim.model import SpectralFamily
+
+from conftest import random_covariance, random_network
 
 EXPLICIT = {"omegas": [1.0, 1.5, 2.0], "kappas": [0.2, 0.1]}
 FAMILY = {"family": {"p": 1.0, "omega_max": 2.0, "coupling_norm": 0.1, "n_env": 4}}
@@ -215,6 +228,41 @@ def test_evolve_from_certificate_state_stays_separable():
     net = make_spectral_model(SpectralFamily(1.0, 2.0, 0.1, 4))
     npt.assert_allclose(float(table.metadata["beta"]),
                         0.5 * critical_beta(net), rtol=1e-12)
+
+
+def test_evolve_conserved_columns_match_the_per_step_oracle(rng):
+    """mean_energy and min_symplectic are constants of motion on every row.
+
+    The oracle evaluates tr(W Gamma_t)/4 and the symplectic spectrum of each
+    evolved covariance, step by step.
+    """
+    grid = {"start": 0.0, "stop": 20.0, "points": 15}
+    for _ in range(6):
+        net = random_network(rng, int(rng.integers(1, 6)))
+        w = build_quadratic_form(build_potential_matrix(net))
+        beta = float(rng.uniform(0.2, 3.0))
+        r, theta = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.0, np.pi))
+        entries = random_covariance(rng, 1, spread=2.0)
+        cert = build_certificate(net)
+        cases = [({"kind": "vacuum"}, np.eye(2), beta),
+                 ({"kind": "squeezed", "r": r, "theta": theta},
+                  make_pure_gaussian(r, theta), beta),
+                 ({"kind": "matrix", "entries": entries.tolist()}, entries, beta),
+                 ({"kind": "certificate"}, cert.gamma0_sys, cert.beta)]
+        for state, gamma_sys, state_beta in cases:
+            table = run_evolve(parse_config({
+                "model": {"omegas": net.omegas.tolist(), "kappas": net.kappas.tolist()},
+                "beta": beta, "system_state": state, "time_grid": grid}))
+            energy, min_sympl = table.rows[0][3], table.rows[0][4]
+            assert all(row[3] == energy and row[4] == min_sympl for row in table.rows)
+            gamma0 = product_initial_covariance(gamma_sys, net, state_beta)
+            for t in np.linspace(0.0, 20.0, 15):
+                s = propagator(net, t)
+                gamma_t = s @ gamma0 @ s.T
+                oracle_energy = float(np.trace(w @ gamma_t)) / 4.0
+                oracle_sympl = float(symplectic_spectrum(gamma_t).min())
+                assert abs(energy - oracle_energy) <= 1e-12 * max(1.0, abs(oracle_energy))
+                assert abs(min_sympl - oracle_sympl) <= 1e-12 * max(1.0, abs(oracle_sympl))
 
 
 # ------------------------------------------------------------------ certify
