@@ -18,7 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import ppt_verdict, reduce_two_mode, lambda_of_block
+from .entanglement import (
+    lambda_of_block,
+    ppt_verdict,
+    product_state_pt_minima,
+    reduce_two_mode,
+)
 from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
     gibbs_covariance,
@@ -297,16 +302,16 @@ def verify_all_times_separable(cert: SeparabilityCertificate,
                                times: NDArray[np.float64]) -> VerificationReport:
     """Evolve the certified state and run the PPT test at every grid time.
 
-    Raises ValueError if cert.gamma0_sys is unphysical, checked once: the
-    symplectic flow keeps the product state's symplectic spectrum.
+    Each time costs O(n^2) and forms no 2n x 2n matrix: product_state_pt_minima
+    reads the PT spectrum off rows 0 and 1 of S_t.  Raises ValueError if
+    cert.gamma0_sys is unphysical, checked once (the symplectic flow keeps the
+    product state's symplectic spectrum), or if times is empty or not finite.
     """
     if not is_valid_covariance(cert.gamma0_sys):
         raise ValueError("certificate gamma0_sys is not a valid single-mode covariance")
-    times = np.asarray(times, dtype=float)
-    gamma0 = product_initial_covariance(cert.gamma0_sys, net, cert.beta)
-    minima = np.empty(times.size)
-    for i, gamma_t in enumerate(trajectory(gamma0, net.modes, times)):
-        minima[i] = ppt_verdict(gamma_t).min_pt_symplectic
+    times = _time_grid(times)
+    minima = product_state_pt_minima(cert.gamma0_sys, net.modes, net.omegas[1:],
+                                     cert.beta, times)
     min_pt = float(minima.min())
     return VerificationReport(
         times=times,
@@ -315,6 +320,16 @@ def verify_all_times_separable(cert: SeparabilityCertificate,
         threshold=VERIFY_TOL,
         passed=bool(min_pt >= 1.0 - VERIFY_TOL),
     )
+
+
+def _time_grid(times: NDArray[np.float64]) -> NDArray[np.float64]:
+    """times as a float array; raises ValueError when it is empty or not finite."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("times must not be empty")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    return times
 
 
 def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
@@ -368,7 +383,9 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     every sampled time; per-pair curves are recorded alongside but do not
     gate the verdict, since they certify only one direction.  If some time
     shows no entanglement the report is returned with passed=False rather
-    than raising, so the curve stays available for inspection.
+    than raising, so the curve stays available for inspection.  Raises
+    ValueError for an impure system state and for times that are empty, not
+    finite or not strictly positive.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
     resid = purity_residual(gamma_sys)
@@ -376,7 +393,7 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
         raise ValueError(f"system state must be pure (purity residual {resid:.3e})")
     if times is None:
         times = np.geomspace(1e-4, 1e-1, 25)
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     if np.any(times <= 0.0):
         raise ValueError("onset times must be strictly positive")
     probed = tuple(int(j) + 1 for j in np.flatnonzero(net.kappas > 0.0))

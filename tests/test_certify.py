@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -384,6 +385,37 @@ def test_unphysical_certificate_is_rejected_before_evolving():
         verify_all_times_separable(cert, net, np.linspace(0.0, 10.0, 5))
 
 
+BAD_GRIDS = pytest.mark.parametrize("times, match", [
+    ([], "empty"),
+    ([0.5, np.nan], "finite"),
+    ([0.5, np.inf], "finite"),
+], ids=["empty", "nan", "inf"])
+
+
+@BAD_GRIDS
+def test_verify_rejects_bad_time_grid(times, match):
+    net = make_spectral_model(OHMIC)
+    cert = build_certificate(net)
+    with pytest.raises(ValueError, match=match):
+        verify_all_times_separable(cert, net, np.array(times))
+
+
+def test_verify_streams_without_dense_matrices():
+    # one dense 2n x 2n float64 matrix at n_env = 256 is 2.1 MB; the PPT test
+    # per step reads rows 0 and 1 of S_t and keeps O(n) memory
+    net = make_spectral_model(replace(OHMIC, n_env=256))
+    cert = build_certificate(net)
+    times = np.linspace(0.0, 100.0, 50)
+    tracemalloc.start()
+    try:
+        report = verify_all_times_separable(cert, net, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < (2 * net.n_modes) ** 2 * 8
+
+
 # ---------------------------------------------------------- lambda derivative
 
 
@@ -503,6 +535,13 @@ def test_immediate_entanglement_input_validation():
     with pytest.raises(ValueError, match="positive"):
         immediate_entanglement_check(np.eye(2), net, beta=1.0,
                                      times=np.array([0.0, 0.1]))
+
+
+@BAD_GRIDS
+def test_immediate_rejects_bad_time_grid(times, match):
+    net = make_spectral_model(OHMIC)
+    with pytest.raises(ValueError, match=match):
+        immediate_entanglement_check(np.eye(2), net, beta=1.0, times=np.array(times))
 
 
 # ------------------------------------------------------------- bath scaling

@@ -2,21 +2,28 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import qbmsim.entanglement
 from qbmsim import (
     ENTANGLED,
     INCONCLUSIVE,
     SEPARABLE,
     OscillatorNetwork,
     TwoModeBlock,
+    bath_gibbs_covariance,
+    build_certificate,
     build_potential_matrix,
     gibbs_covariance,
     lambda_of_block,
+    make_pure_gaussian,
     normal_modes,
     partial_transpose,
     ppt_verdict,
+    product_state_pt_minima,
+    propagator,
     reduce_two_mode,
     symplectic_spectrum,
 )
+from qbmsim.symplectic import thermal_diagonal
 
 from conftest import (
     random_covariance,
@@ -181,3 +188,96 @@ def test_log_negativity_positive_for_squeezed():
     for r in (0.01, 0.1, 1.0):
         verdict = ppt_verdict(two_mode_squeezed(r).assembled)
         assert verdict.log_negativity > 0.0
+
+
+# ------------------------------------------------- rank-two PT spectrum kernel
+
+
+def random_explicit_network(rng, n_env):
+    """Explicit network with repeated bath frequencies and ~15 % zero couplings."""
+    omega_sys = rng.uniform(0.5, 2.0)
+    pool = rng.uniform(0.2, 3.0, n_env // 2 + 1)
+    omegas = np.concatenate(([omega_sys], rng.choice(pool, n_env)))
+    kappas = rng.uniform(0.1, 1.0, n_env) * (rng.random(n_env) >= 0.15)
+    # V is positive definite iff sum(kappa^2 / omega_j^2) < omega_sys^2
+    load = np.sum(kappas ** 2 / omegas[1:] ** 2)
+    if load > 0.0:
+        kappas *= np.sqrt(rng.uniform(0.1, 0.8) * omega_sys ** 2 / load)
+    return OscillatorNetwork(omegas=omegas, kappas=kappas)
+
+
+def oracle_system_states(rng, net):
+    def squeezed():
+        return make_pure_gaussian(rng.uniform(-2.0, 2.0), rng.uniform(0.0, np.pi))
+
+    return {
+        "vacuum": np.eye(2),
+        "squeezed": squeezed(),
+        "mixed": rng.uniform(1.0, 3.0) * squeezed(),
+        "certificate": build_certificate(net).gamma0_sys,
+    }
+
+
+def dense_pt_minimum(gamma_sys, net, beta, t):
+    """ppt_verdict on S_t Gamma_0 S_t^T, every matrix 2n x 2n."""
+    gamma0 = np.zeros((2 * net.n_modes,) * 2)
+    gamma0[:2, :2] = gamma_sys
+    gamma0[2:, 2:] = bath_gibbs_covariance(net, beta)
+    s = propagator(net, t)
+    return ppt_verdict(s @ gamma0 @ s.T).min_pt_symplectic
+
+
+def assert_matches_dense(gamma_sys, net, beta, times, label):
+    got = product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], beta, times)
+    assert got.shape == (len(times),)
+    for t, value in zip(times, got):
+        ref = dense_pt_minimum(gamma_sys, net, beta, t)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (label, beta, t, value, ref)
+
+
+def test_pt_minima_match_dense_ppt_verdict(rng, monkeypatch):
+    counts = []
+    count = qbmsim.entanglement._positive_eigenvalues_below
+
+    def counting(*args):
+        counts[-1] += 1
+        return count(*args)
+
+    monkeypatch.setattr(qbmsim.entanglement, "_positive_eigenvalues_below", counting)
+    for _ in range(40):
+        net = random_explicit_network(rng, int(rng.integers(1, 13)))
+        beta = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        times = np.concatenate(([0.0, 1e-8], rng.uniform(0.0, 40.0, 5)))
+        for name, gamma_sys in oracle_system_states(rng, net).items():
+            counts.append(0)
+            assert_matches_dense(gamma_sys, net, beta, times, name)
+            # bisection over the 63 value bits of a positive double: one count each
+            assert counts[-1] <= 63 * times.size
+
+
+@pytest.mark.parametrize("beta", [0.05, 1.0, 20.0])
+def test_pt_minima_when_system_and_bath_symplectic_eigenvalues_collide(beta):
+    # thermal system at the frequency of bath modes 2 and 4 and the bath's
+    # temperature: nu_s equals their nu_j bit for bit and is the smallest
+    net = OscillatorNetwork(omegas=[2.1, 0.7, 2.1, 1.3, 2.1], kappas=[0.1, 0.2, 0.0, 0.15])
+    d = thermal_diagonal([2.1], beta)
+    gamma_sys = np.diag(d)
+    times = [0.0, 1e-8, 1e-4, 0.3, 7.0]
+    assert_matches_dense(gamma_sys, net, beta, times, "thermal")
+    nu_s = np.sqrt(d[0]) * np.sqrt(d[1])
+    npt.assert_allclose(product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:],
+                                                beta, [0.0]), nu_s, rtol=4e-16)
+
+
+def test_pt_minima_input_errors():
+    net = OscillatorNetwork(omegas=[1.0, 1.5, 2.0], kappas=[0.2, 0.1])
+    args = (net.modes, net.omegas[1:], 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        product_state_pt_minima(np.eye(2), *args, [0.0, np.nan])
+    with pytest.raises(ValueError, match="2x2"):
+        product_state_pt_minima(np.eye(4), *args, [0.0])
+    with pytest.raises(ValueError, match="positive definite"):
+        product_state_pt_minima(-np.eye(2), *args, [0.0])
+    with pytest.raises(ValueError, match="bath modes"):
+        product_state_pt_minima(np.eye(2), net.modes, net.omegas[2:], 1.0, [0.0])
+    assert product_state_pt_minima(np.eye(2), *args, []).shape == (0,)
