@@ -332,6 +332,23 @@ def _time_grid(times: NDArray[np.float64]) -> NDArray[np.float64]:
     return times
 
 
+def _require_pure(gamma_sys: NDArray[np.float64]) -> None:
+    """Raise ValueError unless gamma_sys is pure up to the rounding of its residual.
+
+    purity_residual squares Sigma gamma, so on a pure state held in doubles
+    it carries rounding of order eps ||gamma||_F^2: about 6e-6 for a state
+    squeezed to r = 6.  The bound 1e-8 + 8 eps ||gamma||_F^2 lets every
+    squeezing the config accepts through and still rejects a state mixed
+    by one part in 1e4 at moderate squeezing.
+    """
+    gamma_sys = np.asarray(gamma_sys, dtype=float)
+    resid = purity_residual(gamma_sys)
+    bound = 1e-8 + 8.0 * np.finfo(float).eps * float(np.sum(gamma_sys * gamma_sys))
+    if not resid <= bound:
+        raise ValueError(f"system state must be pure (purity residual {resid:.3e}, "
+                         f"bound {bound:.3e})")
+
+
 def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
                         env_mode: int, beta: float) -> float:
     """Exact d(lambda)/dt at t = 0 for a pure system and a thermal bath: 0.
@@ -344,9 +361,7 @@ def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
     ValueError for an impure system, env_mode outside 1..n_env, or
     det B - 1 <= DEGENERATE_DET_B (a bath mode effectively at zero temperature).
     """
-    resid = purity_residual(np.asarray(gamma_sys, dtype=float))
-    if resid > 1e-8:
-        raise ValueError(f"system state must be pure (purity residual {resid:.3e})")
+    _require_pure(gamma_sys)
     block = reduce_two_mode(product_initial_covariance(gamma_sys, net, beta), env_mode)
     det_b = np.linalg.det(block.b)
     if det_b - 1.0 <= DEGENERATE_DET_B:
@@ -388,9 +403,7 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     finite or not strictly positive.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
-    resid = purity_residual(gamma_sys)
-    if resid > 1e-8:
-        raise ValueError(f"system state must be pure (purity residual {resid:.3e})")
+    _require_pure(gamma_sys)
     if times is None:
         times = np.geomspace(1e-4, 1e-1, 25)
     times = _time_grid(times)

@@ -31,7 +31,14 @@ from .certify import (
     product_initial_covariance,
     verify_all_times_separable,
 )
-from .entanglement import PPT_TOL, ppt_verdict, reduce_two_mode, lambda_of_block
+from .entanglement import (
+    PPT_TOL,
+    lambda_of_block,
+    ppt_verdict,
+    product_state_pt_minima,
+    reduce_two_mode,
+    verdict_from_pt_minimum,
+)
 from .model import OscillatorNetwork, SpectralFamily, build_potential_matrix, \
     build_quadratic_form, make_spectral_model
 from .symplectic import (
@@ -39,7 +46,6 @@ from .symplectic import (
     make_pure_gaussian,
     mean_energy,
     symplectic_spectrum,
-    trajectory,
 )
 
 
@@ -428,8 +434,8 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
     # the symplectic flow conserves W and the symplectic spectrum: evaluate both on gamma0
     energy = mean_energy(gamma0, w)
     min_symplectic = float(symplectic_spectrum(gamma0).min())
-    verdicts = (ppt_verdict(gamma_t, tol=config.ppt_tol)
-                for gamma_t in trajectory(gamma0, net.modes, times))
+    minima = product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], beta, times)
+    verdicts = (verdict_from_pt_minimum(m, config.ppt_tol) for m in minima.tolist())
     rows = [(float(t), v.min_pt_symplectic, v.log_negativity, energy, min_symplectic)
             for t, v in zip(times, verdicts)]
     meta = _base_metadata(config, "evolve")

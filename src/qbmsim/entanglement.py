@@ -9,8 +9,6 @@ matrices by flipping the momentum sign of every environment mode.
 from __future__ import annotations
 
 import math
-import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -96,7 +94,16 @@ def ppt_verdict(gamma: NDArray[np.float64],
             "PPT is only conclusive when one side of the bipartition is a single mode"
         )
     spec = symplectic_spectrum(partial_transpose(gamma, sys))
-    min_pt = float(spec.min())
+    return verdict_from_pt_minimum(float(spec.min()), tol)
+
+
+def verdict_from_pt_minimum(min_pt: float, tol: float = PPT_TOL) -> EntanglementVerdict:
+    """The PPT verdict on a state whose smallest PT symplectic eigenvalue is min_pt.
+
+    Separable when min_pt >= 1 - tol, entangled when min_pt < 1 - 3 tol and
+    inconclusive in between; log_negativity is max(0, -ln min_pt), and
+    exactly 0 for a separable state.
+    """
     if min_pt >= 1.0 - tol:
         status = SEPARABLE
     elif min_pt < 1.0 - 3.0 * tol:
@@ -108,6 +115,14 @@ def ppt_verdict(gamma: NDArray[np.float64],
                                log_negativity=log_neg)
 
 
+#: elements of one (times, modes) array in a chunk of the time grid; the kernel
+#: keeps at most eight such arrays alive, so its memory does not grow with T
+_CHUNK_ELEMENTS = 1 << 15
+
+#: a probe on a pole or a bath-block eigenvalue moves up one ulp, at most this often
+_MAX_NUDGES = 8
+
+
 def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
                             omega_bath: NDArray[np.float64], beta: float,
                             times: Iterable[float]) -> NDArray[np.float64]:
@@ -115,9 +130,11 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
 
     Gamma_0 is gamma_sys (mode 0) tensored with the Gibbs state of the
     uncoupled bath at inverse temperature beta, and S_t is the flow of the
-    network with normal modes `modes`.  Each time costs O(n^2) work and O(n)
-    memory: no 2n x 2n matrix is formed and no eigensolver runs.  The values
-    equal ppt_verdict(S_t Gamma_0 S_t^T).min_pt_symplectic up to rounding.
+    network with normal modes `modes`.  Each time costs O(n^2) work: no
+    2n x 2n matrix is formed and no eigensolver runs, and the times are
+    taken in chunks of at most _CHUNK_ELEMENTS / n, so memory does not grow
+    with their number.  The values equal
+    ppt_verdict(S_t Gamma_0 S_t^T).min_pt_symplectic up to rounding.
 
     Factor Gamma_0 = L L^T with L = chol(gamma_sys) + diag(sqrt(d)), d the
     bath's thermal_diagonal.  Then L^T Sigma L = K = nu_s J + sum_j nu_j J
@@ -132,7 +149,7 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
     and Sorensen, Numer. Math. 31, 31, 1978).  Only rows 0 and 1 of S_t
     enter; from the mode matrix M and frequencies w they are the rows of
     xx = pp = M diag(cos wt) M^T, xp = M diag(sin(wt)/w) M^T and
-    px = -M diag(w sin wt) M^T, three matrix-vector products.
+    px = -M diag(w sin wt) M^T, three matrix products over a chunk of times.
 
     H is split into the system block and the bath.  The system block is
     H_ss = i(nu_s - 2(a_0 b_1 - a_1 b_0)) J.  The bath block is the poles
@@ -152,12 +169,25 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
     P (C^-1 + G)^-1 P^T, which takes no difference of large terms near a pole.
 
     The smallest lam with one positive eigenvalue below it is found by
-    bisection over the bit patterns of positive doubles: at most 63 counts,
-    to one ulp.  nu_s is not a pole in this bordered form, so at t = 0, where
-    the minimum is nu_s itself, it is found to rounding; a secular equation
-    over all 2n poles would put that root on a pole.  Raises ValueError for a
-    non-finite time, a gamma_sys that is not a 2x2 positive definite matrix,
-    or an omega_bath that does not match the bath modes.
+    bisection over the bit patterns of positive doubles, to one ulp.  Each
+    pass moves every time of the chunk one step with one vectorised count.
+    The bracket holds at every t.  Above: the update has one positive and
+    one negative eigenvalue, so by Weyl's inequalities the smallest positive
+    eigenvalue of H is at most the second smallest of nu_s and the nu_j.
+    Below: a symplectic eigenvalue of a positive matrix is at least its
+    smallest eigenvalue, which the partial transpose keeps, and each mode
+    rotates on an ellipse of axis ratio w_k, so ||S_t^-1|| <= kappa =
+    max(w_max, 1/w_min) and lam_min(Gamma_t) >= lam_min(Gamma_0) / kappa^2.
+    The bracket [lam_min(Gamma_0) / (2 kappa^2), 2 x second smallest] spans
+    far fewer bit patterns than one from 0: an unsqueezed state takes about
+    55 passes instead of 62, plus one that checks the lower end, and no
+    chunk takes more than 64.  nu_s is not a pole in this
+    bordered form, so at t = 0, where the minimum is nu_s itself, it is
+    found to rounding; a secular equation over all 2n poles would put that
+    root on a pole.
+    Raises ValueError for a non-finite time, a gamma_sys that is not a 2x2
+    positive definite matrix, or an omega_bath that does not match the bath
+    modes.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
     times = np.asarray(times, dtype=float).ravel()
@@ -165,92 +195,168 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
         raise ValueError("times must be finite")
     if gamma_sys.shape != (2, 2):
         raise ValueError("system covariance must be 2x2")
-    try:
-        chol = np.linalg.cholesky(gamma_sys)
-    except np.linalg.LinAlgError:
-        raise ValueError("system covariance must be positive definite") from None
-    l00, l10, l11 = float(chol[0, 0]), float(chol[1, 0]), float(chol[1, 1])
+    # the Cholesky factor [[l00, 0], [l10, l11]] in closed form, from the lower triangle
+    a, c, b = float(gamma_sys[0, 0]), float(gamma_sys[1, 0]), float(gamma_sys[1, 1])
+    l00 = math.sqrt(a) if a > 0.0 else math.nan
+    pivot = b - (c / l00) ** 2
+    if not pivot > 0.0:
+        raise ValueError("system covariance must be positive definite")
+    chol = (l00, c / l00, math.sqrt(pivot))
     root = np.sqrt(thermal_diagonal(omega_bath, beta))
-    rx, rp = root[0::2], root[1::2]
     m, w = modes.mode_matrix, modes.tilde_omegas
-    if rx.size + 1 != w.size:
-        raise ValueError(f"omega_bath has {rx.size} modes, the network {w.size - 1} bath modes")
-    nu_s, nu = l00 * l11, rx * rp
-    poles = sorted(nu.tolist())
-    nu_max = max([nu_s, *poles])
-    m0 = m[0]
-    m0_over_w, m0_w = m0 / w, m0 * w
+    if root.size // 2 + 1 != w.size:
+        raise ValueError(f"omega_bath has {root.size // 2} modes, "
+                         f"the network {w.size - 1} bath modes")
+    nu_s = chol[0] * chol[2]
+    nu = root[0::2] * root[1::2]
+    # lam_min(gamma_sys) as det / lam_max: the closed form for lam_min cancels
+    # on a squeezed state
+    lam_min = min(nu_s * nu_s / (0.5 * (a + b) + math.hypot(0.5 * (a - b), c)),
+                  float(root.min()) ** 2)
+    kappa = max(float(w[-1]), 1.0 / float(w[0]))
+    bracket = (0.5 * lam_min / (kappa * kappa), 2.0 * sorted([nu_s, *nu.tolist()])[1])
     minima = np.empty(times.size)
-    for i, t in enumerate(times):
-        c, s = np.cos(w * t), np.sin(w * t)
-        xx, xp, px = np.stack((m0 * c, m0_over_w * s, -m0_w * s)) @ m.T
-        ax, ap, bx, bp = rx * xx[1:], rp * xp[1:], rx * px[1:], rp * xx[1:]
-        coef = np.stack((ax * ax + ap * ap, bx * bx + bp * bp,
-                         ax * bx + ap * bp, nu * (ax * bp - ap * bx)))
-        a0, a1 = l00 * xx[0] + l10 * xp[0], l11 * xp[0]
-        b0, b1 = l00 * px[0] + l10 * xx[0], l11 * xx[0]
-        norm_a2 = coef[0].sum() + a0 * a0 + a1 * a1
-        norm_b2 = coef[1].sum() + b0 * b0 + b1 * b1
-        # ||H|| <= max nu + 4 |a| |b|, so twice that lies above every eigenvalue
-        upper = 2.0 * (nu_max + 4.0 * math.sqrt(norm_a2 * norm_b2))
-        rows = (float(a0), float(a1), float(b0), float(b1))
-        lo, hi = 0, _F64_BITS.unpack(_F64.pack(upper))[0]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lam = _F64.unpack(_F64_BITS.pack(mid))[0]
-            if _positive_eigenvalues_below(lam, coef, rows, nu_s, poles, nu) >= 1:
-                hi = mid
-            else:
-                lo = mid
-        minima[i] = _F64.unpack(_F64_BITS.pack(hi))[0]
+    step = max(1, _CHUNK_ELEMENTS // w.size)
+    for start in range(0, times.size, step):
+        terms = _rank_two_terms(times[start:start + step], m, w, chol, root)
+        minima[start:start + step] = _smallest_root(bracket, *terms, nu_s, nu)
+        del terms  # the next chunk's arrays replace these, not join them
     return minima
 
 
-#: a positive double and the int64 of its bits order alike
-_F64, _F64_BITS = struct.Struct("<d"), struct.Struct("<q")
+def _rank_two_terms(times: NDArray[np.float64], m: NDArray[np.float64],
+                    w: NDArray[np.float64], chol: tuple[float, float, float],
+                    root: NDArray[np.float64]):
+    """The count's inputs at each time: coef, shape (4, T, N), and quad, shape (4, 4, T).
 
-#: a probe on a pole or a bath-block eigenvalue moves up one ulp, at most this often
-_MAX_NUDGES = 8
-
-
-def _positive_eigenvalues_below(lam: float, coef: NDArray[np.float64],
-                                rows: tuple[float, float, float, float], nu_s: float,
-                                poles: list[float], nu: NDArray[np.float64]) -> int:
-    """Number of positive eigenvalues of H below lam, by the bordered inertia count.
-
-    coef holds, per bath mode, the rows a_x^2 + a_p^2, b_x^2 + b_p^2,
-    a_x b_x + a_p b_p and nu (a_x b_p - a_p b_x); rows is (a_0, a_1, b_0, b_1);
-    poles is nu sorted.  See product_state_pt_minima for the derivation.
+    coef holds per bath mode a_x^2 + a_p^2, b_x^2 + b_p^2, a_x b_x + a_p b_p
+    and nu (a_x b_p - a_p b_x).  With g = (gaa, gbb, gab, q) the entries of
+    A = C^-1 + G, X = A^-1 = adj(A) / det A, and quad maps g to det A times
+    the entries s00, s11, Re s01 and Im s01 of P X P^T.  Products go to
+    their destination in place, so at most seven (T, n) arrays are alive at
+    once.
     """
-    a0, a1, b0, b1 = rows
+    m0 = m[0]
+    s = np.multiply.outer(times, w)
+    c = np.cos(s)
+    np.sin(s, out=s)
+    c *= m0
+    xx = c @ m.T
+    del c
+    xp = (s * (m0 / w)) @ m.T
+    s *= -m0 * w
+    px = s @ m.T
+    del s
+    l00, l10, l11 = chol
+    a0, a1 = l00 * xx[:, 0] + l10 * xp[:, 0], l11 * xp[:, 0]
+    b0, b1 = l00 * px[:, 0] + l10 * xx[:, 0], l11 * xx[:, 0]
+    # P = [[a0, b0], [a1, b1]]; adj(A) = [[gbb, -gab - iq], [-gab + iq, gaa]]
+    quad = np.zeros((4, 4, times.size))
+    quad[0, :3] = b0 * b0, a0 * a0, -2.0 * a0 * b0
+    quad[1, :3] = b1 * b1, a1 * a1, -2.0 * a1 * b1
+    quad[2, :3] = b0 * b1, a0 * a1, -(a0 * b1 + b0 * a1)
+    quad[3, 3] = b0 * a1 - a0 * b1
+    rx, rp = root[0::2], root[1::2]
+    coef = np.empty((4, times.size, rx.size))
+    ax = np.multiply(rx, xx[:, 1:], out=coef[0])
+    bx = np.multiply(rx, px[:, 1:], out=coef[1])
+    del px
+    bp = rp * xx[:, 1:]
+    del xx
+    ap = rp * xp[:, 1:]
+    del xp
+    np.multiply(ax, bx, out=coef[2])
+    coef[2] += ap * bp
+    np.multiply(ax, bp, out=coef[3])
+    coef[3] -= ap * bx
+    coef[3] *= rx * rp
+    ax *= ax
+    ap *= ap
+    ax += ap
+    bx *= bx
+    bp *= bp
+    bx += bp
+    return coef, quad
+
+
+def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
+                   quad: NDArray[np.float64], nu_s: float,
+                   nu: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Per time, the least double lam in the bracket with a positive eigenvalue <= lam.
+
+    A positive double and the int64 of its bits order alike, so bisection
+    over the bits ends on one ulp.  The first pass checks that the lower
+    end counts 0 and starts a time where it does not from 0 instead.
+    lo + (hi - lo) // 2 keeps the midpoint in range: both ends of a bracket
+    above 2 have bits beyond 2^62, and their sum overflows.  A time whose
+    bracket is one ulp wide probes lo again, which counted 0 before, so its
+    bracket stays put.
+    """
+    lo, hi = (np.full(coef.shape[1], end).view(np.int64) for end in bracket)
+    found = _positive_eigenvalues_below(lo.view(np.float64), coef, quad, nu_s, nu) >= 1.0
+    lo = np.where(found, 0, lo)
+    for _ in range(63):  # positive doubles have 63 value bits
+        half = (hi - lo) // 2
+        if not half.any():
+            break
+        mid = lo + half
+        found = _positive_eigenvalues_below(mid.view(np.float64), coef, quad, nu_s, nu) >= 1.0
+        hi = np.where(found, mid, hi)
+        lo = np.where(found, lo, mid)
+    return hi.view(np.float64)
+
+
+def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float64],
+                                quad: NDArray[np.float64], nu_s: float,
+                                nu: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Number of positive eigenvalues of H below lam[i] at time i, for every time at once.
+
+    coef and quad are as _rank_two_terms returns them.  The counts are small
+    integers, held as doubles.  A probe on a pole, or where the bath border
+    A = C^-1 + G is singular, moves up one ulp for that time alone, at most
+    _MAX_NUDGES times.  See product_state_pt_minima for the derivation.
+    """
+    counts = np.empty(lam.size)
+    retry = None  # the times to probe again; None probes every time
     for _ in range(_MAX_NUDGES):
-        below = bisect_left(poles, lam)
-        if below == len(poles) or poles[below] != lam:
-            gaa, gbb, gab, h = (coef @ (1.0 / ((nu - lam) * (nu + lam)))).tolist()
-            gaa, gbb, gab = lam * gaa, lam * gbb, lam * gab
-            # A = C^-1 + G = [[gaa, y], [conj y, gbb]]
-            y = complex(gab, h - 0.5)
-            det = gaa * gbb - (y.real * y.real + y.imag * y.imag)
-            if det != 0.0:
-                break
-        lam = math.nextafter(lam, math.inf)
-    else:
-        raise RuntimeError(f"PT spectrum count undefined near {lam!r}")
-    neg_bath = 1 if det < 0.0 else (2 if gaa > 0.0 else 0)  # #neg(-A)
-    # X = A^-1; Schur_s = i nu_s J - lam + P X P^T with P = [[a0, b0], [a1, b1]]
-    xi1, xi2, zeta = gbb / det, gaa / det, -y / det
-    s00 = a0 * a0 * xi1 + b0 * b0 * xi2 + 2.0 * a0 * b0 * zeta.real - lam
-    s11 = a1 * a1 * xi1 + b1 * b1 * xi2 + 2.0 * a1 * b1 * zeta.real - lam
-    s01 = (a0 * a1 * xi1 + b0 * b1 * xi2 + a0 * b1 * zeta + b0 * a1 * zeta.conjugate()
-           + 1j * nu_s)
-    det_s = s00 * s11 - (s01.real * s01.real + s01.imag * s01.imag)
-    if det_s < 0.0:
-        neg_sys = 1
-    elif det_s > 0.0:
-        neg_sys = 2 if s00 < 0.0 else 0
-    else:
-        neg_sys = 1 if s00 + s11 < 0.0 else 0
-    return below + neg_bath + neg_sys - 2
+        probe = lam if retry is None else lam[retry]
+        at = slice(None) if retry is None else retry
+        dist = nu - probe[:, None]
+        dist *= nu + probe[:, None]
+        below = (dist < 0.0).sum(axis=1, dtype=float)  # #(nu_j < lam)
+        undefined = None
+        if not dist.all():
+            undefined = (dist == 0.0).any(axis=1)  # on a pole
+            dist[undefined] = 1.0  # such a time is probed again; never divide by its zero
+        g = np.einsum("ktn,tn->kt", coef[:, at], np.divide(1.0, dist, out=dist))
+        g[:3] *= probe
+        g[3] -= 0.5
+        # A = [[gaa, gab + iq], [gab - iq, gbb]]
+        gaa, gbb, gab, q = g
+        det = gaa * gbb - (gab * gab + q * q)
+        singular = det == 0.0
+        undefined = singular if undefined is None else undefined | singular
+        stuck = undefined.any()
+        if stuck:
+            det[undefined] = 1.0
+        neg_bath = np.where(det < 0.0, 1.0, np.where(gaa > 0.0, 2.0, 0.0))  # #neg(-A)
+        # Schur_s = i nu_s J - lam + P X P^T = [[s00, s01], [conj s01, s11]]
+        s00, s11, s01_re, s01_im = np.einsum("kjt,jt->kt", quad[:, :, at], g) / det
+        s00 -= probe
+        s11 -= probe
+        s01_im += nu_s
+        det_s = s00 * s11 - (s01_re * s01_re + s01_im * s01_im)
+        neg_sys = np.where(det_s < 0.0, 1.0,
+                           np.where(det_s > 0.0, np.where(s00 < 0.0, 2.0, 0.0),
+                                    np.where(s00 + s11 < 0.0, 1.0, 0.0)))
+        counts[at] = below + neg_bath + neg_sys - 2.0
+        if not stuck:
+            return counts
+        retry = np.flatnonzero(undefined) if retry is None else retry[undefined]
+        if probe is lam:
+            lam = lam.copy()
+        lam.view(np.int64)[retry] += 1  # the next double up
+    raise RuntimeError(f"PT spectrum count undefined near {float(lam[retry[0]])!r}")
 
 
 def reduce_two_mode(gamma: NDArray[np.float64], env_mode: int) -> TwoModeBlock:

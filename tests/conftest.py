@@ -25,6 +25,19 @@ def random_network(rng, n_env, omega_lo=0.2, omega_hi=3.0, fill=None):
     return OscillatorNetwork(omegas=omegas, kappas=kappas * scale)
 
 
+def random_explicit_network(rng, n_env):
+    """Explicit network with repeated bath frequencies and ~15 % zero couplings."""
+    omega_sys = rng.uniform(0.5, 2.0)
+    pool = rng.uniform(0.2, 3.0, n_env // 2 + 1)
+    omegas = np.concatenate(([omega_sys], rng.choice(pool, n_env)))
+    kappas = rng.uniform(0.1, 1.0, n_env) * (rng.random(n_env) >= 0.15)
+    # V is positive definite iff sum(kappa^2 / omega_j^2) < omega_sys^2
+    load = np.sum(kappas ** 2 / omegas[1:] ** 2)
+    if load > 0.0:
+        kappas *= np.sqrt(rng.uniform(0.1, 0.8) * omega_sys ** 2 / load)
+    return OscillatorNetwork(omegas=omegas, kappas=kappas)
+
+
 def random_pure_system(rng, r_max=1.5):
     return make_pure_gaussian(rng.uniform(0.0, r_max), rng.uniform(0.0, np.pi))
 

@@ -537,6 +537,29 @@ def test_immediate_entanglement_input_validation():
                                      times=np.array([0.0, 0.1]))
 
 
+@pytest.mark.parametrize("theta", [0.3, 1.0])
+@pytest.mark.parametrize("r", [4.75, 5.0, 6.0])
+def test_purity_gate_accepts_strongly_squeezed_pure_states(r, theta):
+    # the residual of a pure state held in doubles rounds like
+    # eps ||gamma||_F^2 = eps e^{4r}: 1.5e-8 at r = 4.75 and 2.3e-6 at r = 6
+    # (theta = 1), both above the old absolute gate of 1e-8
+    net = make_spectral_model(OHMIC)
+    gamma_sys = make_pure_gaussian(r, theta)
+    assert lambda_dot_analytic(gamma_sys, net, 1, beta=1.0) == 0.0
+    report = immediate_entanglement_check(gamma_sys, net, beta=1.0,
+                                          times=np.geomspace(1e-3, 1e-1, 4))
+    assert report.passed
+
+
+def test_purity_gate_rejects_a_slightly_mixed_state():
+    net = make_spectral_model(OHMIC)
+    mixed = 1.0001 * make_pure_gaussian(1.0, 0.3)  # purity residual 2.8e-4
+    with pytest.raises(ValueError, match="pure"):
+        lambda_dot_analytic(mixed, net, 1, beta=1.0)
+    with pytest.raises(ValueError, match="pure"):
+        immediate_entanglement_check(mixed, net, beta=1.0)
+
+
 @BAD_GRIDS
 def test_immediate_rejects_bad_time_grid(times, match):
     net = make_spectral_model(OHMIC)

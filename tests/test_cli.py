@@ -16,13 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbmsim
+import qbmsim.entanglement
+import qbmsim.symplectic
 from qbmsim import (
+    INCONCLUSIVE,
     build_certificate,
     build_potential_matrix,
     build_quadratic_form,
     critical_beta,
     make_pure_gaussian,
     make_spectral_model,
+    ppt_verdict,
     product_initial_covariance,
     propagator,
     symplectic_spectrum,
@@ -41,9 +45,10 @@ from qbmsim.cli import (
     run_immediate,
     run_sweep,
 )
+from qbmsim.entanglement import PPT_TOL
 from qbmsim.model import SpectralFamily
 
-from conftest import random_covariance, random_network
+from conftest import random_covariance, random_explicit_network, random_network
 
 EXPLICIT = {"omegas": [1.0, 1.5, 2.0], "kappas": [0.2, 0.1]}
 FAMILY = {"family": {"p": 1.0, "omega_max": 2.0, "coupling_norm": 0.1, "n_env": 4}}
@@ -263,6 +268,91 @@ def test_evolve_conserved_columns_match_the_per_step_oracle(rng):
                 oracle_sympl = float(symplectic_spectrum(gamma_t).min())
                 assert abs(energy - oracle_energy) <= 1e-12 * max(1.0, abs(oracle_energy))
                 assert abs(min_sympl - oracle_sympl) <= 1e-12 * max(1.0, abs(oracle_sympl))
+
+
+def dense_verdicts(gamma_sys, net, beta, times, tol):
+    """ppt_verdict on every S_t Gamma_0 S_t^T, each a dense 2n x 2n matrix."""
+    gamma0 = product_initial_covariance(gamma_sys, net, beta)
+    verdicts = []
+    for t in times:
+        s = propagator(net, float(t))
+        verdicts.append(ppt_verdict(s @ gamma0 @ s.T, tol=tol))
+    return verdicts
+
+
+def assert_rows_match_dense(rows, verdicts, label):
+    for row, ref in zip(rows, verdicts, strict=True):
+        pt, log_neg = row[1], row[2]
+        assert abs(pt - ref.min_pt_symplectic) <= 1e-12 * ref.min_pt_symplectic, (label, row)
+        assert abs(log_neg - ref.log_negativity) <= 1e-12 * max(1.0, ref.log_negativity), \
+            (label, row, ref)
+
+
+def test_evolve_matches_the_dense_ppt_oracle(rng):
+    grid = {"start": 0.0, "stop": 25.0, "points": 11}
+    times = np.linspace(0.0, 25.0, 11)
+    for _ in range(6):
+        net = random_explicit_network(rng, int(rng.integers(1, 8)))
+        beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+        r, theta = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.0, np.pi))
+        entries = random_covariance(rng, 1, spread=2.0)
+        cert = build_certificate(net)
+        cases = [({"kind": "vacuum"}, np.eye(2), beta),
+                 ({"kind": "squeezed", "r": r, "theta": theta},
+                  make_pure_gaussian(r, theta), beta),
+                 ({"kind": "matrix", "entries": entries.tolist()}, entries, beta),
+                 ({"kind": "certificate"}, cert.gamma0_sys, cert.beta)]
+        for state, gamma_sys, state_beta in cases:
+            table = run_evolve(parse_config({
+                "model": {"omegas": net.omegas.tolist(), "kappas": net.kappas.tolist()},
+                "beta": beta, "system_state": state, "time_grid": grid}))
+            verdicts = dense_verdicts(gamma_sys, net, state_beta, times, PPT_TOL)
+            assert_rows_match_dense(table.rows, verdicts, state["kind"])
+
+
+def test_evolve_tol_override_matches_the_dense_inconclusive_band(tmp_path, rng):
+    net = random_explicit_network(rng, 4)
+    data = {"model": {"omegas": net.omegas.tolist(), "kappas": net.kappas.tolist()},
+            "beta": 5.0, "time_grid": {"start": 0.0, "stop": 20.0, "points": 9}}
+    times = np.linspace(0.0, 20.0, 9)
+    # the vacuum entangles with a cold bath; a tolerance of half the deepest
+    # dip puts that time mid-band, 1 - 3 tol < min_pt < 1 - tol
+    dip = min(row[1] for row in run_evolve(parse_config(data)).rows)
+    assert dip < 1.0 - 1e-6
+    tol = (1.0 - dip) / 2.0
+    config, out = write_config(tmp_path, data), str(tmp_path / "evolve.csv")
+    assert main(["evolve", "--config", config, "--out", out, "--tol", repr(tol)]) == 0
+    _, header, cells = read_csv(out)
+    rows = [tuple(float(c) for c in row) for row in cells]
+    verdicts = dense_verdicts(np.eye(2), net, 5.0, times, tol)
+    assert INCONCLUSIVE in {v.status for v in verdicts}
+    assert_rows_match_dense(rows, verdicts, "tol override")
+
+
+def test_evolve_builds_no_dense_matrix_per_step(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evolve ran a dense per-step routine")
+
+    for module, name in ((qbmsim.symplectic, "trajectory"),
+                         (qbmsim.symplectic, "propagator"),
+                         (qbmsim.symplectic, "_propagator_from_modes"),
+                         (qbmsim.entanglement, "ppt_verdict"),
+                         (qbmsim.cli, "ppt_verdict")):
+        monkeypatch.setattr(module, name, forbidden)
+    spectra = []
+    spectrum = qbmsim.symplectic.symplectic_spectrum
+
+    def counting(gamma):
+        spectra.append(gamma.shape)
+        return spectrum(gamma)
+
+    for module in (qbmsim.symplectic, qbmsim.entanglement, qbmsim.cli):
+        monkeypatch.setattr(module, "symplectic_spectrum", counting)
+    grid = {"start": 0.0, "stop": 10.0, "points": 200}
+    table = run_evolve(parse_config(minimal(time_grid=grid)))
+    assert len(table.rows) == 200
+    # the constant min_symplectic column, evaluated once on Gamma_0
+    assert spectra == [(6, 6)]
 
 
 # ------------------------------------------------------------------ certify

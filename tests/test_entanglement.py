@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from qbmsim import (
     INCONCLUSIVE,
     SEPARABLE,
     OscillatorNetwork,
+    SpectralFamily,
     TwoModeBlock,
     bath_gibbs_covariance,
     build_certificate,
@@ -15,6 +18,7 @@ from qbmsim import (
     gibbs_covariance,
     lambda_of_block,
     make_pure_gaussian,
+    make_spectral_model,
     normal_modes,
     partial_transpose,
     ppt_verdict,
@@ -27,6 +31,7 @@ from qbmsim.symplectic import thermal_diagonal
 
 from conftest import (
     random_covariance,
+    random_explicit_network,
     random_network,
     random_two_mode_block,
     two_mode_squeezed,
@@ -193,19 +198,6 @@ def test_log_negativity_positive_for_squeezed():
 # ------------------------------------------------- rank-two PT spectrum kernel
 
 
-def random_explicit_network(rng, n_env):
-    """Explicit network with repeated bath frequencies and ~15 % zero couplings."""
-    omega_sys = rng.uniform(0.5, 2.0)
-    pool = rng.uniform(0.2, 3.0, n_env // 2 + 1)
-    omegas = np.concatenate(([omega_sys], rng.choice(pool, n_env)))
-    kappas = rng.uniform(0.1, 1.0, n_env) * (rng.random(n_env) >= 0.15)
-    # V is positive definite iff sum(kappa^2 / omega_j^2) < omega_sys^2
-    load = np.sum(kappas ** 2 / omegas[1:] ** 2)
-    if load > 0.0:
-        kappas *= np.sqrt(rng.uniform(0.1, 0.8) * omega_sys ** 2 / load)
-    return OscillatorNetwork(omegas=omegas, kappas=kappas)
-
-
 def oracle_system_states(rng, net):
     def squeezed():
         return make_pure_gaussian(rng.uniform(-2.0, 2.0), rng.uniform(0.0, np.pi))
@@ -235,24 +227,81 @@ def assert_matches_dense(gamma_sys, net, beta, times, label):
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (label, beta, t, value, ref)
 
 
-def test_pt_minima_match_dense_ppt_verdict(rng, monkeypatch):
-    counts = []
+def spy_on_count(monkeypatch):
+    """Record the probes of every call of the vectorised PT count."""
+    probes = []
     count = qbmsim.entanglement._positive_eigenvalues_below
 
-    def counting(*args):
-        counts[-1] += 1
-        return count(*args)
+    def recording(lam, *args):
+        probes.append((lam.copy(), args))
+        return count(lam, *args)
 
-    monkeypatch.setattr(qbmsim.entanglement, "_positive_eigenvalues_below", counting)
+    monkeypatch.setattr(qbmsim.entanglement, "_positive_eigenvalues_below", recording)
+    return probes
+
+
+def test_pt_minima_match_dense_ppt_verdict(rng, monkeypatch):
+    probes = spy_on_count(monkeypatch)
     for _ in range(40):
         net = random_explicit_network(rng, int(rng.integers(1, 13)))
         beta = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         times = np.concatenate(([0.0, 1e-8], rng.uniform(0.0, 40.0, 5)))
         for name, gamma_sys in oracle_system_states(rng, net).items():
-            counts.append(0)
+            probes.clear()
             assert_matches_dense(gamma_sys, net, beta, times, name)
-            # bisection over the 63 value bits of a positive double: one count each
-            assert counts[-1] <= 63 * times.size
+            # the 7 times fit one chunk, and each pass probes all of them in
+            # one count: one pass checks the lower end of the bracket, and
+            # the 63 value bits of a positive double take at most 63 more
+            assert 0 < len(probes) <= 64
+            assert all(lam.shape == times.shape for lam, _ in probes)
+
+
+def test_pt_minima_above_two_match_dense(rng):
+    # the bits of doubles >= 2 are >= 2^62, so a bisection midpoint taken as
+    # (lo + hi) // 2 overflows int64 on such a bracket
+    net = random_explicit_network(rng, 6)
+    times = np.concatenate(([0.0, 1e-8], rng.uniform(0.0, 40.0, 10)))
+    hot = 5.0 * np.eye(2)
+    minima = product_state_pt_minima(hot, net.modes, net.omegas[1:], 0.05, times)
+    assert minima.min() >= 2.0
+    assert_matches_dense(hot, net, 0.05, times, "hot")
+
+
+def test_pt_count_nudges_only_the_times_on_a_pole(monkeypatch):
+    # nu_s equals the nu_j of bath modes 2 and 4 and is the minimum at t = 0:
+    # the bisection probes that pole exactly at the two t = 0 times only
+    net = OscillatorNetwork(omegas=[2.1, 0.7, 2.1, 1.3, 2.1], kappas=[0.1, 0.2, 0.0, 0.15])
+    gamma_sys = np.diag(thermal_diagonal([2.1], 1.0))
+    probes = spy_on_count(monkeypatch)
+    minima = product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], 1.0,
+                                     [0.0, 0.3, 0.0, 7.0])
+    args = probes[0][1]
+    nu = args[-1]
+    pole = minima[0]
+    assert pole in nu
+    on_pole = np.array([np.isin(lam, nu) for lam, _ in probes]).any(axis=0)
+    npt.assert_array_equal(on_pole, [True, False, True, False])
+
+    # one batch: two probes on the pole, one an ulp below the root at t = 0.3
+    # (count 0) and one on the root at t = 7 (count >= 1); only the first two
+    # may move up an ulp
+    count = qbmsim.entanglement._positive_eigenvalues_below
+    up = np.nextafter(pole, np.inf)
+    lam = np.array([pole, np.nextafter(minima[1], 0.0), pole, minima[3]])
+    counts = count(lam, *args)
+    assert counts[1] == 0.0 and counts[3] >= 1.0
+    npt.assert_array_equal(counts, count(np.where(lam == pole, up, lam), *args))
+    npt.assert_array_equal(lam, [pole, np.nextafter(minima[1], 0.0), pole, minima[3]])
+
+
+def test_pt_count_gives_up_after_eight_nudges():
+    # poles on eight consecutive doubles: every nudge lands on the next one
+    nu = np.array([1.5])
+    for _ in range(7):
+        nu = np.append(nu, np.nextafter(nu[-1], np.inf))
+    count = qbmsim.entanglement._positive_eigenvalues_below
+    with pytest.raises(RuntimeError, match="undefined near"):
+        count(np.array([1.5, 3.0]), np.zeros((4, 2, 8)), np.ones((4, 4, 2)), 1.0, nu)
 
 
 @pytest.mark.parametrize("beta", [0.05, 1.0, 20.0])
@@ -267,6 +316,23 @@ def test_pt_minima_when_system_and_bath_symplectic_eigenvalues_collide(beta):
     nu_s = np.sqrt(d[0]) * np.sqrt(d[1])
     npt.assert_allclose(product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:],
                                                 beta, [0.0]), nu_s, rtol=4e-16)
+
+
+def test_pt_minima_memory_does_not_grow_with_the_time_grid():
+    # the kernel takes the times in chunks of _CHUNK_ELEMENTS / n; one
+    # (20 000, 65) double array alone would be 10.4 MB
+    net = make_spectral_model(SpectralFamily(1.0, 2.0, 0.1, 64))
+    budget = 16 * qbmsim.entanglement._CHUNK_ELEMENTS * 8
+    for size in (200, 20_000):
+        times = np.linspace(0.0, 100.0, size)
+        tracemalloc.start()
+        try:
+            minima = product_state_pt_minima(np.eye(2), net.modes, net.omegas[1:], 1.0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert minima.shape == (size,)
+        assert peak < budget, (size, peak)
 
 
 def test_pt_minima_input_errors():
