@@ -13,6 +13,7 @@ analytic time derivative at t = 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from .entanglement import (
 )
 from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
-    gibbs_covariance,
+    _gibbs_blocks,
     is_valid_covariance,
     purity_residual,
     thermal_diagonal,
@@ -171,63 +172,53 @@ def product_initial_covariance(gamma_sys: NDArray[np.float64],
     return out
 
 
-def _bath_gap(omega_bath: NDArray[np.float64], env_block: NDArray[np.float64],
-              beta: float) -> NDArray[np.float64]:
-    """Gamma(beta H_bath) - env_block, adding the bath's diagonal in place."""
-    # (0 - e) + d rounds exactly like d - e, signed zeros included
-    gap = 0.0 - env_block
-    gap[np.diag_indices_from(gap)] += thermal_diagonal(omega_bath, beta)
-    return gap
+def _gap_blocks(omega_bath: NDArray[np.float64],
+                env_blocks: tuple[NDArray[np.float64], NDArray[np.float64]],
+                beta: float) -> Iterator[NDArray[np.float64]]:
+    """Position, then momentum block of Gamma(beta H_bath) - env; it has no x-p entries.
+
+    Lazily, so that a bisection step whose position block fails builds no momentum block.
+    """
+    d = thermal_diagonal(omega_bath, beta)
+    for env, diag in zip(env_blocks, (d[0::2], d[1::2])):
+        # (0 - e) + d rounds exactly like d - e, signed zeros included
+        gap = 0.0 - env
+        gap[np.diag_indices_from(gap)] += diag
+        yield gap
 
 
 def _bath_feasible(omega_bath: NDArray[np.float64],
-                   neg_blocks: tuple[NDArray[np.float64], NDArray[np.float64]],
+                   env_blocks: tuple[NDArray[np.float64], NDArray[np.float64]],
                    beta: float, margin: float) -> bool:
-    """True when the bath gap minus margin * identity is positive definite.
-
-    neg_blocks are the position and momentum blocks of -env_block.  The gap
-    has no x-p entries, so it is definite exactly when both blocks are; each
-    is tested by a Cholesky factorisation on its own diagonal-shifted copy.
-    """
-    d = thermal_diagonal(omega_bath, beta)
-    for neg, diag in zip(neg_blocks, (d[0::2], d[1::2])):
-        shifted = neg.copy()
-        # same rounding as ((0 - e) + d) - margin on the full gap's diagonal
-        shifted[np.diag_indices_from(shifted)] += diag
-        shifted[np.diag_indices_from(shifted)] -= margin
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            return False
+    """True when the bath gap minus margin * identity passes Cholesky in both blocks."""
+    try:
+        for gap in _gap_blocks(omega_bath, env_blocks, beta):
+            gap[np.diag_indices_from(gap)] -= margin
+            np.linalg.cholesky(gap)
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 
-def _bisect_beta(omega_bath: NDArray[np.float64], env_block: NDArray[np.float64],
+def _bisect_beta(omega_bath: NDArray[np.float64],
+                 env_blocks: tuple[NDArray[np.float64], NDArray[np.float64]],
                  margin: float) -> float:
-    """Bisect BETA_BRACKET for the largest beta whose bath gap is >= margin.
-
-    Feasibility is tested by Cholesky on the position and momentum blocks of
-    the gap, which needs env_block to have no x-p entries; a Gibbs state of
-    the network has none, and any other input raises ValueError.
-    """
+    """Bisect BETA_BRACKET for the largest beta whose gap over env_blocks is >= margin."""
     if margin <= 0.0:
         raise ValueError("margin must be positive")
-    if np.any(env_block[0::2, 1::2]) or np.any(env_block[1::2, 0::2]):
-        raise ValueError("env_block has x-p correlations; the bath gap does not "
-                         "split into position and momentum blocks")
-    # (0 - e) rounds like the full gap's 0.0 - env_block, signed zeros included
-    neg_blocks = (0.0 - env_block[0::2, 0::2], 0.0 - env_block[1::2, 1::2])
+    # every step subtracts these, and contiguous copies read faster than strided views
+    env_blocks = tuple(np.ascontiguousarray(env) for env in env_blocks)
     lo, hi = BETA_BRACKET
-    if not _bath_feasible(omega_bath, neg_blocks, lo, margin):
+    if not _bath_feasible(omega_bath, env_blocks, lo, margin):
         raise FeasibilityError(
             f"bath condition infeasible across the whole bracket ({lo:g}, {hi:g}); "
             f"margin {margin:g} may be too large for this model"
         )
-    if _bath_feasible(omega_bath, neg_blocks, hi, margin):
+    if _bath_feasible(omega_bath, env_blocks, hi, margin):
         return hi
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if _bath_feasible(omega_bath, neg_blocks, mid, margin):
+        if _bath_feasible(omega_bath, env_blocks, mid, margin):
             lo = mid
         else:
             hi = mid
@@ -241,12 +232,10 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     margin * identity.  The thermal factor decreases in beta, so feasibility
     is monotone and bisection applies; the bracket is (1e-6, 1e3) and the
     returned value is feasible with bracket width below 1e-10.  Each step
-    tests feasibility by Cholesky on the position and momentum blocks of the
-    gap, which decouple because the reference Gibbs state has no x-p entries.
+    tests it by Cholesky on the N x N position and momentum blocks of the gap.
     """
-    constants = certificate_constants(net)
-    full = gibbs_covariance(net.modes, constants.gamma_ref)
-    return _bisect_beta(net.omegas[1:], full[2:, 2:], margin)
+    ref = _gibbs_blocks(net.modes, certificate_constants(net).gamma_ref)
+    return _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)
 
 
 def build_certificate(net: OscillatorNetwork,
@@ -257,17 +246,17 @@ def build_certificate(net: OscillatorNetwork,
     the product state dominate the reference Gibbs state, via the Schur
     complement of the bath gap, plus margin times the identity.  If the
     resulting 2x2 block fails the uncertainty relation (it cannot, up to
-    rounding) the margin is doubled, at most 8 attempts.
+    rounding) the margin is doubled, at most 8 attempts.  Positions and momenta
+    never mix, so all of this runs on n x n blocks and gamma0_sys is diagonal.
     """
     constants = certificate_constants(net)
-    full = gibbs_covariance(net.modes, constants.gamma_ref)
-    beta_star = _bisect_beta(net.omegas[1:], full[2:, 2:], margin)
+    ref = _gibbs_blocks(net.modes, constants.gamma_ref)
+    env_blocks = tuple(g[1:, 1:] for g in ref)
+    beta_star = _bisect_beta(net.omegas[1:], env_blocks, margin)
     beta = 0.5 * beta_star
-    sys_block = full[:2, :2]
-    cross = full[:2, 2:]
-    gap = _bath_gap(net.omegas[1:], full[2:, 2:], beta)
-    schur = sys_block + cross @ np.linalg.solve(gap, cross.T)
-    schur = (schur + schur.T) / 2.0
+    gaps = list(_gap_blocks(net.omegas[1:], env_blocks, beta))
+    schur = np.diag([g[0, 0] + g[0, 1:] @ np.linalg.solve(gap, g[0, 1:])
+                     for g, gap in zip(ref, gaps)])
     m = margin
     for _ in range(8):
         gamma0_sys = schur + m * np.eye(2)
@@ -278,12 +267,14 @@ def build_certificate(net: OscillatorNetwork,
         raise RuntimeError(
             "system block failed the uncertainty relation even after margin inflation"
         )
-    # product state minus reference state; its bath block is the gap above
-    diff = -full
-    diff[:2, :2] += gamma0_sys
-    diff[2:, 2:] = gap
-    min_eig = np.linalg.eigvalsh(diff).min()
-    norm = np.abs(diff).max()
+    # product state minus reference state, block by block; its bath block is the gap
+    min_eig, norm = np.inf, 0.0
+    for g, gap, sys_entry in zip(ref, gaps, np.diag(gamma0_sys)):
+        diff = -g
+        diff[0, 0] += sys_entry
+        diff[1:, 1:] = gap
+        min_eig = min(min_eig, np.linalg.eigvalsh(diff).min())
+        norm = max(norm, np.abs(diff).max())
     if min_eig < -1e-10 * max(norm, 1.0):
         raise RuntimeError(
             f"certificate does not dominate the reference state (min eig {min_eig:.3e})"
@@ -357,13 +348,15 @@ def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
     product state has C = 0 and C = O(t), so det C and disc's C terms are
     O(t^2).  A and B move under their own traceless generators Sigma W_jj,
     so det A and det B are fixed to first order.  As det A = 1 < det B,
-    sqrt(disc) = (det B - det A)/2 + O(t^2), hence lambda'(0) = 0.  Raises
-    ValueError for an impure system, env_mode outside 1..n_env, or
-    det B - 1 <= DEGENERATE_DET_B (a bath mode effectively at zero temperature).
+    sqrt(disc) = (det B - det A)/2 + O(t^2), hence lambda'(0) = 0.  B is the
+    thermal diag(f/w, f w), so det B = f(beta w)^2.  Raises ValueError for an
+    impure system, env_mode outside 1..n_env, or det B - 1 <= DEGENERATE_DET_B
+    (a bath mode effectively at zero temperature).
     """
     _require_pure(gamma_sys)
-    block = reduce_two_mode(product_initial_covariance(gamma_sys, net, beta), env_mode)
-    det_b = np.linalg.det(block.b)
+    if not 1 <= env_mode <= net.n_env:
+        raise ValueError(f"env_mode must be in 1..{net.n_env}, got {env_mode}")
+    det_b = np.prod(thermal_diagonal(net.omegas[env_mode:env_mode + 1], beta))
     if det_b - 1.0 <= DEGENERATE_DET_B:
         raise ValueError(
             f"bath mode {env_mode} is effectively at zero temperature "

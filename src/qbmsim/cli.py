@@ -39,13 +39,11 @@ from .entanglement import (
     reduce_two_mode,
     verdict_from_pt_minimum,
 )
-from .model import OscillatorNetwork, SpectralFamily, build_potential_matrix, \
-    build_quadratic_form, make_spectral_model
+from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
     is_valid_covariance,
     make_pure_gaussian,
-    mean_energy,
-    symplectic_spectrum,
+    thermal_factor,
 )
 
 
@@ -429,11 +427,11 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
         raise ConfigError("time_grid: required for evolve")
     times = _grid_times(config.time_grid)
     gamma_sys, beta = _system_covariance(config, net)
-    gamma0 = product_initial_covariance(gamma_sys, net, beta)
-    w = build_quadratic_form(build_potential_matrix(net))
-    # the symplectic flow conserves W and the symplectic spectrum: evaluate both on gamma0
-    energy = mean_energy(gamma0, w)
-    min_symplectic = float(symplectic_spectrum(gamma0).min())
+    # the conserved energy and symplectic spectrum of the product state, in closed form
+    f = thermal_factor(beta * net.omegas[1:])
+    energy = float((net.omegas[0] ** 2 * gamma_sys[0, 0] + gamma_sys[1, 1]) / 4.0
+                   + np.sum(net.omegas[1:] * f) / 2.0)
+    min_symplectic = min(math.sqrt(np.linalg.det(gamma_sys)), float(f.min()))
     minima = product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], beta, times)
     verdicts = (verdict_from_pt_minimum(m, config.ppt_tol) for m in minima.tolist())
     rows = [(float(t), v.min_pt_symplectic, v.log_negativity, energy, min_symplectic)

@@ -63,15 +63,14 @@ class NormalModes:
     """Orthogonal normal-mode data of a stiffness matrix V.
 
     mode_matrix M satisfies M^T (2V) M = diag(tilde_omegas**2) with columns
-    ordered by ascending frequency; embedded is the orthogonal *and*
-    symplectic phase-space map T sending original to mode coordinates.
-    The arrays are read-only, since an OscillatorNetwork shares its modes
-    with every caller.
+    ordered by ascending frequency.  With unit masses the phase-space map to
+    mode coordinates is embed_orthogonal(M^T), orthogonal *and* symplectic,
+    so positions and momenta never mix.  The arrays are read-only, since an
+    OscillatorNetwork shares its modes with every caller.
     """
 
     mode_matrix: NDArray[np.float64]
     tilde_omegas: NDArray[np.float64]
-    embedded: NDArray[np.float64]
 
 
 def normal_modes(v: NDArray[np.float64]) -> NormalModes:
@@ -95,9 +94,8 @@ def normal_modes(v: NDArray[np.float64]) -> NormalModes:
         raise ValueError(
             f"stiffness matrix is not positive definite (min eig of 2V = {evals.min():.3e})"
         )
-    modes = NormalModes(mode_matrix=m, tilde_omegas=np.sqrt(evals),
-                        embedded=embed_orthogonal(m.T))
-    for a in (modes.mode_matrix, modes.tilde_omegas, modes.embedded):
+    modes = NormalModes(mode_matrix=m, tilde_omegas=np.sqrt(evals))
+    for a in (modes.mode_matrix, modes.tilde_omegas):
         a.setflags(write=False)
     return modes
 
@@ -122,12 +120,21 @@ def thermal_diagonal(omegas: NDArray[np.float64], beta: float) -> NDArray[np.flo
 def gibbs_covariance(modes: NormalModes, beta: float) -> NDArray[np.float64]:
     """Covariance of the Gibbs state exp(-beta H) for a quadratic H.
 
-    The thermal diagonal of the normal-mode frequencies, rotated back to the
-    original coordinates as T^T D T.
+    The position block M diag(f/w) M^T and momentum block M diag(f w) M^T, f the
+    thermal factor of beta w, interleaved; the x-p entries are exact zeros.
     """
+    x, p = _gibbs_blocks(modes, beta)
+    out = embed_orthogonal(x)
+    out[1::2, 1::2] = p
+    return out
+
+
+def _gibbs_blocks(modes: NormalModes,
+                  beta: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The n x n position and momentum blocks of gibbs_covariance."""
     d = thermal_diagonal(modes.tilde_omegas, beta)
-    t = modes.embedded
-    return t.T @ (d[:, None] * t)
+    m = modes.mode_matrix
+    return (m * d[0::2]) @ m.T, (m * d[1::2]) @ m.T
 
 
 def propagator(net: OscillatorNetwork, t: float) -> NDArray[np.float64]:
@@ -151,7 +158,8 @@ def _propagator_from_modes(modes: NormalModes, t: float) -> NDArray[np.float64]:
     r[2 * idx + 1, 2 * idx + 1] = c
     r[2 * idx, 2 * idx + 1] = s / tw
     r[2 * idx + 1, 2 * idx] = -s * tw
-    tmat = modes.embedded
+    # dense T^T R T, not n x n blocks: the onset references pin its bits (ROADMAP item 3)
+    tmat = embed_orthogonal(modes.mode_matrix.T)
     return tmat.T @ r @ tmat
 
 

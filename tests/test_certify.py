@@ -20,6 +20,7 @@ from qbmsim import (
     build_potential_matrix,
     certificate_constants,
     critical_beta,
+    embed_orthogonal,
     gibbs_covariance,
     immediate_entanglement_check,
     is_valid_covariance,
@@ -30,9 +31,12 @@ from qbmsim import (
     n_scaling_study,
     normal_modes,
     product_initial_covariance,
+    reduce_two_mode,
     thermal_factor,
     verify_all_times_separable,
 )
+from qbmsim.certify import DEGENERATE_DET_B
+from qbmsim.symplectic import thermal_diagonal
 
 from conftest import random_network, random_pure_system
 
@@ -182,7 +186,7 @@ def reference_env_block(net):
 def eigvalsh_bisect(omega_bath, env_block, margin):
     """The bisection by eigvalsh of the whole 2N x 2N gap; None when infeasible."""
     def feasible(beta):
-        gap = qbmsim.certify._bath_gap(omega_bath, env_block, beta)
+        gap = np.diag(thermal_diagonal(omega_bath, beta)) - env_block
         return np.linalg.eigvalsh(gap).min() >= margin
 
     lo, hi = qbmsim.certify.BETA_BRACKET
@@ -249,17 +253,43 @@ def test_bisect_beta_tests_the_momentum_block_too():
     net = make_spectral_model(OHMIC)
     env_block = reference_env_block(net)
     env_block[1::2, 1::2] *= 1.5
-    beta = qbmsim.certify._bisect_beta(net.omegas[1:], env_block, 1e-6)
+    blocks = (env_block[0::2, 0::2], env_block[1::2, 1::2])
+    beta = qbmsim.certify._bisect_beta(net.omegas[1:], blocks, 1e-6)
     assert beta == eigvalsh_bisect(net.omegas[1:], env_block, 1e-6)
     assert beta < critical_beta(net, 1e-6)
 
 
-def test_bisect_beta_rejects_xp_correlations():
-    net = make_spectral_model(OHMIC)
-    env_block = reference_env_block(net)
-    env_block[4, 7] = 1e-300
-    with pytest.raises(ValueError, match="x-p correlations"):
-        qbmsim.certify._bisect_beta(net.omegas[1:], env_block, 1e-6)
+def dense_certificate(net, margin):
+    """(beta_star, gamma0_sys) built on interleaved 2n x 2n matrices.
+
+    The reference Gibbs state is T^T D T with T = embed_orthogonal(M^T), the
+    Schur complement solves the whole 2N x 2N bath gap, and domination is
+    checked by eigvalsh on the whole difference.
+    """
+    constants = certificate_constants(net)
+    t = embed_orthogonal(net.modes.mode_matrix.T)
+    d = thermal_diagonal(net.modes.tilde_omegas, constants.gamma_ref)
+    full = t.T @ (d[:, None] * t)
+    beta_star = eigvalsh_bisect(net.omegas[1:], full[2:, 2:], margin)
+    beta = 0.5 * beta_star
+    gap = np.diag(thermal_diagonal(net.omegas[1:], beta)) - full[2:, 2:]
+    cross = full[:2, 2:]
+    schur = full[:2, :2] + cross @ np.linalg.solve(gap, cross.T)
+    gamma0_sys = (schur + schur.T) / 2.0 + margin * np.eye(2)
+    diff = product_initial_covariance(gamma0_sys, net, beta) - full
+    assert np.linalg.eigvalsh(diff).min() >= -1e-10 * max(np.abs(diff).max(), 1.0)
+    return beta_star, gamma0_sys
+
+
+def test_certificate_matches_the_dense_construction(rng):
+    nets = [make_spectral_model(replace(OHMIC, exponent=p, n_env=n))
+            for p in (0.5, 1.0, 2.0) for n in (1, 8, 64, 128)]
+    for net in nets + explicit_networks(rng):
+        cert = build_certificate(net)
+        beta_star, gamma0_sys = dense_certificate(net, cert.margin)
+        assert cert.margin == qbmsim.certify.DEFAULT_MARGIN
+        assert cert.beta_star == beta_star
+        assert np.abs(cert.gamma0_sys - gamma0_sys).max() <= 1e-13 * np.abs(gamma0_sys).max()
 
 
 def test_product_state_layout():
@@ -300,10 +330,10 @@ def test_certificate_diagonalises_and_thermalises_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((qbmsim.model, "normal_modes"), (qbmsim.certify, "gibbs_covariance")):
+    for module, name in ((qbmsim.model, "normal_modes"), (qbmsim.certify, "_gibbs_blocks")):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     build_certificate(make_spectral_model(OHMIC))
-    assert calls == {"normal_modes": 1, "gibbs_covariance": 1}
+    assert calls == {"normal_modes": 1, "_gibbs_blocks": 1}
 
 
 def test_product_state_rejects_bad_system_shape():
@@ -319,6 +349,19 @@ def test_certificate_dominates_reference_state():
     diff = gamma0 - reference_gibbs(net, cert.constants.gamma_ref)
     scale = max(np.abs(diff).max(), 1.0)
     assert np.linalg.eigvalsh(diff).min() >= -1e-10 * scale
+
+
+def test_certificate_builds_no_dense_matrix():
+    # one dense 2n x 2n float64 matrix at n_env = 256 is 2.1 MB; the Gibbs
+    # state, bath gap and domination check are n x n blocks of 0.53 MB each
+    net = make_spectral_model(replace(OHMIC, n_env=256))
+    tracemalloc.start()
+    try:
+        build_certificate(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (2 * net.n_modes) ** 2 * 8
 
 
 def test_certificate_system_block_is_physical():
@@ -460,6 +503,31 @@ def test_lambda_dot_rejects_frozen_bath_mode():
     net = OscillatorNetwork(omegas=[1.0, 2.0], kappas=[0.1])
     with pytest.raises(ValueError, match="zero temperature"):
         lambda_dot_analytic(np.eye(2), net, 1, beta=1e5)
+
+
+def test_lambda_dot_zero_temperature_decision_matches_dense_det():
+    """det B read off the thermal diagonal decides like det of the dense bath block."""
+    def dense_degenerate(net, mode, beta):
+        block = reduce_two_mode(product_initial_covariance(np.eye(2), net, beta), mode)
+        return np.linalg.det(block.b) - 1.0 <= DEGENERATE_DET_B
+
+    explicit = OscillatorNetwork(omegas=[1.0, 2.0, 0.7], kappas=[0.1, 0.05])
+    # beta * omega around 29, where det B - 1 = 4 e^{-beta omega} crosses 1e-12
+    cases = [(explicit, mode, x / explicit.omegas[mode])
+             for mode in (1, 2) for x in np.linspace(27.0, 31.0, 401)]
+    # the frozen bath of the immediate CLI test: every mode at beta = 1e5
+    frozen = make_spectral_model(SpectralFamily(1.0, 2.0, 0.1, 4))
+    cases += [(frozen, mode, 1e5) for mode in range(1, 5)]
+    decisions = Counter()
+    for net, mode, beta in cases:
+        degenerate = dense_degenerate(net, mode, beta)
+        decisions[degenerate] += 1
+        if degenerate:
+            with pytest.raises(ValueError, match="zero temperature"):
+                lambda_dot_analytic(np.eye(2), net, mode, beta)
+        else:
+            assert lambda_dot_analytic(np.eye(2), net, mode, beta) == 0.0
+    assert decisions[True] > 4 and decisions[False] > 0
 
 
 def test_lambda_dot_rejects_system_index():

@@ -339,6 +339,9 @@ def test_evolve_builds_no_dense_matrix_per_step(monkeypatch):
                          (qbmsim.entanglement, "ppt_verdict"),
                          (qbmsim.cli, "ppt_verdict")):
         monkeypatch.setattr(module, name, forbidden)
+    # nor a dense Gamma_0 or W; raising=False also covers a later import into cli
+    for name in ("product_initial_covariance", "build_quadratic_form"):
+        monkeypatch.setattr(qbmsim.cli, name, forbidden, raising=False)
     spectra = []
     spectrum = qbmsim.symplectic.symplectic_spectrum
 
@@ -347,12 +350,12 @@ def test_evolve_builds_no_dense_matrix_per_step(monkeypatch):
         return spectrum(gamma)
 
     for module in (qbmsim.symplectic, qbmsim.entanglement, qbmsim.cli):
-        monkeypatch.setattr(module, "symplectic_spectrum", counting)
+        monkeypatch.setattr(module, "symplectic_spectrum", counting, raising=False)
     grid = {"start": 0.0, "stop": 10.0, "points": 200}
     table = run_evolve(parse_config(minimal(time_grid=grid)))
     assert len(table.rows) == 200
-    # the constant min_symplectic column, evaluated once on Gamma_0
-    assert spectra == [(6, 6)]
+    # the constant mean_energy and min_symplectic columns are closed forms
+    assert spectra == []
 
 
 # ------------------------------------------------------------------ certify

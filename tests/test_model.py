@@ -50,7 +50,7 @@ def test_network_diagonalises_once_and_shares_read_only_modes(monkeypatch):
     evolve(np.eye(6), net, 1.0)
     assert calls == [(3, 3)]
     expected = original(build_potential_matrix(net))
-    for name in ("mode_matrix", "tilde_omegas", "embedded"):
+    for name in ("mode_matrix", "tilde_omegas"):
         assert np.array_equal(getattr(net.modes, name), getattr(expected, name))
         with pytest.raises(ValueError):
             getattr(net.modes, name)[0] = 5.0
