@@ -28,6 +28,8 @@ from .entanglement import (
 from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
     _gibbs_blocks,
+    _purity_bound,
+    is_pure,
     is_valid_covariance,
     purity_residual,
     thermal_diagonal,
@@ -324,20 +326,11 @@ def _time_grid(times: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _require_pure(gamma_sys: NDArray[np.float64]) -> None:
-    """Raise ValueError unless gamma_sys is pure up to the rounding of its residual.
-
-    purity_residual squares Sigma gamma, so on a pure state held in doubles
-    it carries rounding of order eps ||gamma||_F^2: about 6e-6 for a state
-    squeezed to r = 6.  The bound 1e-8 + 8 eps ||gamma||_F^2 lets every
-    squeezing the config accepts through and still rejects a state mixed
-    by one part in 1e4 at moderate squeezing.
-    """
-    gamma_sys = np.asarray(gamma_sys, dtype=float)
-    resid = purity_residual(gamma_sys)
-    bound = 1e-8 + 8.0 * np.finfo(float).eps * float(np.sum(gamma_sys * gamma_sys))
-    if not resid <= bound:
-        raise ValueError(f"system state must be pure (purity residual {resid:.3e}, "
-                         f"bound {bound:.3e})")
+    """Raise ValueError unless is_pure(gamma_sys, tol=1e-8)."""
+    if not is_pure(gamma_sys, tol=1e-8):
+        raise ValueError(f"system state must be pure (purity residual "
+                         f"{purity_residual(gamma_sys):.3e}, "
+                         f"bound {_purity_bound(gamma_sys, 1e-8):.3e})")
 
 
 def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
@@ -368,7 +361,9 @@ def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
 def lambda_dot_finite_difference(gamma_sys: NDArray[np.float64],
                                  net: OscillatorNetwork, env_mode: int,
                                  beta: float, h: float = 1e-6) -> float:
-    """Richardson-refined central difference of lambda_t at t = 0."""
+    """Richardson-refined central difference of lambda_t at t = 0, for a finite step h > 0."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
     gamma0 = product_initial_covariance(gamma_sys, net, beta)
     half = h / 2.0
     lam_h, lam_mh, lam_half, lam_mhalf = (
@@ -409,10 +404,9 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     lam = np.empty((times.size, len(probed)))
     pt_min = np.empty(times.size)
     for i, gamma_t in enumerate(trajectory(gamma0, net.modes, times)):
-        for j, mode in enumerate(probed):
-            lam[i, j] = lambda_of_block(reduce_two_mode(gamma_t, mode))
+        lam[i] = lambda_of_block(reduce_two_mode(gamma_t, probed))
         pt_min[i] = ppt_verdict(gamma_t).min_pt_symplectic
-    lam_min = lam.min(axis=1)
+    del gamma0, gamma_t  # freed, not stacked under the finite difference's own dense states
     entangled = pt_min < 1.0
     passed = bool(entangled.all())
     if passed:
@@ -433,7 +427,7 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
         times=times,
         probed_modes=probed,
         lambda_by_mode=lam,
-        lambda_min=lam_min,
+        lambda_min=lam.min(axis=1),
         pt_min=pt_min,
         lambda_dot0=ld0,
         lambda_dot0_fd=ld0_fd,

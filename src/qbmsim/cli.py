@@ -28,17 +28,9 @@ from .certify import (
     build_certificate,
     immediate_entanglement_check,
     n_scaling_study,
-    product_initial_covariance,
     verify_all_times_separable,
 )
-from .entanglement import (
-    PPT_TOL,
-    lambda_of_block,
-    ppt_verdict,
-    product_state_pt_minima,
-    reduce_two_mode,
-    verdict_from_pt_minimum,
-)
+from .entanglement import PPT_TOL, product_state_pt_minima, verdict_from_pt_minimum
 from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
     is_valid_covariance,
@@ -420,6 +412,12 @@ def _base_metadata(config: ExperimentConfig, command: str) -> dict:
     }
 
 
+def _product_state_spectrum(gamma_sys: np.ndarray, net: OscillatorNetwork, beta: float):
+    """det gamma_sys, f(beta omega_j) and the product state's least symplectic eigenvalue."""
+    det_sys, f = float(np.linalg.det(gamma_sys)), thermal_factor(beta * net.omegas[1:])
+    return det_sys, f, min(math.sqrt(det_sys), float(f.min()))
+
+
 def run_evolve(config: ExperimentConfig) -> ResultTable:
     t0 = time.perf_counter()
     net = _materialize_network(config)
@@ -427,11 +425,10 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
         raise ConfigError("time_grid: required for evolve")
     times = _grid_times(config.time_grid)
     gamma_sys, beta = _system_covariance(config, net)
-    # the conserved energy and symplectic spectrum of the product state, in closed form
-    f = thermal_factor(beta * net.omegas[1:])
+    # the conserved energy and symplectic spectrum {sqrt(det gamma_sys), f_j}, in closed form
+    _, f, min_symplectic = _product_state_spectrum(gamma_sys, net, beta)
     energy = float((net.omegas[0] ** 2 * gamma_sys[0, 0] + gamma_sys[1, 1]) / 4.0
                    + np.sum(net.omegas[1:] * f) / 2.0)
-    min_symplectic = min(math.sqrt(np.linalg.det(gamma_sys)), float(f.min()))
     minima = product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], beta, times)
     verdicts = (verdict_from_pt_minimum(m, config.ppt_tol) for m in minima.tolist())
     rows = [(float(t), v.min_pt_symplectic, v.log_negativity, energy, min_symplectic)
@@ -499,14 +496,13 @@ def run_immediate(config: ExperimentConfig):
         # a mixed matrix state passes schema validation but not the purity gate
         raise ConfigError(f"system_state: {exc}") from exc
     lam_cols = [f"lambda_mode_{m}" for m in report.probed_modes]
-    gamma0 = product_initial_covariance(gamma_sys, net, beta)
-    lam0 = [lambda_of_block(reduce_two_mode(gamma0, m)) for m in report.probed_modes]
-    pt0 = float(ppt_verdict(gamma0).min_pt_symplectic)
-    rows = [(0.0, *lam0, pt0 ** 2, pt0)]
-    lam_full = report.lambda_full
-    for i, t in enumerate(report.times):
-        rows.append((float(t), *report.lambda_by_mode[i].tolist(),
-                     float(lam_full[i]), float(report.pt_min[i])))
+    # at t = 0 every pair has C = 0, so lambda_j = min(det A, det B_j = f_j^2), and the
+    # partial transpose leaves the product state's symplectic spectrum as it is
+    det_sys, f, pt0 = _product_state_spectrum(gamma_sys, net, beta)
+    lam0 = np.minimum(det_sys, f[np.array(report.probed_modes) - 1] ** 2)
+    curves = np.column_stack((report.times, report.lambda_by_mode, report.lambda_full,
+                              report.pt_min))
+    rows = [(0.0, *lam0.tolist(), pt0 ** 2, pt0), *map(tuple, curves.tolist())]
     meta = _base_metadata(config, "immediate")
     meta.update({
         "beta": _format_cell(float(beta)),
@@ -581,8 +577,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.tol is not None:
-            if args.tol <= 0:
-                raise ConfigError("--tol: must be positive")
+            if not 0.0 < args.tol < math.inf:
+                raise ConfigError(f"--tol: must be positive and finite, got {args.tol!r}")
             config.tolerances["ppt"] = args.tol
         if args.seed is not None:
             if args.seed < 0:

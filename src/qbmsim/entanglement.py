@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,7 +46,7 @@ class EntanglementVerdict:
 
 @dataclass(frozen=True)
 class TwoModeBlock:
-    """4x4 covariance of (system, one bath mode): [[A, C], [C^T, B]]."""
+    """4x4 covariance of (system, one bath mode): [[A, C], [C^T, B]], or a stack of k."""
 
     a: NDArray[np.float64]
     b: NDArray[np.float64]
@@ -54,7 +54,7 @@ class TwoModeBlock:
 
     @property
     def assembled(self) -> NDArray[np.float64]:
-        return np.block([[self.a, self.c], [self.c.T, self.b]])
+        return np.block([[self.a, self.c], [np.swapaxes(self.c, -1, -2), self.b]])
 
 
 def partial_transpose(gamma: NDArray[np.float64],
@@ -72,9 +72,7 @@ def partial_transpose(gamma: NDArray[np.float64],
     if min(sys) < 0 or max(sys) >= n:
         raise ValueError(f"mode index out of range for {n} modes")
     signs = np.ones(2 * n)
-    for m in range(n):
-        if m not in sys:
-            signs[2 * m + 1] = -1.0
+    signs[1::2] = [1.0 if m in sys else -1.0 for m in range(n)]
     return signs[:, None] * gamma * signs[None, :]
 
 
@@ -359,27 +357,26 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
     raise RuntimeError(f"PT spectrum count undefined near {float(lam[retry[0]])!r}")
 
 
-def reduce_two_mode(gamma: NDArray[np.float64], env_mode: int) -> TwoModeBlock:
+def reduce_two_mode(gamma: NDArray[np.float64], env_mode: int | Sequence[int]) -> TwoModeBlock:
     """Project the covariance onto (system mode 0, bath mode env_mode).
 
+    A sequence of k modes gives their k pairs as (k, 2, 2) stacks, a broadcast.
     The principal submatrix of a physical covariance is again physical, so
     the block feeds directly into lambda_of_block or ppt_verdict.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = gamma.shape[0] // 2
-    if not 1 <= env_mode <= n - 1:
-        raise ValueError(f"env_mode must be in 1..{n - 1}, got {env_mode}")
-    k = 2 * env_mode
-    idx = np.array([0, 1, k, k + 1])
-    sub = gamma[np.ix_(idx, idx)]
-    return TwoModeBlock(a=sub[:2, :2], b=sub[2:, 2:], c=sub[:2, 2:])
+    modes = np.asarray(env_mode)
+    bad = modes[(modes < 1) | (modes > n - 1)]
+    if bad.size:
+        raise ValueError(f"env_mode must be in 1..{n - 1}, got {bad.flat[0]}")
+    idx = 2 * modes[..., None] + np.arange(2)  # the (x, p) rows of each bath mode
+    b = gamma[idx[..., :, None], idx[..., None, :]]
+    c = np.moveaxis(gamma[:2, idx], 0, -2)
+    return TwoModeBlock(a=np.broadcast_to(gamma[:2, :2], b.shape), b=b, c=c)
 
 
-def _adjugate2(m: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-
-
-def lambda_of_block(block: TwoModeBlock) -> float:
+def lambda_of_block(block: TwoModeBlock) -> float | NDArray[np.float64]:
     """Squared smallest PT symplectic eigenvalue of a two-mode covariance.
 
     With d = det A + det B - 2 det C this is d/2 - sqrt(d^2/4 - det Gamma);
@@ -392,15 +389,19 @@ def lambda_of_block(block: TwoModeBlock) -> float:
     which stays accurate when det A, det B and det Gamma are all close to 1
     (near-pure pairs at cold temperatures).  Discriminants below -1e-12
     signal an invalid block and raise; tiny negatives round up to zero.
+    Stacked (..., 2, 2) fields give one value per pair; one invalid pair raises.
     """
     a, b, c = block.a, block.b, block.c
     det_a, det_b, det_c = map(np.linalg.det, (a, b, c))
     d = det_a + det_b - 2.0 * det_c
+    # adj(m) = [[m11, -m01], [-m10, m00]], transposed as Gamma_t is symmetric only to rounding
+    adj_a, adj_b = (m[..., ::-1, ::-1].swapaxes(-1, -2) * [[1.0, -1.0], [-1.0, 1.0]]
+                    for m in (a, b))
     disc = ((det_a - det_b) ** 2 / 4.0
             - det_c * (det_a + det_b)
-            + np.trace(_adjugate2(a) @ c @ _adjugate2(b) @ c.T))
-    if disc < DISCRIMINANT_FLOOR:
-        raise ValueError(
-            f"negative discriminant {disc:.3e}: block is not a valid covariance"
-        )
-    return float(d / 2.0 - np.sqrt(max(disc, 0.0)))
+            + np.trace(adj_a @ c @ adj_b @ np.swapaxes(c, -1, -2), axis1=-2, axis2=-1))
+    if np.any(disc < DISCRIMINANT_FLOOR):
+        raise ValueError(f"negative discriminant {np.nanmin(disc):.3e}: "
+                         "block is not a valid covariance")
+    lam = d / 2.0 - np.sqrt(np.maximum(disc, 0.0))
+    return float(lam) if lam.ndim == 0 else lam

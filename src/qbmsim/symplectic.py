@@ -231,8 +231,16 @@ def is_valid_covariance(gamma: NDArray[np.float64], tol: float = COV_TOL) -> boo
 
 
 def is_pure(gamma: NDArray[np.float64], tol: float = 1e-9) -> bool:
-    """Purity test: (Sigma Gamma)^2 = -1 exactly on pure Gaussian states."""
-    return bool(purity_residual(gamma) <= tol)
+    """Purity test: (Sigma Gamma)^2 = -1 exactly on pure Gaussian states.
+
+    The residual of a pure state held in doubles rounds like eps ||Gamma||_F^2
+    (6e-6 at squeezing r = 6), so the bound is tol + 8 eps ||Gamma||_F^2.
+    """
+    return bool(purity_residual(gamma) <= _purity_bound(gamma, tol))
+
+
+def _purity_bound(gamma: NDArray[np.float64], tol: float) -> float:
+    return tol + 8.0 * np.finfo(float).eps * float(np.sum(np.square(gamma, dtype=float)))
 
 
 def purity_residual(gamma: NDArray[np.float64]) -> float:

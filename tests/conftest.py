@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbmsim import OscillatorNetwork, make_pure_gaussian
-from qbmsim.entanglement import TwoModeBlock
+from qbmsim.entanglement import DISCRIMINANT_FLOOR, TwoModeBlock
 
 
 @pytest.fixture
@@ -59,3 +59,19 @@ def random_covariance(rng, n_modes, spread=1.0):
 def random_two_mode_block(rng, spread=1.0):
     g = random_covariance(rng, 2, spread)
     return TwoModeBlock(a=g[:2, :2], b=g[2:, 2:], c=g[:2, 2:])
+
+
+def scalar_lambda_of_block(block):
+    """lambda_of_block for one 2x2 pair, with explicit adjugates: the stacked form's oracle."""
+    def adjugate(m):
+        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+    a, b, c = block.a, block.b, block.c
+    det_a, det_b, det_c = map(np.linalg.det, (a, b, c))
+    d = det_a + det_b - 2.0 * det_c
+    disc = ((det_a - det_b) ** 2 / 4.0
+            - det_c * (det_a + det_b)
+            + np.trace(adjugate(a) @ c @ adjugate(b) @ c.T))
+    if disc < DISCRIMINANT_FLOOR:
+        raise ValueError(f"negative discriminant {disc:.3e}: block is not a valid covariance")
+    return float(d / 2.0 - np.sqrt(max(disc, 0.0)))

@@ -491,6 +491,13 @@ def test_lambda_dot_matches_finite_difference(rng):
         assert abs(ld - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-6, float("nan"), float("inf")])
+def test_lambda_dot_finite_difference_rejects_a_bad_step(h):
+    net = OscillatorNetwork(omegas=[1.0, 1.3], kappas=[0.2])
+    with pytest.raises(ValueError, match="step h must be positive and finite"):
+        lambda_dot_finite_difference(np.eye(2), net, 1, beta=1.0, h=h)
+
+
 def test_lambda_dot_rejects_mixed_system():
     net = OscillatorNetwork(omegas=[1.0, 1.0], kappas=[0.1])
     with pytest.raises(ValueError, match="pure"):

@@ -29,6 +29,7 @@ from qbmsim import (
     ppt_verdict,
     product_initial_covariance,
     propagator,
+    reduce_two_mode,
     symplectic_spectrum,
     thermal_factor,
 )
@@ -48,10 +49,16 @@ from qbmsim.cli import (
 from qbmsim.entanglement import PPT_TOL
 from qbmsim.model import SpectralFamily
 
-from conftest import random_covariance, random_explicit_network, random_network
+from conftest import (
+    random_covariance,
+    random_explicit_network,
+    random_network,
+    scalar_lambda_of_block,
+)
 
 EXPLICIT = {"omegas": [1.0, 1.5, 2.0], "kappas": [0.2, 0.1]}
 FAMILY = {"family": {"p": 1.0, "omega_max": 2.0, "coupling_norm": 0.1, "n_env": 4}}
+EPS = np.finfo(float).eps
 
 
 def minimal(**extra):
@@ -336,11 +343,10 @@ def test_evolve_builds_no_dense_matrix_per_step(monkeypatch):
     for module, name in ((qbmsim.symplectic, "trajectory"),
                          (qbmsim.symplectic, "propagator"),
                          (qbmsim.symplectic, "_propagator_from_modes"),
-                         (qbmsim.entanglement, "ppt_verdict"),
-                         (qbmsim.cli, "ppt_verdict")):
+                         (qbmsim.entanglement, "ppt_verdict")):
         monkeypatch.setattr(module, name, forbidden)
-    # nor a dense Gamma_0 or W; raising=False also covers a later import into cli
-    for name in ("product_initial_covariance", "build_quadratic_form"):
+    # nor a dense Gamma_0, W or PPT test; raising=False also covers a later import into cli
+    for name in ("product_initial_covariance", "build_quadratic_form", "ppt_verdict"):
         monkeypatch.setattr(qbmsim.cli, name, forbidden, raising=False)
     spectra = []
     spectrum = qbmsim.symplectic.symplectic_spectrum
@@ -406,6 +412,56 @@ def test_immediate_prepends_separable_origin():
     npt.assert_allclose(first[1:], 1.0, atol=1e-12)
     assert table.metadata["passed"] == "True"
     assert float(table.metadata["epsilon_found"]) > 0.0
+
+
+def test_immediate_origin_row_matches_the_dense_oracle(rng):
+    """Row t = 0 against the dense product state's PT spectrum and per-pair lambda."""
+    grid = {"start": 1e-3, "stop": 1e-1, "points": 3, "spacing": "log"}
+    for _ in range(4):
+        net = random_explicit_network(rng, int(rng.integers(1, 8)))
+        model = {"omegas": net.omegas.tolist(), "kappas": net.kappas.tolist()}
+        r, theta = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.0, np.pi))
+        states = [({"kind": "vacuum"}, np.eye(2)),
+                  ({"kind": "squeezed", "r": r, "theta": theta}, make_pure_gaussian(r, theta))]
+        # beta = 40 puts every f(beta omega) within 1e-3 of 1, most within rounding
+        for beta in (0.05, 1.0, 40.0):
+            for state, gamma_sys in states:
+                table, report = run_immediate(parse_config({
+                    "model": model, "beta": beta, "system_state": state, "time_grid": grid}))
+                gamma0 = product_initial_covariance(gamma_sys, net, beta)
+                pt0 = ppt_verdict(gamma0).min_pt_symplectic
+                lam0 = [scalar_lambda_of_block(reduce_two_mode(gamma0, m))
+                        for m in report.probed_modes]
+                # the oracle rounds too: det gamma_sys like eps ||gamma_sys||_F^2, and each
+                # pair's d/2 - sqrt(disc) cancels terms of size det B_j = f_j^2
+                f_sq = [thermal_factor(beta * net.omegas[m]) ** 2 for m in report.probed_modes]
+                scales = np.sum(gamma_sys ** 2) + np.array([0.0, *f_sq, 0.0, 0.0])
+                refs = [0.0, *lam0, pt0 ** 2, pt0]
+                for cell, ref, scale in zip(table.rows[0], refs, scales, strict=True):
+                    tol = 1e-14 * max(1.0, abs(ref)) + 8.0 * EPS * scale
+                    assert abs(cell - ref) <= tol, (state, beta, cell, ref)
+
+
+def test_immediate_runs_one_dense_spectrum_per_grid_time(monkeypatch):
+    # row 0 is in closed form; only pt_min at t > 0 still takes the dense PPT test
+    for name in ("product_initial_covariance", "ppt_verdict"):
+        assert not hasattr(qbmsim.cli, name)
+    spectra = []
+    spectrum = qbmsim.symplectic.symplectic_spectrum
+
+    def counting(gamma):
+        spectra.append(gamma.shape)
+        return spectrum(gamma)
+
+    for module in (qbmsim.symplectic, qbmsim.entanglement, qbmsim.cli):
+        monkeypatch.setattr(module, "symplectic_spectrum", counting, raising=False)
+    # the config of the onset-n64 benchmark workload, seed 0
+    data = {"model": {"family": dict(FAMILY["family"], n_env=64)}, "beta": 1.0,
+            "system_state": {"kind": "squeezed", "r": 1.0, "theta": 0.0},
+            "time_grid": {"start": 1e-4, "stop": 1e-1, "points": 30, "spacing": "log"}}
+    table, _ = run_immediate(parse_config(data))
+    assert len(table.rows) == 31
+    assert spectra == [(130, 130)] * 30
 
 
 def test_immediate_rejects_zero_start():
@@ -657,7 +713,12 @@ def test_main_bad_flag_values(tmp_path, capsys):
     grid = {"start": 0.0, "stop": 1.0, "points": 4}
     config = write_config(tmp_path, minimal(time_grid=grid))
     out = str(tmp_path / "x.csv")
-    assert main(["evolve", "--config", config, "--out", out, "--tol", "-1"]) == 2
+    # 1e400 parses as inf; nan would make every verdict inconclusive, inf every one separable
+    for tol in ("-1", "0", "nan", "inf", "1e400"):
+        assert main(["evolve", "--config", config, "--out", out, "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --tol: must be positive and finite"), tol
+        assert len(err.splitlines()) == 1
     assert main(["evolve", "--config", config, "--out", out, "--seed", "-4"]) == 2
 
 

@@ -22,6 +22,7 @@ from qbmsim import (
     normal_modes,
     partial_transpose,
     ppt_verdict,
+    product_initial_covariance,
     product_state_pt_minima,
     propagator,
     reduce_two_mode,
@@ -33,7 +34,9 @@ from conftest import (
     random_covariance,
     random_explicit_network,
     random_network,
+    random_pure_system,
     random_two_mode_block,
+    scalar_lambda_of_block,
     two_mode_squeezed,
 )
 
@@ -146,9 +149,22 @@ def test_reduce_two_mode_product_structure(rng):
 
 def test_reduce_two_mode_rejects_out_of_range():
     gamma = np.eye(6)
-    for bad in (0, 3, -1):
-        with pytest.raises(ValueError):
+    for bad, shown in ((0, 0), (3, 3), (-1, -1), ([1, 3], 3), ((0, 2), 0), ([2, 1, -4], -4)):
+        with pytest.raises(ValueError, match=rf"^env_mode must be in 1\.\.2, got {shown}$"):
             reduce_two_mode(gamma, bad)
+
+
+def test_reduce_two_mode_stacks_the_pairs_of_a_mode_sequence(rng):
+    gamma = random_covariance(rng, 5)
+    modes = (3, 1, 4, 4)
+    stack = reduce_two_mode(gamma, modes)
+    assert stack.a.shape == stack.b.shape == stack.c.shape == (4, 2, 2)
+    for i, mode in enumerate(modes):
+        single = reduce_two_mode(gamma, mode)
+        for field in ("a", "b", "c", "assembled"):
+            npt.assert_array_equal(getattr(stack, field)[i], getattr(single, field))
+        idx = [0, 1, 2 * mode, 2 * mode + 1]
+        npt.assert_array_equal(stack.assembled[i], gamma[np.ix_(idx, idx)])
 
 
 def test_lambda_two_mode_vacuum():
@@ -179,6 +195,43 @@ def test_lambda_matches_pt_spectrum(rng):
         nu = symplectic_spectrum(pt_of_block(block)).min()
         worst = max(worst, abs(lam - nu ** 2))
     assert worst <= 1e-10
+
+
+def assert_matches_scalar_oracle(stack, refs):
+    for lam, ref in zip(lambda_of_block(stack).tolist(), refs, strict=True):
+        assert abs(lam - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_stacked_lambda_matches_the_scalar_oracle_on_random_blocks(rng):
+    blocks = [random_two_mode_block(rng, spread=rng.uniform(0.2, 1.5)) for _ in range(1000)]
+    stack = TwoModeBlock(*(np.stack([getattr(blk, f) for blk in blocks]) for f in "abc"))
+    refs = [scalar_lambda_of_block(blk) for blk in blocks]
+    assert_matches_scalar_oracle(stack, refs)
+    single = lambda_of_block(blocks[0])  # one pair gives a float, as before
+    assert type(single) is float and abs(single - refs[0]) <= 1e-14 * max(1.0, abs(refs[0]))
+
+
+def test_stacked_lambda_matches_the_scalar_oracle_on_every_evolved_pair(rng):
+    for _ in range(20):
+        net = random_explicit_network(rng, int(rng.integers(1, 12)))
+        beta = float(np.exp(rng.uniform(np.log(0.05), np.log(40.0))))
+        gamma0 = product_initial_covariance(random_pure_system(rng, r_max=2.0), net, beta)
+        s = propagator(net, float(rng.uniform(1e-4, 20.0)))
+        gamma_t = s @ gamma0 @ s.T
+        modes = range(1, net.n_modes)
+        refs = [scalar_lambda_of_block(reduce_two_mode(gamma_t, m)) for m in modes]
+        assert_matches_scalar_oracle(reduce_two_mode(gamma_t, modes), refs)
+
+
+def test_stacked_lambda_raises_on_one_invalid_pair(rng):
+    blocks = [random_two_mode_block(rng) for _ in range(5)]
+    # A = I, B = -I, C = I / 2 has discriminant -1
+    blocks[3] = TwoModeBlock(a=np.eye(2), b=-np.eye(2), c=0.5 * np.eye(2))
+    stack = TwoModeBlock(*(np.stack([getattr(blk, f) for blk in blocks]) for f in "abc"))
+    with pytest.raises(ValueError, match="negative discriminant -1.000e"):
+        lambda_of_block(stack)
+    with pytest.raises(ValueError, match="negative discriminant -1.000e"):
+        scalar_lambda_of_block(blocks[3])
 
 
 def test_lambda_entangled_iff_full_pt(rng):

@@ -253,6 +253,17 @@ def test_purity_checks():
     assert purity_residual(2.0 * np.eye(2)) > 1.0
 
 
+@pytest.mark.parametrize("theta", [0.3, 1.0])
+@pytest.mark.parametrize("r", [4.75, 6.0, 9.0])
+def test_is_pure_allows_for_the_rounding_of_squeezed_states(r, theta):
+    # the residual rounds like eps ||gamma||_F^2: 2.7e-9 at r = 4.75, theta = 0.3
+    pure = make_pure_gaussian(r, theta)
+    assert is_pure(pure)
+    # a state mixed by one part in 1e4 (residual 2.8e-4) stands out until the
+    # rounding allowance 8 eps e^{4r} reaches that size, at r = 6.5
+    assert is_pure(1.0001 * pure) == (r > 6.5)
+
+
 def test_mean_energy_values():
     net = OscillatorNetwork(omegas=[1.0], kappas=[])
     w = build_quadratic_form(build_potential_matrix(net))
