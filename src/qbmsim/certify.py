@@ -177,10 +177,7 @@ def product_initial_covariance(gamma_sys: NDArray[np.float64],
 def _gap_blocks(omega_bath: NDArray[np.float64],
                 env_blocks: tuple[NDArray[np.float64], NDArray[np.float64]],
                 beta: float) -> Iterator[NDArray[np.float64]]:
-    """Position, then momentum block of Gamma(beta H_bath) - env; it has no x-p entries.
-
-    Lazily, so that a bisection step whose position block fails builds no momentum block.
-    """
+    """Position, then momentum block of Gamma(beta H_bath) - env; it has no x-p entries."""
     d = thermal_diagonal(omega_bath, beta)
     for env, diag in zip(env_blocks, (d[0::2], d[1::2])):
         # (0 - e) + d rounds exactly like d - e, signed zeros included
@@ -189,38 +186,200 @@ def _gap_blocks(omega_bath: NDArray[np.float64],
         yield gap
 
 
-def _bath_feasible(omega_bath: NDArray[np.float64],
-                   env_blocks: tuple[NDArray[np.float64], NDArray[np.float64]],
-                   beta: float, margin: float) -> bool:
-    """True when the bath gap minus margin * identity passes Cholesky in both blocks."""
-    try:
-        for gap in _gap_blocks(omega_bath, env_blocks, beta):
-            gap[np.diag_indices_from(gap)] -= margin
+#: unit roundoff of IEEE double precision
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: float64 entries per row chunk of an n x n sweep (256 KB)
+_CHUNK_ENTRIES = 32768
+
+#: warm-started power steps before each Temple bound
+_POWER_STEPS = 3
+
+
+class _GapBlock:
+    """One n x n block A = diag(d) - E - margin * I of the bath gap, for bisection.
+
+    decide(d, margin) returns exactly the boolean that np.linalg.cholesky
+    gives on the gap built as gap = 0 - E, gap_ii += d_i, gap_ii -= margin,
+    deciding in O(n) or O(n^2) from rigorous bounds wherever they settle it
+    and running that very Cholesky otherwise.  With a_i = ((0 - E_ii) + d_i)
+    - margin, the diagonal of that gap, and H = S A S for S = diag(a^-1/2)
+    (unit diagonal, so H = I - K with K = S offdiag(E) S):
+
+    - a_i <= 0 for some i: infeasible.  Every pivot of row i is a_i minus
+      rounded squares, hence <= a_i, and LAPACK stops on a pivot <= 0.
+    - lambda_min(H) > tau with tau = 8 n g / (1 - n g), g = gamma_{n+1} =
+      (n+1) u / (1 - (n+1) u): Cholesky succeeds, by Demmel's bound (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.7,
+      which needs only n g / (1 - g)).
+    - lambda_min(H) < -tau: Cholesky fails.  A factor R that ran to the end
+      has R^T R = A + dA with |dA_ij| <= g/(1 - g) sqrt(a_i a_j) (Higham
+      Thm 10.3 and Cauchy-Schwarz), so lambda_min(H) >= -||S dA S||_2 >= -tau/8.
+
+    lambda_min(H) is bounded from ||K||_F (lambda_min >= 1 - ||K||_F) and,
+    when that does not settle it, from a few warm-started power steps on K:
+    for the iterate y, c = y^T K y and r = K y - c y, with eta = sqrt(||K||_F^2
+    - c^2) >= mu_2(K), the Kato-Temple inequality gives 1 - c - |r|^2/(c -
+    eta) <= lambda_min(H) when c > eta, and the Rayleigh quotient
+    lambda_min(H) <= 1 - c always.  Each bound is widened by a rounding
+    allowance for s, K y, c, r and ||K||_F, and by the asymmetry of E in its
+    last bits (LAPACK reads one triangle).  A proven lambda_min(H) > tau also
+    holds for every larger diagonal a' >= a: for unit x and y_i = x_i
+    sqrt(a_i / a'_i), x^T H' x >= sum x_i^2 (1 - (1 - lambda) a_i / a'_i) >=
+    lambda when lambda = lambda_min(H) <= 1.  So the block keeps the last
+    such a and certifies every later a' >= a in O(n).  Between -tau and tau,
+    or when the bounds are too loose, it falls back to np.linalg.cholesky on
+    the gap built exactly as before.
+    """
+
+    def __init__(self, env: NDArray[np.float64]) -> None:
+        env = np.asarray(env, dtype=float)
+        n = env.shape[0]
+        self.diag = env.diagonal().copy()
+        # zero-diagonal copy: K's matvecs, ||K||_F and the fallback's off-diagonal
+        self.off = np.array(env, order="C")
+        np.fill_diagonal(self.off, 0.0)
+        self.rows = max(1, _CHUNK_ENTRIES // n)
+        u = _UNIT_ROUNDOFF
+        g = (n + 1) * u / (1.0 - (n + 1) * u)
+        self.tau = 8.0 * n * g / (1.0 - n * g)
+        self.rounding = 8.0 * (n + 8) * u
+        self.rho = self._asymmetry()
+        self.certified: NDArray[np.float64] | None = None
+        self.y: NDArray[np.float64] | None = None
+
+    def _chunks(self) -> Iterator[slice]:
+        n = self.off.shape[0]
+        return (slice(i, min(i + self.rows, n)) for i in range(0, n, self.rows))
+
+    def _asymmetry(self) -> float:
+        """Smallest rho with |E_ij - E_ji| <= rho sqrt(|E_ii E_jj|) off the diagonal."""
+        root = np.sqrt(np.abs(self.diag))
+        rho = 0.0
+        for rows in self._chunks():
+            ratio = np.subtract(self.off[rows], self.off[:, rows].T)
+            np.abs(ratio, out=ratio)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio /= root[rows, None]
+                ratio /= root
+            # 0/0 where E_ij = E_ji and a diagonal entry is 0
+            rho = max(rho, float(np.fmax.reduce(ratio, axis=None, initial=0.0)))
+        return rho * (1.0 + 4.0 * _UNIT_ROUNDOFF)
+
+    def decide(self, d: NDArray[np.float64], margin: float) -> bool:
+        """True exactly when np.linalg.cholesky accepts this block's gap."""
+        a = ((0.0 - self.diag) + d) - margin
+        if not (a > 0.0).all():
+            return False
+        verdict = self._bound(a)
+        return self._cholesky(a) if verdict is None else verdict
+
+    def _cholesky(self, a: NDArray[np.float64]) -> bool:
+        """np.linalg.cholesky on the gap, built in place of the zero-diagonal copy.
+
+        0 - (0 - e) = e, so undoing it restores every entry (a -0.0 as +0.0,
+        which builds the same +0.0 gap entry).
+        """
+        gap, diagonal = self.off, np.diag_indices_from(self.off)
+        np.subtract(0.0, gap, out=gap)
+        gap[diagonal] = a
+        try:
             np.linalg.cholesky(gap)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+        except np.linalg.LinAlgError:
+            return False
+        finally:
+            gap[diagonal] = 0.0
+            np.subtract(0.0, gap, out=gap)
+        return True
+
+    def certify(self, d: NDArray[np.float64], margin: float) -> None:
+        """Run the bounds only, so that a proven feasibility serves later steps."""
+        a = ((0.0 - self.diag) + d) - margin
+        if (a > 0.0).all():
+            self._bound(a)
+
+    def _bound(self, a: NDArray[np.float64]) -> bool | None:
+        """Feasibility of a block with positive diagonal a; None when only Cholesky can tell."""
+        if self.certified is not None and (a >= self.certified).all():
+            return True
+        w = 1.0 / a
+        fro_sq = 0.0
+        for rows in self._chunks():
+            fro_sq += float(w[rows] @ (np.square(self.off[rows]) @ w))
+        # ||K||_F and its allowance; omega bounds the part that asymmetry of E adds
+        omega = self.rho * float(np.abs(self.diag) @ w)
+        fro = math.sqrt(fro_sq) * (1.0 + self.rounding) + omega
+        delta = 2.0 * omega + self.rounding * (1.0 + fro)
+        if fro + delta < 1.0 - self.tau:
+            self.certified = a
+            return True
+        s = np.sqrt(w)
+        # |K_ij| <= v_i v_j for v = s sqrt(diag E) when E is a covariance: a cold start
+        y = s * np.sqrt(np.abs(self.diag)) if self.y is None else self.y
+        x = s * (self.off @ (s * y))
+        for _ in range(_POWER_STEPS):
+            norm = math.sqrt(float(x @ x))
+            if not 0.0 < norm < math.inf:
+                return None
+            y = x / norm
+            x = s * (self.off @ (s * y))
+        self.y = y
+        yy = float(y @ y)
+        c = float(y @ x) / yy
+        r = x - c * y
+        res = math.sqrt(float(r @ r) / yy) * (1.0 + self.rounding) + delta
+        c_lo, c_hi = c - delta, c + delta
+        if c_lo - 1.0 > self.tau:
+            return False
+        if c_lo > 0.0:
+            eta = math.sqrt(max(fro - c_lo, 0.0) * (fro + c_lo)) * (1.0 + self.rounding)
+            if c_lo > eta and 1.0 - c_hi - res**2 / (c_lo - eta) > self.tau + delta:
+                self.certified = a
+                return True
+        return None
+
+
+def _bath_feasible(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
+                   beta: float, margin: float) -> bool:
+    """True when the bath gap minus margin * identity passes Cholesky in both blocks.
+
+    A block after one that fails is not needed for the answer; it runs its
+    bounds anyway, so that a feasibility proven at this beta skips it at
+    every later, smaller beta.
+    """
+    d = thermal_diagonal(omega_bath, beta)
+    verdict = True
+    for block, diag in zip(blocks, (d[0::2], d[1::2])):
+        if verdict:
+            verdict = block.decide(diag, margin)
+        else:
+            block.certify(diag, margin)
+    return verdict
 
 
 def _bisect_beta(omega_bath: NDArray[np.float64],
                  env_blocks: tuple[NDArray[np.float64], NDArray[np.float64]],
                  margin: float) -> float:
-    """Bisect BETA_BRACKET for the largest beta whose gap over env_blocks is >= margin."""
+    """Bisect BETA_BRACKET for the largest beta whose gap over env_blocks is >= margin.
+
+    Every step's verdict is the Cholesky outcome on the position and the
+    momentum block of the gap, decided by _GapBlock from bounds where they
+    settle it.
+    """
     if margin <= 0.0:
         raise ValueError("margin must be positive")
-    # every step subtracts these, and contiguous copies read faster than strided views
-    env_blocks = tuple(np.ascontiguousarray(env) for env in env_blocks)
+    blocks = [_GapBlock(env) for env in env_blocks]
     lo, hi = BETA_BRACKET
-    if not _bath_feasible(omega_bath, env_blocks, lo, margin):
+    if not _bath_feasible(omega_bath, blocks, lo, margin):
         raise FeasibilityError(
             f"bath condition infeasible across the whole bracket ({lo:g}, {hi:g}); "
             f"margin {margin:g} may be too large for this model"
         )
-    if _bath_feasible(omega_bath, env_blocks, hi, margin):
+    if _bath_feasible(omega_bath, blocks, hi, margin):
         return hi
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if _bath_feasible(omega_bath, env_blocks, mid, margin):
+        if _bath_feasible(omega_bath, blocks, mid, margin):
             lo = mid
         else:
             hi = mid
@@ -233,8 +392,15 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     Finds beta* such that Gamma(beta H_bath) - [Gamma(gamma_ref H)]_EE >=
     margin * identity.  The thermal factor decreases in beta, so feasibility
     is monotone and bisection applies; the bracket is (1e-6, 1e3) and the
-    returned value is feasible with bracket width below 1e-10.  Each step
-    tests it by Cholesky on the N x N position and momentum blocks of the gap.
+    returned value is feasible with bracket width below 1e-10.  A step is
+    feasible when Cholesky accepts the N x N position and momentum blocks of
+    the gap minus margin * identity.  Each block decides that outcome from
+    rigorous bounds in O(N) (a nonpositive diagonal entry) or O(N^2) (the
+    Frobenius norm and a Kato-Temple bracket of the least eigenvalue of the
+    unit-diagonal scaling, against Demmel's and the backward-error bounds
+    for Cholesky), and runs np.linalg.cholesky only where those leave it
+    open; see _GapBlock.  The verdicts, and so beta*, are those of Cholesky
+    at every step.
     """
     ref = _gibbs_blocks(net.modes, certificate_constants(net).gamma_ref)
     return _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)

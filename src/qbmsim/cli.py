@@ -35,6 +35,7 @@ from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
     is_valid_covariance,
     make_pure_gaussian,
+    thermal_diagonal,
     thermal_factor,
 )
 
@@ -239,9 +240,20 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}: non-finite number {text} is not allowed")
         return value
 
+    def integer(text: str) -> int:
+        # the config's numbers are used as doubles; past 4300 digits int() refuses too
+        try:
+            value = int(text)
+            float(value)
+        except (OverflowError, ValueError):
+            raise ConfigError(f"{path}: integer {text[:12]}... ({len(text.lstrip('-'))} "
+                              "digits) is too large for a double") from None
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=finite, parse_constant=finite)
+            data = json.load(fh, parse_float=finite, parse_int=integer,
+                             parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: JSON syntax error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
@@ -291,6 +303,14 @@ def _system_covariance(config: ExperimentConfig, net: OscillatorNetwork):
         gamma_sys = np.asarray(config.system_state["entries"], dtype=float)
     if config.beta is None:
         raise ConfigError("beta: required unless system_state.kind is 'certificate'")
+    with np.errstate(over="ignore"):
+        try:
+            finite = np.isfinite(thermal_diagonal(net.omegas[1:], config.beta)).all()
+        except ValueError:  # beta * omega underflows to zero
+            finite = False
+    if not finite:
+        raise ConfigError(f"beta: {config.beta!r} is too small; the bath's thermal "
+                          "covariance f(beta w)/w is not finite in double precision")
     return gamma_sys, config.beta
 
 

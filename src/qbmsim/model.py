@@ -164,12 +164,19 @@ def make_spectral_model(fam: SpectralFamily,
     Bath frequencies are j*omega_max/n_env for j = 1..n_env; couplings are
     alpha * omega_j**exponent with alpha chosen so that the squared coupling
     norm equals fam.coupling_norm exactly. Raises ValueError if the requested
-    norm makes the stiffness matrix lose positive definiteness.
+    norm makes the stiffness matrix lose positive definiteness, or if the sum
+    of omega_j**(2 * exponent) is zero or not finite in double precision.
     """
     j = np.arange(1, fam.n_env + 1, dtype=float)
     omega_env = j * fam.omega_max / fam.n_env
-    weights = omega_env**fam.exponent
-    alpha = np.sqrt(fam.coupling_norm / np.sum(weights**2))
+    with np.errstate(over="ignore"):
+        weights = omega_env**fam.exponent
+        total = np.sum(weights**2)
+    if not 0.0 < total < np.inf:
+        raise ValueError(
+            f"sum of omega_j^(2p) over the bath is {total:g} in double precision; "
+            "omega_max and p leave no coupling weights to normalise")
+    alpha = np.sqrt(fam.coupling_norm / total)
     kappas = alpha * weights
     omegas = np.concatenate(([float(omega_sys)], omega_env))
     return OscillatorNetwork(omegas=omegas, kappas=kappas)

@@ -1,7 +1,9 @@
+import importlib.util
 import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -38,7 +40,7 @@ from qbmsim import (
 from qbmsim.certify import DEGENERATE_DET_B
 from qbmsim.symplectic import thermal_diagonal
 
-from conftest import random_network, random_pure_system
+from conftest import random_explicit_network, random_network, random_pure_system
 
 OHMIC = SpectralFamily(exponent=1.0, omega_max=2.0, coupling_norm=0.1, n_env=8)
 
@@ -189,6 +191,11 @@ def eigvalsh_bisect(omega_bath, env_block, margin):
         gap = np.diag(thermal_diagonal(omega_bath, beta)) - env_block
         return np.linalg.eigvalsh(gap).min() >= margin
 
+    return bisect_bracket(feasible)
+
+
+def bisect_bracket(feasible):
+    """critical_beta's bisection over a feasibility test; None when its hot end fails."""
     lo, hi = qbmsim.certify.BETA_BRACKET
     if not feasible(lo):
         return None
@@ -257,6 +264,122 @@ def test_bisect_beta_tests_the_momentum_block_too():
     beta = qbmsim.certify._bisect_beta(net.omegas[1:], blocks, 1e-6)
     assert beta == eigvalsh_bisect(net.omegas[1:], env_block, 1e-6)
     assert beta < critical_beta(net, 1e-6)
+
+
+def cholesky_accepts(env, d, margin):
+    """The bisection step before the bounds: Cholesky of the gap, built from env."""
+    gap = 0.0 - env
+    gap[np.diag_indices_from(gap)] += d
+    gap[np.diag_indices_from(gap)] -= margin
+    try:
+        np.linalg.cholesky(gap)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def cholesky_bisect(omega_bath, env_blocks, margin):
+    """The bisection before the bounds: both blocks by Cholesky at every step."""
+    def feasible(beta):
+        d = thermal_diagonal(omega_bath, beta)
+        return all(cholesky_accepts(env, diag, margin)
+                   for env, diag in zip(env_blocks, (d[0::2], d[1::2])))
+
+    return bisect_bracket(feasible)
+
+
+def env_blocks_of(net):
+    ref = qbmsim.certify._gibbs_blocks(net.modes, certificate_constants(net).gamma_ref)
+    return tuple(g[1:, 1:] for g in ref)
+
+
+def decision_cases(rng):
+    nets = [make_spectral_model(replace(OHMIC, exponent=p, n_env=n, coupling_norm=norm))
+            for p in (0.5, 1.0, 2.0) for n, norm in ((64, 0.3), (256, 0.1))]
+    nets += [random_network(rng, int(n)) for n in (3, 17, 40)]
+    nets += [random_explicit_network(rng, int(n)) for n in (5, 29, 90)]
+    for net in nets:
+        yield net, env_blocks_of(net)
+    # a hotter momentum block, which then binds
+    x, p = env_blocks_of(nets[0])
+    yield nets[0], (x, 1.5 * p)
+
+
+def test_gap_block_decides_like_cholesky(rng):
+    margin = 1e-6
+    settled = Counter()
+    for net, env_blocks in decision_cases(rng):
+        omega_bath = net.omegas[1:]
+        beta_star = cholesky_bisect(omega_bath, env_blocks, margin)
+        probes = np.concatenate((np.geomspace(*qbmsim.certify.BETA_BRACKET, 40),
+                                 beta_star * (1.0 + 1e-12 * np.arange(-50, 51))))
+        for k, env in enumerate(env_blocks):
+            warm = qbmsim.certify._GapBlock(env)
+            for beta in probes:
+                diag = thermal_diagonal(omega_bath, beta)[k::2]
+                expected = cholesky_accepts(env, diag, margin)
+                # a fresh block starts its power steps cold; the warm one has
+                # seen every earlier probe, as in a bisection
+                assert qbmsim.certify._GapBlock(env).decide(diag, margin) == expected
+                assert warm.decide(diag, margin) == expected
+                settled[expected] += 1
+    assert min(settled.values()) > 400
+
+
+def test_critical_beta_is_bit_identical_to_cholesky_bisection_at_512():
+    # the margins of the sweep-n8-512 benchmark: 1e-6 times a stretch of up to 1.1
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    margins = {workloads.make_config("sweep-n8-512", seed)["tolerances"]["margin"]
+               for seed in range(workloads.VARIANTS)}
+    assert len(margins) == 4 and all(1e-6 <= m <= 1.1e-6 for m in margins)
+    net = make_spectral_model(replace(OHMIC, n_env=512))
+    blocks = env_blocks_of(net)
+    for margin in sorted(margins):
+        assert critical_beta(net, margin) == cholesky_bisect(net.omegas[1:], blocks, margin)
+
+
+@pytest.mark.parametrize("n_env", [256, 512])
+def test_critical_beta_runs_at_most_four_choleskys(monkeypatch, n_env):
+    net = make_spectral_model(replace(OHMIC, n_env=n_env))
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    critical_beta(net)
+    # 62-63 before the bounds, two blocks at each of ~46 steps
+    assert len(calls) <= 4
+
+
+def test_block_proved_feasible_once_is_skipped_after(monkeypatch):
+    # the momentum block never binds on network Gibbs states: once proved
+    # feasible, every later and smaller beta skips its O(n^2) bounds
+    blocks, sweeps = [], Counter()
+    init, chunks = qbmsim.certify._GapBlock.__init__, qbmsim.certify._GapBlock._chunks
+
+    def recording_init(self, env):
+        blocks.append(self)
+        init(self, env)
+
+    def counting_chunks(self):
+        sweeps[id(self)] += 1
+        return chunks(self)
+
+    monkeypatch.setattr(qbmsim.certify._GapBlock, "__init__", recording_init)
+    monkeypatch.setattr(qbmsim.certify._GapBlock, "_chunks", counting_chunks)
+    critical_beta(make_spectral_model(replace(OHMIC, n_env=256)))
+    position, momentum = (sweeps[id(b)] for b in blocks)
+    assert position > 20
+    # the asymmetry scan, the hot end of the bracket and the first two steps
+    # whose momentum diagonal is positive; every later step is smaller than
+    # the second of those
+    assert momentum <= 4
 
 
 def dense_certificate(net, margin):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -691,21 +692,59 @@ def test_main_invalid_json(tmp_path, capsys):
     assert "JSON syntax error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
-@pytest.mark.parametrize("field", ["beta", "stop"])
+#: an integer literal that json keeps exact and float() cannot convert
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                     pytest.param(HUGE_INT, id="int400")])
+@pytest.mark.parametrize("field", ["beta", "stop", "omega_max"])
 def test_main_rejects_non_finite_numbers(tmp_path, capsys, field, literal):
-    values = {"beta": "1.0", "stop": "1.0"}
+    values = {"beta": "1.0", "stop": "1.0", "omega_max": "2.0"}
     values[field] = literal
     path = tmp_path / "config.json"
     path.write_text(
-        '{"model": {"omegas": [1.0, 1.5], "kappas": [0.1]}, '
+        '{"model": {"family": {"p": 1.0, "omega_max": ' + values["omega_max"]
+        + ', "coupling_norm": 0.1, "n_env": 4}}, '
         f'"beta": {values["beta"]}, '
         f'"time_grid": {{"start": 0.0, "stop": {values["stop"]}, "points": 4}}}}',
         encoding="utf-8")
     code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "x.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and f"non-finite number {literal}" in err
+    if literal == HUGE_INT:
+        assert err.startswith("config error:")
+        assert "integer 100000000000... (401 digits) is too large for a double" in err
+    else:
+        assert err.startswith("config error:") and f"non-finite number {literal}" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("beta", 1e-320, "beta: 1e-320 is too small"),
+    ("beta", 5e-324, "beta: 5e-324 is too small"),
+    ("omega_max", 1e-300, "model: sum of omega_j^(2p) over the bath is 0"),
+    ("omega_max", 1e300, "model: sum of omega_j^(2p) over the bath is inf"),
+    ("p", 600.0, "model: sum of omega_j^(2p) over the bath is inf"),
+])
+@pytest.mark.parametrize("command", ["evolve", "immediate"])
+def test_main_rejects_underflowing_temperatures_and_frequencies(
+        tmp_path, capsys, command, field, value, message):
+    family = {"p": 1.0, "omega_max": 2.0, "coupling_norm": 0.1, "n_env": 4}
+    data = {"model": {"family": family}, "beta": 1.0,
+            "system_state": {"kind": "squeezed", "r": 0.5, "theta": 0.0},
+            "time_grid": {"start": 1e-3, "stop": 1.0, "points": 4}}
+    if field == "beta":
+        data["beta"] = value
+    else:
+        family[field] = value
+    config = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", config, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}"), err
     assert len(err.splitlines()) == 1
 
 
@@ -835,6 +874,31 @@ def test_runtime_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+
+def test_every_subcommand_runs_with_scipy_unimportable(tmp_path):
+    # importing qbmsim.cli is not enough: a lazy import inside a workflow
+    # shows only when that workflow runs
+    grid = {"start": 0.0, "stop": 1.0, "points": 4}
+    configs = {
+        "evolve": minimal(time_grid=grid),
+        "certify": {"model": FAMILY, "time_grid": grid},
+        "immediate": minimal(system_state={"kind": "squeezed", "r": 0.5, "theta": 0.0},
+                             time_grid=dict(grid, start=1e-3, spacing="log")),
+        "sweep": {"model": FAMILY, "sweep_ns": [2, 8]},
+    }
+    argvs = [[command, "--config", write_config(tmp_path, data, f"{command}.json"),
+              "--out", str(tmp_path / f"{command}.csv")]
+             for command, data in configs.items()]
+    code = ("import sys; sys.modules['scipy'] = None; from qbmsim.cli import main; "
+            f"sys.exit(max(main(argv) for argv in {argvs!r}))")
+    src = str(Path(qbmsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("result: OK") == 4
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
