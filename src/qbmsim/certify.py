@@ -53,6 +53,10 @@ class FeasibilityError(RuntimeError):
     """No inverse temperature in the searched bracket satisfies the bath condition."""
 
 
+class ImpureStateError(ValueError):
+    """The system state is not pure, which the short-time onset check requires."""
+
+
 @dataclass(frozen=True)
 class CertificateConstants:
     """Model-derived constants entering the separability certificate.
@@ -492,11 +496,11 @@ def _time_grid(times: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _require_pure(gamma_sys: NDArray[np.float64]) -> None:
-    """Raise ValueError unless is_pure(gamma_sys, tol=1e-8)."""
+    """Raise ImpureStateError unless is_pure(gamma_sys, tol=1e-8)."""
     if not is_pure(gamma_sys, tol=1e-8):
-        raise ValueError(f"system state must be pure (purity residual "
-                         f"{purity_residual(gamma_sys):.3e}, "
-                         f"bound {_purity_bound(gamma_sys, 1e-8):.3e})")
+        raise ImpureStateError(f"system state must be pure (purity residual "
+                               f"{purity_residual(gamma_sys):.3e}, "
+                               f"bound {_purity_bound(gamma_sys, 1e-8):.3e})")
 
 
 def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
@@ -553,8 +557,8 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     gate the verdict, since they certify only one direction.  If some time
     shows no entanglement the report is returned with passed=False rather
     than raising, so the curve stays available for inspection.  Raises
-    ValueError for an impure system state and for times that are empty, not
-    finite or not strictly positive.
+    ImpureStateError, a ValueError, for an impure system state, and ValueError
+    for times that are empty, not finite or not strictly positive.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
     _require_pure(gamma_sys)

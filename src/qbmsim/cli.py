@@ -16,7 +16,6 @@ import sys
 import time
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from ._version import __version__
 from .certify import (
     DEFAULT_MARGIN,
     FeasibilityError,
+    ImpureStateError,
     SeparabilityCertificate,
     build_certificate,
     immediate_entanglement_check,
@@ -288,8 +288,13 @@ def _materialize_network(config: ExperimentConfig) -> OscillatorNetwork:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def _system_covariance(config: ExperimentConfig, net: OscillatorNetwork):
-    """Return (gamma_sys, beta), building a certificate when requested."""
+def _system_covariance(config: ExperimentConfig, net: OscillatorNetwork, power: int):
+    """Return (gamma_sys, beta), building a certificate when requested.
+
+    A config beta must keep f(beta w)^power finite for every bath mode, f the
+    thermal factor: evolve's rank-two kernel forms f^2 = (f/w)(f w), and
+    immediate's pair discriminant squares det B = f^2.
+    """
     kind = config.system_state["kind"]
     if kind == "certificate":
         cert = build_certificate(net, margin=config.margin)
@@ -305,12 +310,16 @@ def _system_covariance(config: ExperimentConfig, net: OscillatorNetwork):
         raise ConfigError("beta: required unless system_state.kind is 'certificate'")
     with np.errstate(over="ignore"):
         try:
-            finite = np.isfinite(thermal_diagonal(net.omegas[1:], config.beta)).all()
+            diag = thermal_diagonal(net.omegas[1:], config.beta)
         except ValueError:  # beta * omega underflows to zero
-            finite = False
-    if not finite:
+            diag = np.full(2, math.inf)
+        f_power = np.max(diag[0::2] * diag[1::2]) ** (power // 2)
+    if not np.isfinite(diag).all():
         raise ConfigError(f"beta: {config.beta!r} is too small; the bath's thermal "
                           "covariance f(beta w)/w is not finite in double precision")
+    if not math.isfinite(f_power):
+        raise ConfigError(f"beta: {config.beta!r} is too small; the bath's thermal factor "
+                          f"f(beta w)^{power} overflows double precision")
     return gamma_sys, config.beta
 
 
@@ -357,6 +366,11 @@ def emit(table: ResultTable, fmt: str, path: str, y_column: str | None = None) -
             fh.write(_svg_line_chart(table, y_column))
     else:
         raise ValueError(f"unknown output format {fmt!r}")
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > in SVG text content, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _svg_line_chart(table: ResultTable, y_column: str | None) -> str:
@@ -444,7 +458,7 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
     if config.time_grid is None:
         raise ConfigError("time_grid: required for evolve")
     times = _grid_times(config.time_grid)
-    gamma_sys, beta = _system_covariance(config, net)
+    gamma_sys, beta = _system_covariance(config, net, power=2)
     # the conserved energy and symplectic spectrum {sqrt(det gamma_sys), f_j}, in closed form
     _, f, min_symplectic = _product_state_spectrum(gamma_sys, net, beta)
     energy = float((net.omegas[0] ** 2 * gamma_sys[0, 0] + gamma_sys[1, 1]) / 4.0
@@ -503,7 +517,7 @@ def certificate_to_dict(cert: SeparabilityCertificate) -> dict:
 def run_immediate(config: ExperimentConfig):
     t0 = time.perf_counter()
     net = _materialize_network(config)
-    gamma_sys, beta = _system_covariance(config, net)
+    gamma_sys, beta = _system_covariance(config, net, power=4)
     if config.time_grid is not None:
         if config.time_grid["start"] <= 0:
             raise ConfigError("time_grid.start: must be positive for immediate")
@@ -512,8 +526,9 @@ def run_immediate(config: ExperimentConfig):
         times = None
     try:
         report = immediate_entanglement_check(gamma_sys, net, beta, times=times)
-    except ValueError as exc:
-        # a mixed matrix state passes schema validation but not the purity gate
+    except ImpureStateError as exc:
+        # a mixed matrix state passes schema validation but not the purity gate; any
+        # other ValueError of the check is numerical and reaches main as a failure
         raise ConfigError(f"system_state: {exc}") from exc
     lam_cols = [f"lambda_mode_{m}" for m in report.probed_modes]
     # at t = 0 every pair has C = 0, so lambda_j = min(det A, det B_j = f_j^2), and the

@@ -210,6 +210,8 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
 def _spectrum_schur(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     n = gamma.shape[0] // 2
     w, u = np.linalg.eigh(gamma)
+    if w[0] <= 0.0:  # eigvalsh may round the least eigenvalue of a near-singular gamma up
+        raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
     root = u * np.sqrt(w)
     # L^T Sigma L is real antisymmetric with eigenvalues +-i*d, so the
     # Hermitian matrix i L^T Sigma L has eigenvalues +-d, the upper n ascending

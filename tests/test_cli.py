@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -482,6 +483,26 @@ def test_immediate_mixed_state_is_a_config_error(tmp_path, capsys):
     assert "purity residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("state, beta, code, message", [
+    ({"kind": "matrix", "entries": [[2.0, 0.0], [0.0, 2.0]]}, 1.0, 2,
+     "config error: system_state: system state must be pure"),
+    # f(beta w) ~ 1e60: rounding of order 1e44 swamps the O(1) eigenvalues of the
+    # dense evolved state, so a positive definiteness or discriminant check fails
+    ({"kind": "vacuum"}, 1e-60, 1, "failure: "),
+])
+def test_immediate_separates_an_impure_state_from_a_numerical_failure(
+        tmp_path, capsys, state, beta, code, message):
+    data = {"model": {"omegas": [1.0, 0.5, 1.5], "kappas": [0.1, 0.1]}, "beta": beta,
+            "system_state": state}
+    config = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["immediate", "--config", config, "--out", str(tmp_path / "x.csv")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message), err
+    assert len(err.splitlines()) == 1
+
+
 def test_immediate_decoupled_fails_with_exit_one(tmp_path, capsys):
     data = {"model": {"omegas": [1.0, 2.0], "kappas": [0.0]}, "beta": 1.0}
     config = write_config(tmp_path, data)
@@ -625,6 +646,52 @@ def test_svg_rejects_unknown_column(tmp_path):
         emit(table, "svg", str(tmp_path / "x.svg"), y_column="z")
 
 
+def test_svg_escape_matches_the_standard_library(tmp_path, monkeypatch):
+    from xml.sax.saxutils import escape as sax_escape
+
+    names = ["a & b", "x < y > z", "&amp;", "<&>&amp;<>", "plain"]
+    for name in names:
+        assert qbmsim.cli.escape(name) == sax_escape(name)
+    table = ResultTable(columns=["t & <x>", "&amp; y"], rows=[(0.0, 1.0), (1.0, 3.0)])
+    ours = tmp_path / "ours.svg"
+    emit(table, "svg", str(ours))
+    monkeypatch.setattr(qbmsim.cli, "escape", sax_escape)
+    emit(table, "svg", str(tmp_path / "sax.svg"))
+    assert ours.read_bytes() == (tmp_path / "sax.svg").read_bytes()
+    title = ET.fromstring(ours.read_text(encoding="utf-8")).find(
+        "{http://www.w3.org/2000/svg}text")
+    assert title.text == "&amp; y vs t & <x>"
+
+
+#: sha256 of main(... --format svg) for each subcommand, recorded with the
+#: xml.sax.saxutils escape the SVG writer used before its own
+SVG_DIGESTS = {
+    "evolve": "a67b1a7e1dba91a439516fc1cd8a48961bbec59f64d76f3ca4a232da93cd8a40",
+    "certify": "14c595b47155c843a2aa2767b134a55f322f9ca740aa1b42008ce8929e474e27",
+    "immediate": "83f6c3245919a73947ee370dfbdf05f9f9b2cc2f462c4acc6c7722d6a2f55eba",
+    "sweep": "3647c54c43203ff100c82f6d83ca87adc09495827674b6c65aee7a20f5e92cf3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SVG_DIGESTS))
+def test_svg_of_every_subcommand_matches_its_recorded_digest(tmp_path, command):
+    configs = {
+        "evolve": {"model": FAMILY, "beta": 1.0,
+                   "system_state": {"kind": "squeezed", "r": 0.5, "theta": 0.3},
+                   "time_grid": {"start": 0.0, "stop": 5.0, "points": 20}},
+        "certify": {"model": FAMILY, "time_grid": {"start": 0.0, "stop": 5.0, "points": 10}},
+        "immediate": {"model": FAMILY, "beta": 1.0,
+                      "system_state": {"kind": "squeezed", "r": 1.0, "theta": 0.0},
+                      "time_grid": {"start": 1e-3, "stop": 1e-1, "points": 6,
+                                    "spacing": "log"}},
+        "sweep": {"model": FAMILY, "sweep_ns": [2, 4, 8]},
+    }
+    config = write_config(tmp_path, configs[command])
+    out = tmp_path / f"{command}.svg"
+    assert main([command, "--config", config, "--out", str(out), "--format", "svg"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SVG_DIGESTS[command]
+
+
 def test_svg_via_main(tmp_path):
     grid = {"start": 0.0, "stop": 5.0, "points": 20}
     config = write_config(tmp_path, minimal(time_grid=grid))
@@ -746,6 +813,31 @@ def test_main_rejects_underflowing_temperatures_and_frequencies(
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}"), err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-200, 1e-160, 1e-150, 1e-100])
+@pytest.mark.parametrize("command", ["evolve", "immediate"])
+def test_main_rejects_temperatures_whose_thermal_powers_overflow(
+        tmp_path, capsys, command, beta):
+    # evolve forms f(beta w)^2, immediate f(beta w)^4; f ~ 4/beta for the 0.5 mode
+    data = {"model": {"omegas": [1.0, 0.5, 1.5], "kappas": [0.1, 0.1]}, "beta": beta,
+            "system_state": {"kind": "vacuum"},
+            "time_grid": {"start": 1e-3, "stop": 1.0, "points": 4}}
+    config = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", config, "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    if command == "evolve" and beta >= 1e-150:
+        assert code == 0, captured.err
+        assert "result: OK" in captured.out
+        return
+    assert code == 2
+    power = 2 if command == "evolve" else 4
+    assert captured.err.startswith(
+        f"config error: beta: {beta!r} is too small; the bath's thermal factor "
+        f"f(beta w)^{power} overflows double precision"), captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_main_bad_flag_values(tmp_path, capsys):
@@ -899,6 +991,26 @@ def test_every_subcommand_runs_with_scipy_unimportable(tmp_path):
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("result: OK") == 4
+
+
+#: what xml.sax.saxutils pulled in: urllib.request, http.client, email, ssl, socket
+HEAVY_STDLIB = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+
+
+@pytest.mark.parametrize("code", [
+    "import qbmsim.cli",
+    # what python -m qbmsim --help runs, with sys.modules left to read after argparse exits
+    "import runpy; sys.argv = ['qbmsim', '--help']\n"
+    "try: runpy.run_module('qbmsim', run_name='__main__')\nexcept SystemExit: pass",
+])
+def test_start_up_imports_no_network_or_mail_stack(code):
+    # urllib.parse is not checked: pathlib loads it
+    probe = ("import sys\n" + code + "\n"
+             f"print(sorted(m for m in sys.modules if m.startswith({HEAVY_STDLIB!r})))")
+    src = str(Path(qbmsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

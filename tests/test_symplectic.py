@@ -222,6 +222,13 @@ def test_symplectic_spectrum_rejects_indefinite():
         symplectic_spectrum(np.diag([1.0, -1.0]))
 
 
+def test_schur_route_rejects_what_eigh_finds_indefinite():
+    # eigvalsh and eigh may round the least eigenvalue of a near-singular matrix
+    # to opposite signs; the Schur route must raise, not take the root of a negative
+    with pytest.raises(ValueError, match="not positive definite"):
+        qbmsim.symplectic._spectrum_schur(np.diag([1e10, 1.0, -1e-3, 1.0]))
+
+
 def test_symplectic_spectrum_ill_conditioned_fallback():
     # r = 5 squeezing gives condition number e^20 > 1e8, forcing the
     # Schur-form route; the spectrum of a pure state is still all ones
