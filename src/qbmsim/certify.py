@@ -141,15 +141,18 @@ class ScalingRow:
 def certificate_constants(net: OscillatorNetwork) -> CertificateConstants:
     """Compute the reference inverse temperature and its ingredients.
 
-    gamma_ref = min(2, ln(1 + 2/Omega)/Omega) with Omega^2 = omega_env_max^2
-    + 2 sqrt(delta); at this inverse temperature every normal mode of the
-    coupled network carries at least vacuum noise in both quadratures.
+    gamma_ref = min(2, ln(1 + 2/Omega)/Omega) with Omega^2 = max(omega_sys,
+    omega_env_max)^2 + 2 sqrt(delta), which bounds every eigenvalue of 2V
+    (Weyl: max_k omega_k^2 + ||kappa||).  At this inverse temperature every
+    normal mode carries at least vacuum noise in both quadratures, so the
+    reference Gibbs state is >= the identity.
     """
     if net.n_env < 1:
         raise ValueError("certificate constants need at least one bath mode")
     omega_env_max = float(net.omegas[1:].max())
     delta = float(2.0 * np.sum(net.kappas**2))
-    omega_bound = math.sqrt(omega_env_max**2 + 2.0 * math.sqrt(delta))
+    omega_max = max(float(net.omegas[0]), omega_env_max)
+    omega_bound = math.sqrt(omega_max**2 + 2.0 * math.sqrt(delta))
     gamma = min(2.0, math.log1p(2.0 / omega_bound) / omega_bound)
     return CertificateConstants(
         omega_env_max=omega_env_max,
@@ -226,8 +229,9 @@ class _GapBlock:
     - c^2) >= mu_2(K), the Kato-Temple inequality gives 1 - c - |r|^2/(c -
     eta) <= lambda_min(H) when c > eta, and the Rayleigh quotient
     lambda_min(H) <= 1 - c always.  Each bound is widened by a rounding
-    allowance for s, K y, c, r and ||K||_F, and by the asymmetry of E in its
-    last bits (LAPACK reads one triangle).  A proven lambda_min(H) > tau also
+    allowance for s, K y, c, r and ||K||_F.  Bounds and Cholesky see one
+    symmetric E: its strict lower triangle, the only one np.linalg.cholesky
+    reads, mirrored onto the upper one.  A proven lambda_min(H) > tau also
     holds for every larger diagonal a' >= a: for unit x and y_i = x_i
     sqrt(a_i / a'_i), x^T H' x >= sum x_i^2 (1 - (1 - lambda) a_i / a'_i) >=
     lambda when lambda = lambda_min(H) <= 1.  So the block keeps the last
@@ -240,35 +244,23 @@ class _GapBlock:
         env = np.asarray(env, dtype=float)
         n = env.shape[0]
         self.diag = env.diagonal().copy()
-        # zero-diagonal copy: K's matvecs, ||K||_F and the fallback's off-diagonal
+        # zero-diagonal copy, lower triangle mirrored in place without temporaries:
+        # K's matvecs, ||K||_F and the fallback's off-diagonal
         self.off = np.array(env, order="C")
         np.fill_diagonal(self.off, 0.0)
+        for i in range(n - 1):
+            self.off[i, i + 1:] = self.off[i + 1:, i]
         self.rows = max(1, _CHUNK_ENTRIES // n)
         u = _UNIT_ROUNDOFF
         g = (n + 1) * u / (1.0 - (n + 1) * u)
         self.tau = 8.0 * n * g / (1.0 - n * g)
         self.rounding = 8.0 * (n + 8) * u
-        self.rho = self._asymmetry()
         self.certified: NDArray[np.float64] | None = None
         self.y: NDArray[np.float64] | None = None
 
     def _chunks(self) -> Iterator[slice]:
         n = self.off.shape[0]
         return (slice(i, min(i + self.rows, n)) for i in range(0, n, self.rows))
-
-    def _asymmetry(self) -> float:
-        """Smallest rho with |E_ij - E_ji| <= rho sqrt(|E_ii E_jj|) off the diagonal."""
-        root = np.sqrt(np.abs(self.diag))
-        rho = 0.0
-        for rows in self._chunks():
-            ratio = np.subtract(self.off[rows], self.off[:, rows].T)
-            np.abs(ratio, out=ratio)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio /= root[rows, None]
-                ratio /= root
-            # 0/0 where E_ij = E_ji and a diagonal entry is 0
-            rho = max(rho, float(np.fmax.reduce(ratio, axis=None, initial=0.0)))
-        return rho * (1.0 + 4.0 * _UNIT_ROUNDOFF)
 
     def decide(self, d: NDArray[np.float64], margin: float) -> bool:
         """True exactly when np.linalg.cholesky accepts this block's gap."""
@@ -310,10 +302,8 @@ class _GapBlock:
         fro_sq = 0.0
         for rows in self._chunks():
             fro_sq += float(w[rows] @ (np.square(self.off[rows]) @ w))
-        # ||K||_F and its allowance; omega bounds the part that asymmetry of E adds
-        omega = self.rho * float(np.abs(self.diag) @ w)
-        fro = math.sqrt(fro_sq) * (1.0 + self.rounding) + omega
-        delta = 2.0 * omega + self.rounding * (1.0 + fro)
+        fro = math.sqrt(fro_sq) * (1.0 + self.rounding)
+        delta = self.rounding * (1.0 + fro)
         if fro + delta < 1.0 - self.tau:
             self.certified = a
             return True
@@ -416,10 +406,12 @@ def build_certificate(net: OscillatorNetwork,
 
     Chooses beta = beta*/2 and takes the smallest system block that makes
     the product state dominate the reference Gibbs state, via the Schur
-    complement of the bath gap, plus margin times the identity.  If the
-    resulting 2x2 block fails the uncertainty relation (it cannot, up to
-    rounding) the margin is doubled, at most 8 attempts.  Positions and momenta
-    never mix, so all of this runs on n x n blocks and gamma0_sys is diagonal.
+    complement of the bath gap, plus margin times the identity.  The Schur
+    complement is at least the reference state's system block, which is >= 1
+    (see certificate_constants), so gamma0_sys >= (1 + margin) I obeys the
+    uncertainty relation; a RuntimeError guards the rounding.  Positions and
+    momenta never mix, so all of this runs on n x n blocks and gamma0_sys is
+    diagonal.
     """
     constants = certificate_constants(net)
     ref = _gibbs_blocks(net.modes, constants.gamma_ref)
@@ -429,16 +421,9 @@ def build_certificate(net: OscillatorNetwork,
     gaps = list(_gap_blocks(net.omegas[1:], env_blocks, beta))
     schur = np.diag([g[0, 0] + g[0, 1:] @ np.linalg.solve(gap, g[0, 1:])
                      for g, gap in zip(ref, gaps)])
-    m = margin
-    for _ in range(8):
-        gamma0_sys = schur + m * np.eye(2)
-        if is_valid_covariance(gamma0_sys):
-            break
-        m *= 2.0
-    else:
-        raise RuntimeError(
-            "system block failed the uncertainty relation even after margin inflation"
-        )
+    gamma0_sys = schur + margin * np.eye(2)
+    if not is_valid_covariance(gamma0_sys):
+        raise RuntimeError("system block failed the uncertainty relation")
     # product state minus reference state, block by block; its bath block is the gap
     min_eig, norm = np.inf, 0.0
     for g, gap, sys_entry in zip(ref, gaps, np.diag(gamma0_sys)):
@@ -456,7 +441,7 @@ def build_certificate(net: OscillatorNetwork,
         beta_star=beta_star,
         beta=beta,
         gamma0_sys=gamma0_sys,
-        margin=m,
+        margin=margin,
     )
 
 

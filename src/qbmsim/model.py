@@ -115,19 +115,27 @@ def _potential_entries(omegas: NDArray[np.float64],
 
 def _positive_definite_modes(v: NDArray[np.float64]) -> NormalModes:
     """Normal modes of V, which must be positive definite beyond POS_DEF_RTOL."""
-    advice = "couplings are too strong for the given frequencies"
     try:
         modes = normal_modes(v)
     except ValueError as exc:
-        raise ValueError(f"{exc}; {advice}") from None
+        raise ValueError(f"{exc}; {_indefinite_cause(v)}") from None
     # eigenvalues of V, ascending
     eigs = modes.tilde_omegas**2 / 2.0
     if eigs[0] <= POS_DEF_RTOL * eigs[-1]:
         raise ValueError(
             "stiffness matrix is not positive definite "
-            f"(min eigenvalue {eigs[0]:.3e}, norm {eigs[-1]:.3e}); {advice}"
+            f"(min eigenvalue {eigs[0]:.3e}, norm {eigs[-1]:.3e}); {_indefinite_cause(v)}"
         )
     return modes
+
+
+def _indefinite_cause(v: NDArray[np.float64]) -> str:
+    """Why V failed: its uncoupled diagonal omega^2/2 alone, or the couplings."""
+    d = v.diagonal()
+    if d.min() <= POS_DEF_RTOL * d.max():
+        return (f"the squared frequencies alone, {2.0 * d.min():.3e} to {2.0 * d.max():.3e}, "
+                f"span more than 1/POS_DEF_RTOL = {1.0 / POS_DEF_RTOL:.0e}")
+    return "couplings are too strong for the given frequencies"
 
 
 def build_potential_matrix(net: OscillatorNetwork) -> NDArray[np.float64]:

@@ -83,16 +83,18 @@ def test_constants_take_max_over_bath_only():
 
 
 def test_gamma_ref_decreases_with_stiffer_bath():
+    # the system sits below every bath frequency, so the bath sets Omega
     gammas = []
     for w in (0.5, 1.0, 2.0, 5.0, 20.0):
-        net = OscillatorNetwork(omegas=[1.0, w], kappas=[0.1])
+        net = OscillatorNetwork(omegas=[0.4, w], kappas=[0.1])
         gammas.append(certificate_constants(net).gamma_ref)
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
     assert gammas[-1] < 0.1
 
 
 def test_gamma_ref_capped_at_two():
-    net = OscillatorNetwork(omegas=[1.0, 0.01], kappas=[0.001])
+    # every frequency near 0.01, the system's too: Omega ~ 0.011
+    net = OscillatorNetwork(omegas=[0.01, 0.01], kappas=[1e-5])
     c = certificate_constants(net)
     assert c.gamma_ref == 2.0
 
@@ -118,10 +120,22 @@ def test_constants_invariant_under_bath_relabeling(rng):
     npt.assert_allclose(critical_beta(net), critical_beta(shuffled), atol=1e-9)
 
 
+def networks_with_system_above_the_band(rng):
+    """The Ohmic family and random networks with omega_sys in [3, 30], above every bath mode."""
+    nets = [make_spectral_model(OHMIC, omega_sys=w) for w in (5.0, 10.0, 30.0)]
+    for _ in range(10):
+        # a stiffer system keeps V positive definite
+        net = random_network(rng, rng.integers(1, 6))
+        nets.append(replace(net, omegas=np.concatenate(([rng.uniform(3.0, 30.0)],
+                                                        net.omegas[1:]))))
+    assert all(net.omegas[0] > net.omegas[1:].max() for net in nets)
+    return nets
+
+
 def test_reference_gibbs_at_vacuum_noise(rng):
     """At gamma_ref every quadrature of the coupled state carries >= vacuum noise."""
-    for _ in range(10):
-        net = random_network(rng, rng.integers(1, 6))
+    nets = [random_network(rng, rng.integers(1, 6)) for _ in range(10)]
+    for net in nets + networks_with_system_above_the_band(rng):
         gamma = reference_gibbs(net, certificate_constants(net).gamma_ref)
         assert np.linalg.eigvalsh(gamma).min() >= 1.0 - 1e-10
 
@@ -305,14 +319,28 @@ def decision_cases(rng):
     yield nets[0], (x, 1.5 * p)
 
 
+def decision_probes(net, env_blocks, margin):
+    """40 betas across the bracket and 101 within 5e-11 relative of the Cholesky beta*."""
+    beta_star = cholesky_bisect(net.omegas[1:], env_blocks, margin)
+    return np.concatenate((np.geomspace(*qbmsim.certify.BETA_BRACKET, 40),
+                           beta_star * (1.0 + 1e-12 * np.arange(-50, 51))))
+
+
+def test_cholesky_reads_only_the_lower_triangle(rng):
+    for net, env_blocks in decision_cases(rng):
+        for env in env_blocks:
+            gap = np.diag(thermal_diagonal(net.omegas[1:], 1e-3)[0::2]) - env
+            upper = gap.copy()
+            upper[np.triu_indices_from(upper, 1)] = np.nan
+            assert np.array_equal(np.linalg.cholesky(upper), np.linalg.cholesky(gap))
+
+
 def test_gap_block_decides_like_cholesky(rng):
     margin = 1e-6
     settled = Counter()
     for net, env_blocks in decision_cases(rng):
         omega_bath = net.omegas[1:]
-        beta_star = cholesky_bisect(omega_bath, env_blocks, margin)
-        probes = np.concatenate((np.geomspace(*qbmsim.certify.BETA_BRACKET, 40),
-                                 beta_star * (1.0 + 1e-12 * np.arange(-50, 51))))
+        probes = decision_probes(net, env_blocks, margin)
         for k, env in enumerate(env_blocks):
             warm = qbmsim.certify._GapBlock(env)
             for beta in probes:
@@ -322,6 +350,29 @@ def test_gap_block_decides_like_cholesky(rng):
                 # seen every earlier probe, as in a bisection
                 assert qbmsim.certify._GapBlock(env).decide(diag, margin) == expected
                 assert warm.decide(diag, margin) == expected
+                settled[expected] += 1
+    assert min(settled.values()) > 400
+
+
+def test_gap_block_never_reads_the_upper_triangle(rng):
+    # Cholesky reads E's lower triangle only; noise far above rounding, or
+    # NaN, in the upper one changes neither its outcome nor the block's
+    margin = 1e-6
+    settled = Counter()
+    for net, env_blocks in decision_cases(rng):
+        omega_bath = net.omegas[1:]
+        probes = decision_probes(net, env_blocks, margin)
+        for k, env in enumerate(env_blocks):
+            upper = np.triu_indices_from(env, 1)
+            noisy, blank = env.copy(), env.copy()
+            noisy[upper] *= 1.0 + 1e-3 * rng.standard_normal(upper[0].size)
+            blank[upper] = np.nan
+            warm = qbmsim.certify._GapBlock(noisy)
+            for beta in probes:
+                diag = thermal_diagonal(omega_bath, beta)[k::2]
+                expected = cholesky_accepts(env, diag, margin)
+                assert warm.decide(diag, margin) == expected
+                assert qbmsim.certify._GapBlock(blank).decide(diag, margin) == expected
                 settled[expected] += 1
     assert min(settled.values()) > 400
 
@@ -376,10 +427,9 @@ def test_block_proved_feasible_once_is_skipped_after(monkeypatch):
     critical_beta(make_spectral_model(replace(OHMIC, n_env=256)))
     position, momentum = (sweeps[id(b)] for b in blocks)
     assert position > 20
-    # the asymmetry scan, the hot end of the bracket and the first two steps
-    # whose momentum diagonal is positive; every later step is smaller than
-    # the second of those
-    assert momentum <= 4
+    # the hot end of the bracket and the first two steps whose momentum
+    # diagonal is positive; every later step is smaller than the second of those
+    assert momentum <= 3
 
 
 def dense_certificate(net, margin):
@@ -497,6 +547,17 @@ def test_certificate_system_block_is_physical():
     assert np.linalg.det(g) >= 1.0
     assert cert.beta == 0.5 * cert.beta_star
     assert cert.margin >= 1e-6
+
+
+def test_certificate_keeps_the_requested_margin(rng):
+    # the reference Gibbs state is >= 1, so gamma0_sys >= (1 + margin) I
+    # holds without inflating the margin, the system above the band too
+    nets = [random_network(rng, int(n)) for n in rng.integers(1, 12, 6)]
+    for net in nets + networks_with_system_above_the_band(rng):
+        for margin in (1e-9, 1e-6, 1e-3):
+            cert = build_certificate(net, margin)
+            assert cert.margin == margin
+            assert np.diag(cert.gamma0_sys).min() >= 1.0 + margin - 1e-12
 
 
 def test_certificate_decoupled_bath():

@@ -196,6 +196,20 @@ def test_bad_explicit_model_is_a_config_error():
         run_evolve(config)
 
 
+@pytest.mark.parametrize("omegas", [[1.0, 1e-8], [1.0, 1e8], [1.0, 1e-200]])
+def test_uncoupled_frequency_spread_is_named_as_the_cause(tmp_path, capsys, omegas):
+    # omega^2 spans more than 1/POS_DEF_RTOL with no coupling at all; at
+    # 1e-200 it underflows to 0 and the eigensolver's check fails first
+    data = {"model": {"omegas": omegas, "kappas": [0.0]}, "beta": 1.0,
+            "time_grid": {"start": 0.0, "stop": 1.0, "points": 3}}
+    config = write_config(tmp_path, data)
+    assert main(["evolve", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model: stiffness matrix is not positive definite")
+    assert "squared frequencies alone" in err and "coupling" not in err
+    assert len(err.splitlines()) == 1
+
+
 # ------------------------------------------------------------------- evolve
 
 
