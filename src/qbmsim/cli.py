@@ -2,8 +2,9 @@
 
 Configs are JSON with a versioned schema; results are written as CSV (RFC
 4180 quoting, LF endings, 17 significant digits) or as a static SVG line
-chart.  Exit codes: 0 success, 1 scientific or numerical failure, 2 config
-or I/O error.
+chart.  The config file is a run's only input; the flags name the files and the
+output format.  Exit codes: 0 success, 1 scientific or numerical failure, 2
+config, command-line or I/O error.
 """
 
 from __future__ import annotations
@@ -54,9 +55,12 @@ _STATE_KEYS = {"vacuum": ("kind",), "squeezed": ("kind", "r", "theta"),
 _MAX_STATE_CONDITION = 2.0**52
 #: squeezing with e^{4|r|} = _MAX_STATE_CONDITION, about 9.011
 _MAX_SQUEEZING = math.log(_MAX_STATE_CONDITION) / 4.0
+#: bound on a matrix state's entries, about 5.8e76: a product of two stays below
+#: 2^510, so det^2, the purity residual and the evolution's products stay finite
+_MAX_STATE_ENTRY = 2.0**255
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     model: dict
     version: int = 1
@@ -111,11 +115,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         _check_keys(fam, "model.family", required, optional=("omega_sys",))
         for key in required:
             if not _is_number(fam[key]):
-                raise ConfigError(f"model.family.{key}: must be a number")
+                raise ConfigError(f"model.family.{key}: must be a finite number")
         omega_sys = fam.get("omega_sys", 1.0)
         if not _is_number(omega_sys) or omega_sys <= 0:
-            raise ConfigError(
-                f"model.family.omega_sys: must be a positive number, got {omega_sys!r}")
+            raise ConfigError("model.family.omega_sys: must be a positive finite number, "
+                              f"got {omega_sys!r}")
         if fam["omega_max"] <= 0:
             raise ConfigError("model.family.omega_max: must be positive")
         if fam["coupling_norm"] < 0:
@@ -125,7 +129,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     beta = data.get("beta")
     if beta is not None:
         if not _is_number(beta) or beta <= 0:
-            raise ConfigError(f"beta: must be a positive number, got {beta!r}")
+            raise ConfigError(f"beta: must be a positive finite number, got {beta!r}")
         beta = float(beta)
     state = data.get("system_state", {"kind": "vacuum"})
     _validate_state(state)
@@ -139,7 +143,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if key not in ("ppt", "margin"):
             raise ConfigError(f"tolerances.{key}: unknown tolerance")
         if not _is_number(val) or val <= 0:
-            raise ConfigError(f"tolerances.{key}: must be positive, got {val!r}")
+            raise ConfigError(f"tolerances.{key}: must be positive and finite, got {val!r}")
     seed = data.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
@@ -155,12 +159,17 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: int or float, but not bool (a subclass of int)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that is finite as a double: int or float, but not bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the range of a double
+        return False
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, int) and _is_number(value)
 
 
 def _check_keys(obj: dict, where: str, required: Collection[str] = (),
@@ -189,7 +198,7 @@ def _validate_state(state) -> None:
     if kind == "squeezed":
         for key in ("r", "theta"):
             if not _is_number(state.get(key)):
-                raise ConfigError(f"system_state.{key}: must be a number")
+                raise ConfigError(f"system_state.{key}: must be a finite number")
         if abs(state["r"]) > _MAX_SQUEEZING:
             raise ConfigError(
                 f"system_state.r: |r| must be at most {_MAX_SQUEEZING:.4f} = ln(2^52)/4, "
@@ -197,18 +206,25 @@ def _validate_state(state) -> None:
     if kind == "matrix":
         entries = state.get("entries")
         if (not isinstance(entries, list) or len(entries) != 2
-                or any(not isinstance(row, list) or len(row) != 2 for row in entries)):
-            raise ConfigError("system_state.entries: must be a 2x2 array")
+                or any(not isinstance(row, list) or len(row) != 2
+                       or not all(map(_is_number, row)) for row in entries)):
+            raise ConfigError("system_state.entries: must be a 2x2 array of finite numbers")
         m = np.asarray(entries, dtype=float)
+        if np.abs(m).max() >= _MAX_STATE_ENTRY:
+            raise ConfigError("system_state.entries: every entry must be below 2^255 "
+                              "in magnitude, beyond which products of entries overflow "
+                              "double precision")
+        # before is_valid_covariance, whose spectrum routine forms the eigenvalue ratio;
+        # compared as evals[1] / 2^52 here, since the ratio itself may overflow
+        lo, hi = np.linalg.eigvalsh(m).tolist()
+        if lo > 0.0 and hi / _MAX_STATE_CONDITION > lo:
+            raise ConfigError(
+                f"system_state.entries: eigenvalue ratio {hi / lo:.3e} "
+                "exceeds 2^52, beyond which double precision cannot evolve the state")
         if not is_valid_covariance(m):
             raise ConfigError(
                 "system_state.entries: not a valid single-mode covariance matrix"
             )
-        evals = np.linalg.eigvalsh(m)
-        if evals[1] > _MAX_STATE_CONDITION * evals[0]:
-            raise ConfigError(
-                f"system_state.entries: eigenvalue ratio {evals[1] / evals[0]:.3e} "
-                "exceeds 2^52, beyond which double precision cannot evolve the state")
 
 
 def _validate_grid(grid) -> None:
@@ -222,8 +238,9 @@ def _validate_grid(grid) -> None:
         raise ConfigError(f"time_grid.spacing: must be 'linear' or 'log', got {spacing!r}")
     if not _is_int(points) or points < 2:
         raise ConfigError("time_grid.points: must be an integer >= 2")
-    if not (_is_number(start) and _is_number(stop)):
-        raise ConfigError("time_grid.start/stop: must be numbers")
+    for key in ("start", "stop"):
+        if not _is_number(grid[key]):
+            raise ConfigError(f"time_grid.{key}: must be a finite number")
     if stop <= start:
         raise ConfigError("time_grid.stop: must exceed time_grid.start")
     if spacing == "log" and start <= 0:
@@ -335,7 +352,7 @@ class ResultTable:
                 raise ValueError(
                     f"row {i} has {len(row)} cells, expected {len(self.columns)}"
                 )
-            if any(_is_number(cell) and not math.isfinite(cell) for cell in row):
+            if any(isinstance(cell, float) and not math.isfinite(cell) for cell in row):
                 raise ValueError(f"row {i} contains a non-finite value")
 
 
@@ -583,8 +600,15 @@ def run_sweep(config: ExperimentConfig) -> ResultTable:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take the one-line config error path."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbmsim",
         description="Gaussian dynamics and entanglement certification for an "
                     "oscillator coupled to a harmonic bath",
@@ -600,25 +624,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "svg"), default="csv")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the PPT boundary tolerance")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = load_config(args.config)
-        if args.tol is not None:
-            if not 0.0 < args.tol < math.inf:
-                raise ConfigError(f"--tol: must be positive and finite, got {args.tol!r}")
-            config.tolerances["ppt"] = args.tol
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed: must be nonnegative")
-            config.seed = args.seed
         failed = False
         if args.command == "evolve":
             table = run_evolve(config)

@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -180,6 +182,50 @@ def test_parse_rejects_and_names_the_field(data, fragment):
         parse_config(data)
 
 
+def _with_value(field, value):
+    """A valid config with one number replaced by value; field names it."""
+    family = dict(FAMILY["family"], omega_sys=1.0)
+    data = {"model": {"family": family}, "beta": 1.0,
+            "system_state": {"kind": "squeezed", "r": 0.5, "theta": 0.0},
+            "time_grid": {"start": 1e-3, "stop": 1.0, "points": 4},
+            "tolerances": {"ppt": 1e-9, "margin": 1e-6}}
+    head, _, key = field.rpartition(".")
+    if field == "model.omegas":
+        data["model"] = {"omegas": [1.0, value], "kappas": [0.1]}
+    elif field == "system_state.entries":
+        data["system_state"] = {"kind": "matrix", "entries": [[1.0, 0.0], [0.0, value]]}
+    elif head:
+        target = family if head == "model.family" else data[head]
+        target[key] = value
+    else:
+        data[field] = value
+    return data
+
+
+NUMBER_FIELDS = ["beta", "tolerances.ppt", "tolerances.margin", "time_grid.start",
+                 "time_grid.stop", "model.family.p", "model.family.omega_max",
+                 "model.family.coupling_norm", "model.family.n_env",
+                 "model.family.omega_sys", "system_state.r", "system_state.theta",
+                 "model.omegas", "system_state.entries"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int400"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_parse_rejects_non_finite_numbers_and_names_the_field(field, value):
+    # a dict caller reaches parse_config without load_config's JSON hooks
+    parse_config(_with_value(field, {"model.family.n_env": 4, "time_grid.start": 0.5}
+                             .get(field, 1.0)))
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+        parse_config(_with_value(field, value))
+
+
+def test_config_is_frozen_after_parsing():
+    config = parse_config(minimal())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = 11
+
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"model": {},\n  "beta": }\n', encoding="utf-8")
@@ -343,8 +389,9 @@ def test_evolve_tol_override_matches_the_dense_inconclusive_band(tmp_path, rng):
     dip = min(row[1] for row in run_evolve(parse_config(data)).rows)
     assert dip < 1.0 - 1e-6
     tol = (1.0 - dip) / 2.0
+    data["tolerances"] = {"ppt": tol}
     config, out = write_config(tmp_path, data), str(tmp_path / "evolve.csv")
-    assert main(["evolve", "--config", config, "--out", out, "--tol", repr(tol)]) == 0
+    assert main(["evolve", "--config", config, "--out", out]) == 0
     _, header, cells = read_csv(out)
     rows = [tuple(float(c) for c in row) for row in cells]
     verdicts = dense_verdicts(np.eye(2), net, 5.0, times, tol)
@@ -732,26 +779,30 @@ def test_evolve_output_is_deterministic(tmp_path):
     assert strip_wall_clock(out1) == strip_wall_clock(out2)
 
 
-def test_config_echo_roundtrips(tmp_path):
+@pytest.mark.parametrize("tolerances", [None, {"ppt": 1e-8, "margin": 1e-5}],
+                         ids=["no_tolerances", "tolerances"])
+@pytest.mark.parametrize("command", ["evolve", "certify", "immediate", "sweep"])
+def test_config_echo_roundtrips(tmp_path, command, tolerances):
+    # the echo is the whole input of a run: the file, and nothing else
     grid = {"start": 0.0, "stop": 1.0, "points": 4}
-    raw = minimal(time_grid=grid, seed=3)
+    raw = {
+        "evolve": minimal(time_grid=grid),
+        "certify": {"model": FAMILY, "time_grid": grid},
+        "immediate": minimal(system_state={"kind": "squeezed", "r": 0.5, "theta": 0.0},
+                             time_grid=dict(grid, start=1e-3, spacing="log")),
+        "sweep": {"model": FAMILY, "sweep_ns": [2, 4]},
+    }[command] | {"seed": 3}
+    if tolerances is not None:
+        raw["tolerances"] = tolerances
     config = write_config(tmp_path, raw)
     out = str(tmp_path / "echo.csv")
-    assert main(["evolve", "--config", config, "--out", out]) == 0
+    assert main([command, "--config", config, "--out", out]) == 0
     meta, _, _ = read_csv(out)
-    assert json.loads(meta["config"]) == raw
+    with open(config, encoding="utf-8") as fh:
+        assert json.loads(meta["config"]) == json.load(fh) == raw
     assert meta["seed"] == "3"
-    assert meta["command"] == "evolve"
+    assert meta["command"] == command
     assert "artifact_version" in meta
-
-
-def test_seed_override_is_echoed(tmp_path):
-    grid = {"start": 0.0, "stop": 1.0, "points": 4}
-    config = write_config(tmp_path, minimal(time_grid=grid))
-    out = str(tmp_path / "seeded.csv")
-    assert main(["evolve", "--config", config, "--out", out, "--seed", "11"]) == 0
-    meta, _, _ = read_csv(out)
-    assert meta["seed"] == "11"
 
 
 # --------------------------------------------------------------- exit codes
@@ -855,16 +906,52 @@ def test_main_rejects_temperatures_whose_thermal_powers_overflow(
 
 
 def test_main_bad_flag_values(tmp_path, capsys):
+    # the values --tol took, now as the config's tolerances.ppt; 1e400 parses as inf,
+    # nan would make every verdict inconclusive, inf every one separable
     grid = {"start": 0.0, "stop": 1.0, "points": 4}
-    config = write_config(tmp_path, minimal(time_grid=grid))
+    text = json.dumps(minimal(time_grid=grid, tolerances={"ppt": "TOL"}))
     out = str(tmp_path / "x.csv")
-    # 1e400 parses as inf; nan would make every verdict inconclusive, inf every one separable
-    for tol in ("-1", "0", "nan", "inf", "1e400"):
-        assert main(["evolve", "--config", config, "--out", out, "--tol", tol]) == 2
+    for tol in ("-1", "0", "NaN", "Infinity", "1e400"):
+        path = tmp_path / "tol.json"
+        path.write_text(text.replace('"TOL"', tol), encoding="utf-8")
+        assert main(["evolve", "--config", str(path), "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: --tol: must be positive and finite"), tol
+        if tol in ("-1", "0"):
+            assert err.startswith("config error: tolerances.ppt: must be positive and finite")
+        else:
+            assert err.startswith(f"config error: {path}: non-finite number {tol}"), tol
         assert len(err.splitlines()) == 1
-    assert main(["evolve", "--config", config, "--out", out, "--seed", "-4"]) == 2
+    config = write_config(tmp_path, minimal(time_grid=grid, seed=-4))
+    assert main(["evolve", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--config", "c.json", "--out", "x.pdf", "--format", "pdf"],
+     "qbmsim evolve: argument --format: invalid choice: "),
+    (["certify", "--config", "c.json"],
+     "qbmsim certify: the following arguments are required: --out"),
+    (["evolve", "--config", "c.json", "--out", "x.csv", "--tol", "1e-6"],
+     "qbmsim: unrecognized arguments: --tol 1e-6"),
+    (["sweep", "--config", "c.json", "--out", "x.csv", "--seed", "11"],
+     "qbmsim: unrecognized arguments: --seed 11"),
+    ([], "qbmsim: the following arguments are required: command"),
+    (["plot", "--config", "c.json"], "qbmsim: argument command: invalid choice: "),
+], ids=["format_pdf", "missing_out", "tol_flag", "seed_flag", "no_subcommand",
+        "unknown_subcommand"])
+def test_command_line_error_is_one_config_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}"), captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--help"])
+    assert exc.value.code == 0
+    assert "--format" in capsys.readouterr().out
 
 
 def test_main_success_message(tmp_path, capsys):
@@ -926,6 +1013,46 @@ def test_main_rejects_states_double_precision_cannot_evolve(tmp_path, capsys, st
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([["a", 0], [0, 1]], "must be a 2x2 array of finite numbers"),
+    ([[True, 0], [0, True]], "must be a 2x2 array of finite numbers"),
+    ([[None, 0], [0, 1]], "must be a 2x2 array of finite numbers"),
+    ([[1e300, 0], [0, 1e300]], "every entry must be below 2^255"),
+    ([[1e200, 0], [0, 1e-200]], "every entry must be below 2^255"),
+    ([[1e200, 0], [0, 1e200]], "every entry must be below 2^255"),
+    ([[1e100, 0], [0, 1e100]], "every entry must be below 2^255"),
+    ([[1e153, 0], [0, 1e153]], "every entry must be below 2^255"),
+    ([[1e76, 0], [0, 1e-300]], "eigenvalue ratio inf exceeds 2^52"),
+], ids=["string", "bool", "null", "1e300", "1e200_1e-200", "1e200", "1e100", "1e153",
+        "ratio_overflow"])
+@pytest.mark.parametrize("command", ["evolve", "immediate"])
+def test_matrix_state_entries_are_config_errors(tmp_path, capsys, command, entries, message):
+    data = minimal(system_state={"kind": "matrix", "entries": entries},
+                   time_grid={"start": 1e-3, "stop": 1.0, "points": 4})
+    config = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", config, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: system_state.entries: {message}"), err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entries", [[[5e76, 0], [0, 5e76]], [[5e76, 4e76], [4e76, 5e76]]],
+                         ids=["diagonal", "correlated"])
+def test_hot_matrix_state_below_the_entry_bound_evolves(tmp_path, capsys, entries):
+    data = minimal(system_state={"kind": "matrix", "entries": entries},
+                   time_grid={"start": 1e-3, "stop": 50.0, "points": 6})
+    config = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", config, "--out", str(tmp_path / "x.csv")]) == 0
+        assert main(["immediate", "--config", config, "--out", str(tmp_path / "y.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: system_state: system state must be pure"), err
+
+
 @st.composite
 def small_configs(draw):
     """A subcommand and a config of at most 4 modes and 6 grid points."""
@@ -946,8 +1073,12 @@ def small_configs(draw):
         # across the bound ln(2^52)/4 = 9.011
         state.update(r=draw(st.floats(-12.0, 12.0)), theta=draw(st.floats(0.0, 6.3)))
     elif kind == "matrix":
-        a, b = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
-        c = draw(st.floats(-1e3, 1e3))
+        # up to 1e300, and entries that are no numbers at all
+        scale = draw(st.sampled_from([1e3, 1e300]))
+        odd = st.sampled_from(["a", None, True, [1.0]])
+        a = draw(st.floats(1e-3, scale) | odd)
+        b = draw(st.floats(1e-3, scale))
+        c = draw(st.floats(-scale, scale) | odd)
         state["entries"] = [[a, c], [c, b]]
     start = draw(st.floats(0.0, 5.0))
     data = {"model": model, "beta": draw(st.floats(1e-3, 50.0)), "system_state": state,
