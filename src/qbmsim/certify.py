@@ -27,8 +27,10 @@ from .entanglement import (
 )
 from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
+    COV_TOL,
     _gibbs_blocks,
     _purity_bound,
+    _require_bounded_entries,
     is_pure,
     is_valid_covariance,
     purity_residual,
@@ -179,18 +181,6 @@ def product_initial_covariance(gamma_sys: NDArray[np.float64],
     out[:2, :2] = gamma_sys
     np.fill_diagonal(out[2:, 2:], d)
     return out
-
-
-def _gap_blocks(omega_bath: NDArray[np.float64],
-                env_blocks: tuple[NDArray[np.float64], NDArray[np.float64]],
-                beta: float) -> Iterator[NDArray[np.float64]]:
-    """Position, then momentum block of Gamma(beta H_bath) - env; it has no x-p entries."""
-    d = thermal_diagonal(omega_bath, beta)
-    for env, diag in zip(env_blocks, (d[0::2], d[1::2])):
-        # (0 - e) + d rounds exactly like d - e, signed zeros included
-        gap = 0.0 - env
-        gap[np.diag_indices_from(gap)] += diag
-        yield gap
 
 
 #: unit roundoff of IEEE double precision
@@ -406,41 +396,43 @@ def build_certificate(net: OscillatorNetwork,
 
     Chooses beta = beta*/2 and takes the smallest system block that makes
     the product state dominate the reference Gibbs state, via the Schur
-    complement of the bath gap, plus margin times the identity.  The Schur
-    complement is at least the reference state's system block, which is >= 1
-    (see certificate_constants), so gamma0_sys >= (1 + margin) I obeys the
-    uncertainty relation; a RuntimeError guards the rounding.  Positions and
-    momenta never mix, so all of this runs on n x n blocks and gamma0_sys is
-    diagonal.
+    complement of the bath gap, plus margin times the identity.  Positions
+    and momenta never mix, so each quadrature is one (n+1) x (n+1) block
+    diff = product - reference: its bath block is the gap, solved for the
+    Schur step, and the certificate is accepted only when Cholesky accepts
+    diff, the verdict every bisection step uses (see _GapBlock).  A
+    RuntimeError names a block it rejects.  The Schur complement is at least
+    the reference state's system block, which is >= 1 (see
+    certificate_constants), so the diagonal gamma0_sys >= (1 + margin) I
+    obeys the uncertainty relation; a RuntimeError guards the rounding.
     """
     constants = certificate_constants(net)
     ref = _gibbs_blocks(net.modes, constants.gamma_ref)
-    env_blocks = tuple(g[1:, 1:] for g in ref)
-    beta_star = _bisect_beta(net.omegas[1:], env_blocks, margin)
+    beta_star = _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)
     beta = 0.5 * beta_star
-    gaps = list(_gap_blocks(net.omegas[1:], env_blocks, beta))
-    schur = np.diag([g[0, 0] + g[0, 1:] @ np.linalg.solve(gap, g[0, 1:])
-                     for g, gap in zip(ref, gaps)])
-    gamma0_sys = schur + margin * np.eye(2)
-    if not is_valid_covariance(gamma0_sys):
+    d = thermal_diagonal(net.omegas[1:], beta)
+    bath = np.arange(1, net.n_modes)
+    entries = []
+    for name, g, diag in zip(("position", "momentum"), ref, (d[0::2], d[1::2])):
+        # (0 - g) + d rounds exactly like d - g, signed zeros included
+        diff = 0.0 - g
+        diff[bath, bath] += diag
+        entry = g[0, 0] + g[0, 1:] @ np.linalg.solve(diff[1:, 1:], g[0, 1:]) + margin
+        diff[0, 0] += entry
+        try:
+            np.linalg.cholesky(diff)
+        except np.linalg.LinAlgError:
+            raise RuntimeError(f"certificate does not dominate the reference state in "
+                               f"the {name} block at margin {margin:g}") from None
+        entries.append(entry)
+    # the symplectic eigenvalue of diag(x, p) is sqrt(x p): is_valid_covariance's test
+    if not math.sqrt(entries[0] * entries[1]) >= 1.0 - COV_TOL:
         raise RuntimeError("system block failed the uncertainty relation")
-    # product state minus reference state, block by block; its bath block is the gap
-    min_eig, norm = np.inf, 0.0
-    for g, gap, sys_entry in zip(ref, gaps, np.diag(gamma0_sys)):
-        diff = -g
-        diff[0, 0] += sys_entry
-        diff[1:, 1:] = gap
-        min_eig = min(min_eig, np.linalg.eigvalsh(diff).min())
-        norm = max(norm, np.abs(diff).max())
-    if min_eig < -1e-10 * max(norm, 1.0):
-        raise RuntimeError(
-            f"certificate does not dominate the reference state (min eig {min_eig:.3e})"
-        )
     return SeparabilityCertificate(
         constants=constants,
         beta_star=beta_star,
         beta=beta,
-        gamma0_sys=gamma0_sys,
+        gamma0_sys=np.diag(entries),
         margin=margin,
     )
 
@@ -543,9 +535,11 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     shows no entanglement the report is returned with passed=False rather
     than raising, so the curve stays available for inspection.  Raises
     ImpureStateError, a ValueError, for an impure system state, and ValueError
-    for times that are empty, not finite or not strictly positive.
+    for a system state with an entry of magnitude 2^255 or more or for times
+    that are empty, not finite or not strictly positive.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
+    _require_bounded_entries(gamma_sys)  # before the purity residual squares them
     _require_pure(gamma_sys)
     if times is None:
         times = np.geomspace(1e-4, 1e-1, 25)

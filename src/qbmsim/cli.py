@@ -34,6 +34,7 @@ from .certify import (
 from .entanglement import PPT_TOL, product_state_pt_minima, verdict_from_pt_minimum
 from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
 from .symplectic import (
+    _MAX_STATE_ENTRY,
     is_valid_covariance,
     make_pure_gaussian,
     thermal_diagonal,
@@ -55,9 +56,6 @@ _STATE_KEYS = {"vacuum": ("kind",), "squeezed": ("kind", "r", "theta"),
 _MAX_STATE_CONDITION = 2.0**52
 #: squeezing with e^{4|r|} = _MAX_STATE_CONDITION, about 9.011
 _MAX_SQUEEZING = math.log(_MAX_STATE_CONDITION) / 4.0
-#: bound on a matrix state's entries, about 5.8e76: a product of two stays below
-#: 2^510, so det^2, the purity residual and the evolution's products stay finite
-_MAX_STATE_ENTRY = 2.0**255
 
 
 @dataclass(frozen=True)
@@ -652,8 +650,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FeasibilityError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
-        # numerics errors; ConfigError is a ValueError and is caught above
+    except (RuntimeError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
+        # numerics errors, FeasibilityError among them; ConfigError is a ValueError
+        # and is caught above
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {args.out}")

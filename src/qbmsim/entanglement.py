@@ -15,7 +15,12 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .symplectic import NormalModes, symplectic_spectrum, thermal_diagonal
+from .symplectic import (
+    NormalModes,
+    _require_bounded_entries,
+    symplectic_spectrum,
+    thermal_diagonal,
+)
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -184,8 +189,8 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
     found to rounding; a secular equation over all 2n poles would put that
     root on a pole.
     Raises ValueError for a non-finite time, a gamma_sys that is not a 2x2
-    positive definite matrix, or an omega_bath that does not match the bath
-    modes.
+    positive definite matrix or has an entry of magnitude 2^255 or more, or
+    an omega_bath that does not match the bath modes.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
     times = np.asarray(times, dtype=float).ravel()
@@ -193,6 +198,7 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
         raise ValueError("times must be finite")
     if gamma_sys.shape != (2, 2):
         raise ValueError("system covariance must be 2x2")
+    _require_bounded_entries(gamma_sys)
     # the Cholesky factor [[l00, 0], [l10, l11]] in closed form, from the lower triangle
     a, c, b = float(gamma_sys[0, 0]), float(gamma_sys[1, 0]), float(gamma_sys[1, 1])
     l00 = math.sqrt(a) if a > 0.0 else math.nan
@@ -379,9 +385,11 @@ def reduce_two_mode(gamma: NDArray[np.float64], env_mode: int | Sequence[int]) -
 def lambda_of_block(block: TwoModeBlock) -> float | NDArray[np.float64]:
     """Squared smallest PT symplectic eigenvalue of a two-mode covariance.
 
-    With d = det A + det B - 2 det C this is d/2 - sqrt(d^2/4 - det Gamma);
-    values below 1 certify entanglement of the pair.  The discriminant is
-    evaluated in a cancellation-free form,
+    With d = det A + det B - 2 det C this is d/2 - sqrt(d^2/4 - det Gamma),
+    evaluated as det Gamma / (d/2 + sqrt(d^2/4 - det Gamma)), the product of
+    the roots over the large one: the difference cancels terms of size
+    det B / 2 on a hot bath mode.  Values below 1 certify entanglement of the
+    pair.  The discriminant is evaluated in a cancellation-free form,
 
         d^2/4 - det Gamma = (det A - det B)^2 / 4
                             - det C (det A + det B) + tr(adj(A) C adj(B) C^T),
@@ -403,5 +411,5 @@ def lambda_of_block(block: TwoModeBlock) -> float | NDArray[np.float64]:
     if np.any(disc < DISCRIMINANT_FLOOR):
         raise ValueError(f"negative discriminant {np.nanmin(disc):.3e}: "
                          "block is not a valid covariance")
-    lam = d / 2.0 - np.sqrt(np.maximum(disc, 0.0))
+    lam = np.linalg.det(block.assembled) / (d / 2.0 + np.sqrt(np.maximum(disc, 0.0)))
     return float(lam) if lam.ndim == 0 else lam

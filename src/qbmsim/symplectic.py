@@ -24,6 +24,10 @@ ILL_CONDITIONED = 1e8
 #: default tolerance on symplectic eigenvalues for physicality checks
 COV_TOL = 1e-9
 
+#: bound on a system state's entries, about 5.8e76: a product of two stays below
+#: 2^510, so det^2, the purity residual and the evolution's products stay finite
+_MAX_STATE_ENTRY = 2.0**255
+
 
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
     """Block-diagonal symplectic form, n copies of [[0, 1], [-1, 0]]."""
@@ -239,6 +243,13 @@ def is_pure(gamma: NDArray[np.float64], tol: float = 1e-9) -> bool:
     (6e-6 at squeezing r = 6), so the bound is tol + 8 eps ||Gamma||_F^2.
     """
     return bool(purity_residual(gamma) <= _purity_bound(gamma, tol))
+
+
+def _require_bounded_entries(gamma_sys: NDArray[np.float64]) -> None:
+    """Raise ValueError when an entry of gamma_sys reaches _MAX_STATE_ENTRY in magnitude."""
+    if np.abs(gamma_sys).max() >= _MAX_STATE_ENTRY:
+        raise ValueError("system covariance entries must be below 2^255 in magnitude, "
+                         "beyond which products of entries overflow double precision")
 
 
 def _purity_bound(gamma: NDArray[np.float64], tol: float) -> float:

@@ -74,4 +74,4 @@ def scalar_lambda_of_block(block):
             + np.trace(adjugate(a) @ c @ adjugate(b) @ c.T))
     if disc < DISCRIMINANT_FLOOR:
         raise ValueError(f"negative discriminant {disc:.3e}: block is not a valid covariance")
-    return float(d / 2.0 - np.sqrt(max(disc, 0.0)))
+    return float(np.linalg.det(block.assembled) / (d / 2.0 + np.sqrt(max(disc, 0.0))))

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -37,7 +38,7 @@ from qbmsim import (
     thermal_factor,
     verify_all_times_separable,
 )
-from qbmsim.certify import DEGENERATE_DET_B
+from qbmsim.certify import DEGENERATE_DET_B, ImpureStateError
 from qbmsim.symplectic import thermal_diagonal
 
 from conftest import random_explicit_network, random_network, random_pure_system
@@ -526,7 +527,8 @@ def test_certificate_dominates_reference_state():
 
 def test_certificate_builds_no_dense_matrix():
     # one dense 2n x 2n float64 matrix at n_env = 256 is 2.1 MB; the Gibbs
-    # state, bath gap and domination check are n x n blocks of 0.53 MB each
+    # state and each quadrature's difference from it are n_modes x n_modes blocks
+    # of 0.53 MB
     net = make_spectral_model(replace(OHMIC, n_env=256))
     tracemalloc.start()
     try:
@@ -535,6 +537,56 @@ def test_certificate_builds_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * (2 * net.n_modes) ** 2 * 8
+
+
+def lowering_solve(block, k, margin):
+    """np.linalg.solve whose call number `block` lowers that Schur step by k margins."""
+    solve, calls = np.linalg.solve, []
+
+    def lowered(a, b):
+        x = solve(a, b)
+        if len(calls) == block:
+            x = x - k * margin * b / (b @ b)
+        calls.append(block)
+        return x
+
+    return lowered
+
+
+@pytest.mark.parametrize("n_env", [8, 256, 1024])
+def test_domination_check_rejects_a_system_block_lowered_past_the_margin(monkeypatch, n_env):
+    # the Schur step is the least entry that dominates; the margin is all the slack,
+    # so a lowering by 1.1 margins breaks domination and one by 0.9 margins does not
+    net = make_spectral_model(replace(OHMIC, n_env=n_env))
+    margin = qbmsim.certify.DEFAULT_MARGIN
+    exact = build_certificate(net).gamma0_sys
+    for block, name in enumerate(("position", "momentum")):
+        monkeypatch.setattr(np.linalg, "solve", lowering_solve(block, 0.9, margin))
+        lowered = build_certificate(net).gamma0_sys
+        assert lowered[block, block] < exact[block, block] - 0.8 * margin
+        monkeypatch.setattr(np.linalg, "solve", lowering_solve(block, 1.1, margin))
+        with pytest.raises(RuntimeError, match=f"in the {name} block at margin 1e-06"):
+            build_certificate(net)
+
+
+def test_certificate_margin_below_the_rounding_floor_is_rejected():
+    # at n_env = 256 and p = 0.5, 1e-15 is below the rounding of the Cholesky
+    # verdict on the position block; 1e-12 is well above it
+    net = make_spectral_model(replace(OHMIC, exponent=0.5, n_env=256))
+    with pytest.raises(RuntimeError, match="in the position block at margin 1e-15"):
+        build_certificate(net, 1e-15)
+    assert build_certificate(net, 1e-12).margin == 1e-12
+
+
+def test_certificate_runs_no_eigensolver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_certificate ran an eigensolver")
+
+    net = make_spectral_model(replace(OHMIC, n_env=64))
+    net.modes  # the network's one eigh, before the eigensolvers are forbidden
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    build_certificate(net)
 
 
 def test_certificate_system_block_is_physical():
@@ -794,6 +846,15 @@ def test_immediate_entanglement_input_validation():
     with pytest.raises(ValueError, match="positive"):
         immediate_entanglement_check(np.eye(2), net, beta=1.0,
                                      times=np.array([0.0, 0.1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the bound goes first: 1e77 overflows the purity residual
+        for entry in (1e77, 2.0**255):
+            with pytest.raises(ValueError, match=r"entries must be below 2\^255") as info:
+                immediate_entanglement_check(np.diag([entry, entry]), net, beta=1.0)
+            assert not isinstance(info.value, ImpureStateError)
+        below = np.nextafter(2.0**255, 0.0)
+        with pytest.raises(ImpureStateError):
+            immediate_entanglement_check(np.diag([below, below]), net, beta=1.0)
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0])

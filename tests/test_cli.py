@@ -983,6 +983,17 @@ def test_main_numerics_error_is_a_one_line_failure(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_certify_margin_below_the_rounding_floor_is_a_one_line_failure(tmp_path, capsys):
+    # 1e-15 is below the rounding of the certificate's domination check
+    family = {"p": 0.5, "omega_max": 2.0, "coupling_norm": 0.1, "n_env": 256}
+    config = write_config(tmp_path, {"model": {"family": family},
+                                     "tolerances": {"margin": 1e-15},
+                                     "time_grid": {"start": 0.0, "stop": 1.0, "points": 4}})
+    assert main(["certify", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == ("failure: certificate does not dominate the reference "
+                                       "state in the position block at margin 1e-15\n")
+
+
 def test_main_out_of_memory_is_a_one_line_failure(tmp_path, capsys, monkeypatch):
     # a bath too large for memory; raised by a stand-in, nothing is allocated
     def exhausted(config):

@@ -1,4 +1,7 @@
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -27,6 +30,7 @@ from qbmsim import (
     propagator,
     reduce_two_mode,
     symplectic_spectrum,
+    trajectory,
 )
 from qbmsim.symplectic import thermal_diagonal
 
@@ -223,6 +227,43 @@ def test_stacked_lambda_matches_the_scalar_oracle_on_every_evolved_pair(rng):
         assert_matches_scalar_oracle(reduce_two_mode(gamma_t, modes), refs)
 
 
+def exact_det(m):
+    """Determinant of a square list of Fractions by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * exact_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def exact_lambda(block):
+    """d/2 - sqrt(d^2/4 - det Gamma) on one pair's doubles: exact rationals, a 40-digit root."""
+    g = [[Fraction(x) for x in row] for row in block.assembled.tolist()]
+    det_a = exact_det([row[:2] for row in g[:2]])
+    det_b = exact_det([row[2:] for row in g[2:]])
+    det_c = exact_det([row[2:] for row in g[:2]])
+    d = det_a + det_b - 2 * det_c
+    disc = d * d / 4 - exact_det(g)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        half_d = Decimal(d.numerator) / Decimal(2 * d.denominator)
+        return float(half_d - (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt())
+
+
+def test_lambda_near_one_on_a_hot_bath_has_no_cancellation():
+    # at beta = 0.05, det B = f^2 is 1.8e5 to 1.6e6 on modes 1-3: d/2 - sqrt(disc)
+    # cancels terms of that size and lands about 9e-11 off this oracle
+    net = make_spectral_model(SpectralFamily(exponent=1.0, omega_max=2.0,
+                                             coupling_norm=0.1, n_env=64))
+    gamma0 = product_initial_covariance(make_pure_gaussian(1.0, 0.0), net, 0.05)
+    worst = 0.0
+    for gamma_t in trajectory(gamma0, net.modes, np.geomspace(1e-4, 1e-1, 10)):
+        gamma_t = (gamma_t + gamma_t.T) / 2.0  # the oracle's d and disc assume symmetry
+        lam = lambda_of_block(reduce_two_mode(gamma_t, [1, 2, 3]))
+        for mode, value in enumerate(lam.tolist(), start=1):
+            worst = max(worst, abs(value - exact_lambda(reduce_two_mode(gamma_t, mode))))
+    assert worst <= 1e-14
+
+
 def test_stacked_lambda_raises_on_one_invalid_pair(rng):
     blocks = [random_two_mode_block(rng) for _ in range(5)]
     # A = I, B = -I, C = I / 2 has discriminant -1
@@ -399,4 +440,10 @@ def test_pt_minima_input_errors():
         product_state_pt_minima(-np.eye(2), *args, [0.0])
     with pytest.raises(ValueError, match="bath modes"):
         product_state_pt_minima(np.eye(2), net.modes, net.omegas[2:], 1.0, [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the bound goes first: 1e151 overflows the PT count
+        for entry in (1e151, 2.0**255):
+            with pytest.raises(ValueError, match=r"entries must be below 2\^255"):
+                product_state_pt_minima(np.diag([entry, entry]), *args,
+                                        np.geomspace(1e-3, 1.0, 4))
     assert product_state_pt_minima(np.eye(2), *args, []).shape == (0,)
