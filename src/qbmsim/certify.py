@@ -30,7 +30,6 @@ from .symplectic import (
     COV_TOL,
     _gibbs_blocks,
     _purity_bound,
-    _require_bounded_entries,
     is_pure,
     is_valid_covariance,
     purity_residual,
@@ -49,7 +48,6 @@ VERIFY_TOL = 1e-8
 
 #: det(B) - 1 below this makes the onset derivative one-sided
 DEGENERATE_DET_B = 1e-12
-
 
 class FeasibilityError(RuntimeError):
     """No inverse temperature in the searched bracket satisfies the bath condition."""
@@ -227,16 +225,16 @@ class _GapBlock:
     lambda when lambda = lambda_min(H) <= 1.  So the block keeps the last
     such a and certifies every later a' >= a in O(n).  Between -tau and tau,
     or when the bounds are too loose, it falls back to np.linalg.cholesky on
-    the gap built exactly as before.
+    the gap built exactly as before.  The block owns env and works in it: it
+    keeps a copy of the diagonal, zeroes it, and mirrors the lower triangle.
     """
 
     def __init__(self, env: NDArray[np.float64]) -> None:
-        env = np.asarray(env, dtype=float)
         n = env.shape[0]
         self.diag = env.diagonal().copy()
-        # zero-diagonal copy, lower triangle mirrored in place without temporaries:
-        # K's matvecs, ||K||_F and the fallback's off-diagonal
-        self.off = np.array(env, order="C")
+        # env itself becomes the zero-diagonal E, lower triangle mirrored without
+        # temporaries: K's matvecs, ||K||_F and the fallback's off-diagonal
+        self.off = env
         np.fill_diagonal(self.off, 0.0)
         for i in range(n - 1):
             self.off[i, i + 1:] = self.off[i + 1:, i]
@@ -348,7 +346,9 @@ def _bisect_beta(omega_bath: NDArray[np.float64],
 
     Every step's verdict is the Cholesky outcome on the position and the
     momentum block of the gap, decided by _GapBlock from bounds where they
-    settle it.
+    settle it.  The bisection consumes env_blocks, two writeable float64
+    arrays: each ends with a zero diagonal and its strict lower triangle
+    mirrored onto the upper one.
     """
     if margin <= 0.0:
         raise ValueError("margin must be positive")
@@ -387,7 +387,23 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     at every step.
     """
     ref = _gibbs_blocks(net.modes, certificate_constants(net).gamma_ref)
-    return _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)
+    return _bisect_beta(net.omegas[1:], _bath_blocks(ref), margin)
+
+
+def _bath_blocks(ref: tuple[NDArray[np.float64], ...]) -> tuple[NDArray[np.float64], ...]:
+    """Each reference block's bath block g[1:, 1:], moved to the front of g's own buffer.
+
+    There it is C-contiguous, which the bisection's row sweeps need to run at full
+    speed, and no second n x n array outlives the move: numpy copies the overlapping
+    move through a transient buffer.  g no longer holds the reference block after it.
+    """
+    fronts = []
+    for g in ref:
+        n = g.shape[0] - 1
+        front = g.reshape(-1)[:n * n].reshape(n, n)
+        front[...] = g[1:, 1:]
+        fronts.append(front)
+    return tuple(fronts)
 
 
 def build_certificate(net: OscillatorNetwork,
@@ -398,26 +414,36 @@ def build_certificate(net: OscillatorNetwork,
     the product state dominate the reference Gibbs state, via the Schur
     complement of the bath gap, plus margin times the identity.  Positions
     and momenta never mix, so each quadrature is one (n+1) x (n+1) block
-    diff = product - reference: its bath block is the gap, solved for the
-    Schur step, and the certificate is accepted only when Cholesky accepts
-    diff, the verdict every bisection step uses (see _GapBlock).  A
-    RuntimeError names a block it rejects.  The Schur complement is at least
+    diff = product - reference, built in the reference block the bisection
+    worked in: its bath block is the gap, solved for the Schur step, and the
+    certificate is accepted only when Cholesky accepts diff, the verdict
+    every bisection step uses (see _GapBlock).  A RuntimeError names a block
+    it rejects.  The Schur complement is at least
     the reference state's system block, which is >= 1 (see
     certificate_constants), so the diagonal gamma0_sys >= (1 + margin) I
     obeys the uncertainty relation; a RuntimeError guards the rounding.
     """
     constants = certificate_constants(net)
     ref = _gibbs_blocks(net.modes, constants.gamma_ref)
-    beta_star = _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)
+    # the bisection consumes the blocks: keep the O(n) rest that the Schur step and
+    # Cholesky read
+    edges = [(g[0].copy(), g[1:, 0].copy(), g.diagonal()[1:].copy()) for g in ref]
+    bath_blocks = _bath_blocks(ref)
+    beta_star = _bisect_beta(net.omegas[1:], bath_blocks, margin)
     beta = 0.5 * beta_star
     d = thermal_diagonal(net.omegas[1:], beta)
     bath = np.arange(1, net.n_modes)
     entries = []
-    for name, g, diag in zip(("position", "momentum"), ref, (d[0::2], d[1::2])):
+    for name, diff, gap, (row, col, g_diag), diag in zip(
+            ("position", "momentum"), ref, bath_blocks, edges, (d[0::2], d[1::2])):
+        # g back in its own buffer, its bath block the bisection's: zero diagonal,
+        # lower triangle mirrored onto the upper one
+        diff[1:, 1:] = gap
+        diff[0], diff[1:, 0] = row, col
         # (0 - g) + d rounds exactly like d - g, signed zeros included
-        diff = 0.0 - g
-        diff[bath, bath] += diag
-        entry = g[0, 0] + g[0, 1:] @ np.linalg.solve(diff[1:, 1:], g[0, 1:]) + margin
+        np.subtract(0.0, diff, out=diff)
+        diff[bath, bath] = (0.0 - g_diag) + diag
+        entry = row[0] + row[1:] @ np.linalg.solve(diff[1:, 1:], row[1:]) + margin
         diff[0, 0] += entry
         try:
             np.linalg.cholesky(diff)
@@ -539,7 +565,6 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     that are empty, not finite or not strictly positive.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
-    _require_bounded_entries(gamma_sys)  # before the purity residual squares them
     _require_pure(gamma_sys)
     if times is None:
         times = np.geomspace(1e-4, 1e-1, 25)

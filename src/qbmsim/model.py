@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .symplectic import NormalModes, normal_modes
+from .symplectic import NormalModes, _modes_of_doubled
 
 POS_DEF_RTOL = 1e-12
 
@@ -68,8 +68,10 @@ class OscillatorNetwork:
             raise ValueError("couplings must be nonnegative")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "kappas", kappas)
-        object.__setattr__(self, "modes",
-                           _positive_definite_modes(_potential_entries(omegas, kappas)))
+        # 2V doubled in place, bit for bit 2.0 * V: no second n x n copy while eigh runs
+        two_v = _potential_entries(omegas, kappas)
+        two_v *= 2.0
+        object.__setattr__(self, "modes", _positive_definite_modes(two_v))
 
     @property
     def n_env(self) -> int:
@@ -113,27 +115,27 @@ def _potential_entries(omegas: NDArray[np.float64],
     return v
 
 
-def _positive_definite_modes(v: NDArray[np.float64]) -> NormalModes:
-    """Normal modes of V, which must be positive definite beyond POS_DEF_RTOL."""
+def _positive_definite_modes(two_v: NDArray[np.float64]) -> NormalModes:
+    """Normal modes of V, given as 2V, which must be positive definite beyond POS_DEF_RTOL."""
     try:
-        modes = normal_modes(v)
+        modes = _modes_of_doubled(two_v)
     except ValueError as exc:
-        raise ValueError(f"{exc}; {_indefinite_cause(v)}") from None
+        raise ValueError(f"{exc}; {_indefinite_cause(two_v)}") from None
     # eigenvalues of V, ascending
     eigs = modes.tilde_omegas**2 / 2.0
     if eigs[0] <= POS_DEF_RTOL * eigs[-1]:
         raise ValueError(
             "stiffness matrix is not positive definite "
-            f"(min eigenvalue {eigs[0]:.3e}, norm {eigs[-1]:.3e}); {_indefinite_cause(v)}"
+            f"(min eigenvalue {eigs[0]:.3e}, norm {eigs[-1]:.3e}); {_indefinite_cause(two_v)}"
         )
     return modes
 
 
-def _indefinite_cause(v: NDArray[np.float64]) -> str:
-    """Why V failed: its uncoupled diagonal omega^2/2 alone, or the couplings."""
-    d = v.diagonal()
+def _indefinite_cause(two_v: NDArray[np.float64]) -> str:
+    """Why V failed, given as 2V: its uncoupled diagonal omega^2/2 alone, or the couplings."""
+    d = two_v.diagonal()
     if d.min() <= POS_DEF_RTOL * d.max():
-        return (f"the squared frequencies alone, {2.0 * d.min():.3e} to {2.0 * d.max():.3e}, "
+        return (f"the squared frequencies alone, {d.min():.3e} to {d.max():.3e}, "
                 f"span more than 1/POS_DEF_RTOL = {1.0 / POS_DEF_RTOL:.0e}")
     return "couplings are too strong for the given frequencies"
 

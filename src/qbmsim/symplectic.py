@@ -92,8 +92,16 @@ def normal_modes(v: NDArray[np.float64]) -> NormalModes:
         matrices, all read-only; raises ValueError when 2V has a nonpositive
         eigenvalue.
     """
-    v = np.asarray(v, dtype=float)
-    evals, m = np.linalg.eigh(2.0 * v)
+    return _modes_of_doubled(2.0 * np.asarray(v, dtype=float))
+
+
+def _modes_of_doubled(two_v: NDArray[np.float64]) -> NormalModes:
+    """normal_modes from 2V itself, for a caller that built 2V in place of V.
+
+    Passing 2V instead of V spares the n x n copy that doubling V makes while
+    the eigensolver runs.
+    """
+    evals, m = np.linalg.eigh(two_v)
     if evals.min() <= 0.0:
         raise ValueError(
             f"stiffness matrix is not positive definite (min eig of 2V = {evals.min():.3e})"
@@ -241,13 +249,15 @@ def is_pure(gamma: NDArray[np.float64], tol: float = 1e-9) -> bool:
 
     The residual of a pure state held in doubles rounds like eps ||Gamma||_F^2
     (6e-6 at squeezing r = 6), so the bound is tol + 8 eps ||Gamma||_F^2.
+    Raises ValueError, as purity_residual does, for an entry of magnitude 2^255
+    or more.
     """
     return bool(purity_residual(gamma) <= _purity_bound(gamma, tol))
 
 
-def _require_bounded_entries(gamma_sys: NDArray[np.float64]) -> None:
-    """Raise ValueError when an entry of gamma_sys reaches _MAX_STATE_ENTRY in magnitude."""
-    if np.abs(gamma_sys).max() >= _MAX_STATE_ENTRY:
+def _require_bounded_entries(gamma: NDArray[np.float64]) -> None:
+    """Raise ValueError when an entry of gamma reaches _MAX_STATE_ENTRY in magnitude."""
+    if np.abs(gamma).max() >= _MAX_STATE_ENTRY:
         raise ValueError("system covariance entries must be below 2^255 in magnitude, "
                          "beyond which products of entries overflow double precision")
 
@@ -257,7 +267,13 @@ def _purity_bound(gamma: NDArray[np.float64], tol: float) -> float:
 
 
 def purity_residual(gamma: NDArray[np.float64]) -> float:
+    """||(Sigma Gamma)^2 + 1||_F, which is 0 on pure Gaussian states.
+
+    Raises ValueError for an entry of magnitude 2^255 or more: the residual
+    squares entries of size det Gamma, which would overflow.
+    """
     gamma = np.asarray(gamma, dtype=float)
+    _require_bounded_entries(gamma)
     n = gamma.shape[0] // 2
     sg = symplectic_form(n) @ gamma
     return float(np.linalg.norm(sg @ sg + np.eye(2 * n)))

@@ -275,7 +275,8 @@ def test_bisect_beta_tests_the_momentum_block_too():
     net = make_spectral_model(OHMIC)
     env_block = reference_env_block(net)
     env_block[1::2, 1::2] *= 1.5
-    blocks = (env_block[0::2, 0::2], env_block[1::2, 1::2])
+    # copies: the bisection consumes its blocks
+    blocks = (env_block[0::2, 0::2].copy(), env_block[1::2, 1::2].copy())
     beta = qbmsim.certify._bisect_beta(net.omegas[1:], blocks, 1e-6)
     assert beta == eigvalsh_bisect(net.omegas[1:], env_block, 1e-6)
     assert beta < critical_beta(net, 1e-6)
@@ -343,13 +344,14 @@ def test_gap_block_decides_like_cholesky(rng):
         omega_bath = net.omegas[1:]
         probes = decision_probes(net, env_blocks, margin)
         for k, env in enumerate(env_blocks):
-            warm = qbmsim.certify._GapBlock(env)
+            # copies throughout: a block consumes the array it is given
+            warm = qbmsim.certify._GapBlock(env.copy())
             for beta in probes:
                 diag = thermal_diagonal(omega_bath, beta)[k::2]
                 expected = cholesky_accepts(env, diag, margin)
                 # a fresh block starts its power steps cold; the warm one has
                 # seen every earlier probe, as in a bisection
-                assert qbmsim.certify._GapBlock(env).decide(diag, margin) == expected
+                assert qbmsim.certify._GapBlock(env.copy()).decide(diag, margin) == expected
                 assert warm.decide(diag, margin) == expected
                 settled[expected] += 1
     assert min(settled.values()) > 400
@@ -368,12 +370,14 @@ def test_gap_block_never_reads_the_upper_triangle(rng):
             noisy, blank = env.copy(), env.copy()
             noisy[upper] *= 1.0 + 1e-3 * rng.standard_normal(upper[0].size)
             blank[upper] = np.nan
+            # a block consumes the array it is given: warm consumes noisy, which
+            # is not read again, and every fresh block gets a copy of blank
             warm = qbmsim.certify._GapBlock(noisy)
             for beta in probes:
                 diag = thermal_diagonal(omega_bath, beta)[k::2]
                 expected = cholesky_accepts(env, diag, margin)
                 assert warm.decide(diag, margin) == expected
-                assert qbmsim.certify._GapBlock(blank).decide(diag, margin) == expected
+                assert qbmsim.certify._GapBlock(blank.copy()).decide(diag, margin) == expected
                 settled[expected] += 1
     assert min(settled.values()) > 400
 
@@ -504,10 +508,10 @@ def test_certificate_diagonalises_and_thermalises_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((qbmsim.model, "normal_modes"), (qbmsim.certify, "_gibbs_blocks")):
+    for module, name in ((qbmsim.model, "_modes_of_doubled"), (qbmsim.certify, "_gibbs_blocks")):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     build_certificate(make_spectral_model(OHMIC))
-    assert calls == {"normal_modes": 1, "_gibbs_blocks": 1}
+    assert calls == {"_modes_of_doubled": 1, "_gibbs_blocks": 1}
 
 
 def test_product_state_rejects_bad_system_shape():
@@ -525,18 +529,36 @@ def test_certificate_dominates_reference_state():
     assert np.linalg.eigvalsh(diff).min() >= -1e-10 * scale
 
 
-def test_certificate_builds_no_dense_matrix():
-    # one dense 2n x 2n float64 matrix at n_env = 256 is 2.1 MB; the Gibbs
-    # state and each quadrature's difference from it are n_modes x n_modes blocks
-    # of 0.53 MB
-    net = make_spectral_model(replace(OHMIC, n_env=256))
+def traced_peak(call):
+    """Peak bytes of the allocations tracemalloc sees while call() runs, and its result."""
     tracemalloc.start()
     try:
-        build_certificate(net)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * (2 * net.n_modes) ** 2 * 8
+
+
+def test_certificate_builds_no_dense_matrix():
+    # n_modes x n_modes float64 arrays alive at the peak of each phase, at
+    # n_env 256 (0.53 MB each; a dense 2n x 2n matrix would be 4 of them).
+    # tracemalloc sees numpy's arrays, not the buffers numpy's LAPACK wrappers
+    # take from malloc: eigh's copy of 2V and its workspace, Cholesky's copy.
+    # The mode matrix exists before tracing starts.  Each bound has half an
+    # array of headroom, for numpy versions that keep one more elementwise
+    # temporary alive; a second copy of 2V or of a reference block is a whole one.
+    n_env = 256
+    unit = (n_env + 1) ** 2 * 8
+    net, network = traced_peak(lambda: make_spectral_model(replace(OHMIC, n_env=n_env)))
+    # 2V and the eigenvectors
+    assert network <= 2.5 * unit, network / unit
+    # the two reference blocks, in which the bisection and the domination test
+    # work, and one of: the product m * d of the second Gibbs block, the buffer
+    # that moves a bath block to the front, Cholesky's factor
+    _, bisection = traced_peak(lambda: critical_beta(net))
+    assert bisection <= 3.5 * unit, bisection / unit
+    _, certificate = traced_peak(lambda: build_certificate(net))
+    assert certificate <= 3.5 * unit, certificate / unit
 
 
 def lowering_solve(block, k, margin):

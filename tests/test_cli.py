@@ -1200,13 +1200,13 @@ def test_workflow_diagonalises_the_network_once(tmp_path, monkeypatch, command, 
     else:
         config = str(CONFIGS / name)
     calls = []
-    original = qbmsim.model.normal_modes
+    original = qbmsim.model._modes_of_doubled
 
-    def counting(v):
-        calls.append(v.shape)
-        return original(v)
+    def counting(two_v):
+        calls.append(two_v.shape)
+        return original(two_v)
 
-    monkeypatch.setattr(qbmsim.model, "normal_modes", counting)
+    monkeypatch.setattr(qbmsim.model, "_modes_of_doubled", counting)
     out = str(tmp_path / "out.csv")
     assert main([command, "--config", config, "--out", out]) == 0
     assert calls == [(9, 9)]

@@ -12,6 +12,7 @@ from qbmsim import (
     build_quadratic_form,
     evolve,
     make_spectral_model,
+    normal_modes,
     propagator,
 )
 
@@ -37,19 +38,21 @@ def test_potential_rejects_indefinite():
 
 
 def test_network_diagonalises_once_and_shares_read_only_modes(monkeypatch):
+    # the network hands the eigensolver 2V, doubled in place, instead of calling
+    # normal_modes(V): the modes are those of normal_modes(V), bit for bit
     calls = []
-    original = qbmsim.model.normal_modes
+    original = qbmsim.model._modes_of_doubled
 
-    def counting(v):
-        calls.append(v.shape)
-        return original(v)
+    def counting(two_v):
+        calls.append(two_v.shape)
+        return original(two_v)
 
-    monkeypatch.setattr(qbmsim.model, "normal_modes", counting)
+    monkeypatch.setattr(qbmsim.model, "_modes_of_doubled", counting)
     net = OscillatorNetwork(omegas=[1.0, 1.5, 2.0], kappas=[0.2, 0.1])
     propagator(net, 0.5)
     evolve(np.eye(6), net, 1.0)
     assert calls == [(3, 3)]
-    expected = original(build_potential_matrix(net))
+    expected = normal_modes(build_potential_matrix(net))
     for name in ("mode_matrix", "tilde_omegas"):
         assert np.array_equal(getattr(net.modes, name), getattr(expected, name))
         with pytest.raises(ValueError):
@@ -57,7 +60,7 @@ def test_network_diagonalises_once_and_shares_read_only_modes(monkeypatch):
     changed = replace(net, kappas=[0.3, 0.0])
     assert calls == [(3, 3), (3, 3)]
     assert np.array_equal(changed.modes.tilde_omegas,
-                          original(build_potential_matrix(changed)).tilde_omegas)
+                          normal_modes(build_potential_matrix(changed)).tilde_omegas)
     assert not np.array_equal(changed.modes.tilde_omegas, net.modes.tilde_omegas)
 
 

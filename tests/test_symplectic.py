@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,21 @@ def test_is_pure_allows_for_the_rounding_of_squeezed_states(r, theta):
     # a state mixed by one part in 1e4 (residual 2.8e-4) stands out until the
     # rounding allowance 8 eps e^{4r} reaches that size, at r = 6.5
     assert is_pure(1.0001 * pure) == (r > 6.5)
+
+
+def test_purity_rejects_entries_from_2_to_the_255():
+    # the residual squares entries of size det(gamma): diag(1e77, 1e77) and
+    # diag(1e150, 1e150) overflowed in its matrix product
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (1e77, 1e150, 2.0**255):
+            gamma = np.diag([entry, entry])
+            for check in (is_pure, purity_residual):
+                with pytest.raises(ValueError, match=r"entries must be below 2\^255"):
+                    check(gamma)
+        for entry in (1e76, np.nextafter(2.0**255, 0.0)):
+            assert not is_pure(np.diag([entry, entry]))
+            assert purity_residual(np.diag([entry, entry])) > 1.0
 
 
 def test_mean_energy_values():
