@@ -374,8 +374,9 @@ def emit(table: ResultTable, fmt: str, path: str, y_column: str | None = None) -
                 fh.write(f"# {key}: {table.metadata[key]}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(table.columns)
-            for row in table.rows:
-                writer.writerow([_format_cell(c) for c in row])
+            # a Python float, the common cell, skips _format_cell's type dispatch
+            writer.writerows([f"{c:.17g}" if type(c) is float else _format_cell(c) for c in row]
+                             for row in table.rows)
     elif fmt == "svg":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_svg_line_chart(table, y_column))

@@ -125,6 +125,14 @@ _CHUNK_ELEMENTS = 1 << 15
 #: a probe on a pole or a bath-block eigenvalue moves up one ulp, at most this often
 _MAX_NUDGES = 8
 
+#: a chunk drops its converged times once they are half of it and hold this many
+#: (time, mode) elements; fewer cost a pass less than the copy that drops them
+_DROP_ELEMENTS = 512
+
+#: passes of the count per chunk: one checks the bracket's lower end, and the
+#: 63 value bits of a positive double take at most 63 more
+_MAX_PASSES = 64
+
 
 def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
                             omega_bath: NDArray[np.float64], beta: float,
@@ -171,9 +179,24 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
     i nu_s J, so the last block is evaluated as i nu_s J - lam +
     P (C^-1 + G)^-1 P^T, which takes no difference of large terms near a pole.
 
-    The smallest lam with one positive eigenvalue below it is found by
-    bisection over the bit patterns of positive doubles, to one ulp.  Each
-    pass moves every time of the chunk one step with one vectorised count.
+    The smallest lam with one positive eigenvalue below it is found to one
+    ulp by a search that the count alone steers: a double of the result
+    counts >= 1 and the double below it 0.  Each pass probes every time of
+    the chunk once with one vectorised count.  The count also returns Newton's
+    step on the smooth function
+
+        F(lam) = det A det Schur_s = det(P)^2 - lam (n_0 + n_1)
+                 + (lam^2 - nu_s^2) det A - 2 nu_s n_3,
+
+    n the contraction of quad with g before the quotient by det A.  F's zeros
+    are the PT symplectic eigenvalues and its poles the nu_j.  Where count(hi)
+    is 1 and no pole lies in the bracket, the next probe is Newton's estimate;
+    once that estimate has converged it is checked 8 ulps to either side, and
+    elsewhere the bracket's bits are bisected (see _smallest_root).  A chunk
+    of an unsqueezed state's evolution takes about 21 passes where bisection
+    took 56; a minimum on a pole, the least nu_j at t = 0 when the system
+    is hotter than the bath for one, is still found by bisection alone.
+
     The bracket holds at every t.  Above: the update has one positive and
     one negative eigenvalue, so by Weyl's inequalities the smallest positive
     eigenvalue of H is at most the second smallest of nu_s and the nu_j.
@@ -182,12 +205,12 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
     rotates on an ellipse of axis ratio w_k, so ||S_t^-1|| <= kappa =
     max(w_max, 1/w_min) and lam_min(Gamma_t) >= lam_min(Gamma_0) / kappa^2.
     The bracket [lam_min(Gamma_0) / (2 kappa^2), 2 x second smallest] spans
-    far fewer bit patterns than one from 0: an unsqueezed state takes about
-    55 passes instead of 62, plus one that checks the lower end, and no
-    chunk takes more than 64.  nu_s is not a pole in this
-    bordered form, so at t = 0, where the minimum is nu_s itself, it is
-    found to rounding; a secular equation over all 2n poles would put that
-    root on a pole.
+    far fewer bit patterns than one from 0, and a time that has bisected it
+    takes no more than 64 passes, one of them the check of its lower end:
+    the search keeps to that bound, bisecting a time that has no spare
+    pass left.  nu_s is not a pole in this bordered form, so at t = 0, where
+    the minimum is nu_s itself, it is found to rounding; a secular equation
+    over all 2n poles would put that root on a pole.
     Raises ValueError for a non-finite time, a gamma_sys that is not a 2x2
     positive definite matrix or has an entry of magnitude 2^255 or more, or
     an omega_bath that does not match the bath modes.
@@ -288,51 +311,166 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
                    nu: NDArray[np.float64]) -> NDArray[np.float64]:
     """Per time, the least double lam in the bracket with a positive eigenvalue <= lam.
 
-    A positive double and the int64 of its bits order alike, so bisection
-    over the bits ends on one ulp.  The first pass checks that the lower
-    end counts 0 and starts a time where it does not from 0 instead.
-    lo + (hi - lo) // 2 keeps the midpoint in range: both ends of a bracket
-    above 2 have bits beyond 2^62, and their sum overflows.  A time whose
-    bracket is one ulp wide probes lo again, which counted 0 before, so its
-    bracket stays put.
+    Each pass probes every time once with one vectorised count, and the
+    count alone moves the bracket: hi to a probe that counts >= 1, lo to one
+    that counts 0.  A positive double and the int64 of its bits order alike,
+    so the search ends on one ulp, on a double that counts >= 1 while the one
+    below it counts 0.  The first pass checks that the lower end counts 0
+    and starts a time where it does not from 0 instead.  What the search
+    chooses is the next probe, from the step F/F' that the count returns at
+    the last probe x, which is lo or hi:
+
+    - Newton's estimate x - F(x)/F'(x), when count(hi) is 1 and no nu_j lies
+      in [lo, hi), so that F has one simple zero and no pole there, and the
+      estimate falls strictly inside the bracket.  A pole within twice the
+      step of x dominates F there, and the step then only crawls away from
+      it: such a time bisects.
+    - Once the step is within 2 ulps of x, or points back past x's own end
+      of the bracket, the estimate is checked: the probes are the estimate
+      -+ 8 ulps, where they fall inside the bracket.  A probe on the wrong
+      side of the count's root widens the window x8, at most twice; then the
+      time bisects.
+    - Otherwise the midpoint of the bits, lo + (hi - lo) // 2: both ends of
+      a bracket above 2 have bits beyond 2^62, and their sum overflows.
+
+    A time whose passes so far plus ceil(log2(hi - lo)) reach _MAX_PASSES
+    only bisects, so no time takes more.  Newton's steps from one end leave
+    the far end where it was and spend that budget, so with two spare passes
+    left a step whose far end is more than four steps away goes twice as
+    far: once Newton converges quadratically that probe lies past the root
+    and closes the bracket from the far end.  One spare pass is enough to
+    check a converged estimate: its first probe leaves the bracket about a
+    window wide, which frees the passes for the second.
+
+    A time whose bracket is one ulp wide probes lo again, which counted 0
+    before, so its bracket stays put.  Once such times are half of the
+    chunk and hold _DROP_ELEMENTS (time, mode) elements, they leave it, so
+    that the passes still to come run on the other times alone.
     """
+    poles = sorted(nu.tolist())
+    above = np.array(poles + [math.inf])  # above[k]: the least pole >= lam when k poles lie below
+    below = np.array([-poles[0]] + poles)  # below[k]: the greatest pole < lam
     lo, hi = (np.full(coef.shape[1], end).view(np.int64) for end in bracket)
-    found = _positive_eigenvalues_below(lo.view(np.float64), coef, quad, nu_s, nu) >= 1.0
-    lo = np.where(found, 0, lo)
-    for _ in range(63):  # positive doubles have 63 value bits
-        half = (hi - lo) // 2
-        if not half.any():
+    counts, steps, k_lo = _positive_eigenvalues_below(lo.view(np.float64), coef, quad,
+                                                      nu_s, nu)
+    lo[counts >= 1.0] = 0
+    k_lo[counts >= 1.0] = 0  # k_lo, k_hi: the poles below lo and below hi
+    k_hi = np.full(lo.size, float(nu.size))
+    x = lo.copy()  # the last probe; steps holds F/F' there
+    top = np.zeros(lo.size)  # count(hi), 0 until a probe sets hi
+    est = np.zeros(lo.size, dtype=np.int64)  # the estimate under check
+    rad = np.zeros(lo.size, dtype=np.int64)  # its window's half width: 0 not yet, -1 never
+    minima = np.empty(lo.size)
+    at = np.arange(lo.size)  # the time of each entry of the arrays above
+    for passes in range(1, _MAX_PASSES):
+        width = hi - lo
+        done = width <= 1
+        converged = int(done.sum())
+        if converged == done.size:
             break
-        mid = lo + half
-        found = _positive_eigenvalues_below(mid.view(np.float64), coef, quad, nu_s, nu) >= 1.0
-        hi = np.where(found, mid, hi)
-        lo = np.where(found, lo, mid)
-    return hi.view(np.float64)
+        if 2 * converged >= done.size and converged * nu.size >= _DROP_ELEMENTS:
+            minima[at[done]] = hi[done].view(np.float64)
+            live = ~done
+            at, lo, hi, k_lo, k_hi, x, steps, top, est, rad, width = (
+                a[live] for a in (at, lo, hi, k_lo, k_hi, x, steps, top, est, rad, width))
+            coef, quad = coef[:, live], quad[:, :, live]
+        # passes + ceil(log2 width) < _MAX_PASSES: the pass need not halve the bracket
+        spare = width <= 1 << (_MAX_PASSES - 1 - passes)
+        probe = lo + width // 2
+        newton = (top == 1.0) & spare & (rad == 0) & np.isfinite(steps)
+        if newton.any():
+            newton &= k_lo == k_hi
+            xf = x.view(np.float64)
+            guess = (xf - steps).view(np.int64)
+            from_lo = x == lo
+            ahead = np.where(from_lo, guess - x, x - guess)  # ulps from x towards the far end
+            settled = newton & (ahead <= 2)
+            if settled.any():
+                est = np.where(settled, np.where(ahead > 0, guess, x), est)
+                rad = np.where(settled, 8, rad)
+            newton &= ~settled & (2.0 * np.abs(steps)
+                                  < np.minimum(above[k_hi.astype(np.intp)] - xf, xf - below[k_lo.astype(np.intp)]))
+            ahead[(width > 1 << max(_MAX_PASSES - 3 - passes, 0)) & (width > 4 * ahead)] *= 2
+            probe = np.where(newton & (ahead < width),
+                             np.where(from_lo, x + ahead, x - ahead), probe)
+        checking = (rad > 0) & spare
+        check = checking.any()
+        if check:
+            low, high = est - rad, est + rad
+            probe = np.where(checking & (lo < low), low,
+                             np.where(checking & (high < hi), high, probe))
+        counts, steps, k = _positive_eigenvalues_below(probe.view(np.float64), coef, quad,
+                                                       nu_s, nu)
+        up = counts >= 1.0
+        if check:
+            # the root lies outside the window: widen it, or give up on it
+            missed = checking & np.where(up, probe == low, probe == high)
+            rad = np.where(missed, np.where(rad < 512, 8 * rad, -1), rad)
+        hi = np.where(up, probe, hi)
+        lo = np.where(up, lo, probe)
+        k_hi = np.where(up, k, k_hi)
+        k_lo = np.where(up, k_lo, k)
+        top = np.where(up, counts, top)
+        x = probe
+    minima[at] = hi.view(np.float64)
+    return minima
 
 
 def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float64],
                                 quad: NDArray[np.float64], nu_s: float,
-                                nu: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Number of positive eigenvalues of H below lam[i] at time i, for every time at once.
+                                nu: NDArray[np.float64]
+                                ) -> tuple[NDArray[np.float64], NDArray[np.float64],
+                                           NDArray[np.float64]]:
+    """Number of positive eigenvalues of H below lam[i] at time i, F/F' and #(nu_j < lam[i]).
 
     coef and quad are as _rank_two_terms returns them.  The counts are small
-    integers, held as doubles.  A probe on a pole, or where the bath border
+    integers, held as doubles, and so is the number of poles below lam, one
+    of their terms.  A probe on a pole, or where the bath border
     A = C^-1 + G is singular, moves up one ulp for that time alone, at most
-    _MAX_NUDGES times.  See product_state_pt_minima for the derivation.
+    _MAX_NUDGES times.  A time's values are the same bits whichever times
+    share its batch, as the search drops converged times and retries single
+    ones.  See product_state_pt_minima for the derivation.
+
+    F = det A det Schur_s, written with n = quad g, the Schur block times
+    det A before it is shifted by lam and nu_s, as
+
+        F = det(P)^2 - lam (n_0 + n_1) + (lam^2 - nu_s^2) det A - 2 nu_s n_3,
+
+    since det(P X P^T) det A^2 = det(P)^2 det A.  It is smooth between the
+    poles nu_j, its zeros are the PT symplectic eigenvalues, and it takes no
+    quotient by det A, which the count does, so it keeps its accuracy where
+    A is near singular.  F' needs the derivatives of g: sum coef (1/dist +
+    2 lam^2/dist^2) for its first three entries and sum coef_3 2 lam/dist^2
+    for q, dist = nu_j^2 - lam^2.
     """
-    counts = np.empty(lam.size)
+    counts = steps = poles_below = None
     retry = None  # the times to probe again; None probes every time
     for _ in range(_MAX_NUDGES):
         probe = lam if retry is None else lam[retry]
         at = slice(None) if retry is None else retry
-        dist = nu - probe[:, None]
-        dist *= nu + probe[:, None]
-        below = (dist < 0.0).sum(axis=1, dtype=float)  # #(nu_j < lam)
+        # (nu_j - lam)(nu_j + lam) in coef's (time, mode) layout, formed along the
+        # longer of the two axes: elementwise, it is the same bits either way
+        if probe.size > nu.size:
+            dist = np.subtract(nu[:, None], probe)
+            dist *= nu[:, None] + probe
+            below = (dist < 0.0).sum(axis=0, dtype=float)  # #(nu_j < lam)
+            dist = dist.T.copy()
+        else:
+            dist = nu - probe[:, None]
+            dist *= nu + probe[:, None]
+            below = (dist < 0.0).sum(axis=1, dtype=float)
         undefined = None
         if not dist.all():
             undefined = (dist == 0.0).any(axis=1)  # on a pole
             dist[undefined] = 1.0  # such a time is probed again; never divide by its zero
-        g = np.einsum("ktn,tn->kt", coef[:, at], np.divide(1.0, dist, out=dist))
+        inv = np.divide(1.0, dist, out=dist)
+        g = np.einsum("ktn,tn->kt", coef[:, at], inv)
+        inv *= inv
+        dg = np.einsum("ktn,tn->kt", coef[:, at], inv)
+        two_lam = 2.0 * probe
+        dg *= two_lam
+        dg[:3] *= probe
+        dg[:3] += g[:3]
         g[:3] *= probe
         g[3] -= 0.5
         # A = [[gaa, gab + iq], [gab - iq, gbb]]
@@ -343,19 +481,45 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
         stuck = undefined.any()
         if stuck:
             det[undefined] = 1.0
-        neg_bath = np.where(det < 0.0, 1.0, np.where(gaa > 0.0, 2.0, 0.0))  # #neg(-A)
-        # Schur_s = i nu_s J - lam + P X P^T = [[s00, s01], [conj s01, s11]]
-        s00, s11, s01_re, s01_im = np.einsum("kjt,jt->kt", quad[:, :, at], g) / det
+        # Schur_s = i nu_s J - lam + P X P^T = [[s00, s01], [conj s01, s11]]; quad's
+        # last row and column are 0 but for quad[3, 3] = -det P, and its
+        # products are taken elementwise, which no batch shape can reorder
+        quad_at = quad[:3, :3, at]
+        minus_det_p = quad[3, 3, at]
+        n = quad_at[:, 0] * gaa + quad_at[:, 1] * gbb + quad_at[:, 2] * gab
+        s00, s11, s01_re = n / det
+        s01_im = minus_det_p * q / det
         s00 -= probe
         s11 -= probe
         s01_im += nu_s
         det_s = s00 * s11 - (s01_re * s01_re + s01_im * s01_im)
-        neg_sys = np.where(det_s < 0.0, 1.0,
-                           np.where(det_s > 0.0, np.where(s00 < 0.0, 2.0, 0.0),
-                                    np.where(s00 + s11 < 0.0, 1.0, 0.0)))
-        counts[at] = below + neg_bath + neg_sys - 2.0
+        # #(nu_j < lam) + #neg(-A) + #neg(Schur_s) - 2, with #neg(-A) =
+        # 1 + [det > 0] sign(gaa) and #neg(Schur_s) = 1 - [det_s > 0] sign(s00)
+        # (a 2x2 Hermitian matrix with det > 0 is definite, its diagonal of
+        # one sign) and #neg(Schur_s) = [s00 + s11 < 0] where det_s = 0
+        count = (det > 0.0) * ((gaa > 0.0) * 2.0 - 1.0)
+        count -= (det_s > 0.0) * ((s00 > 0.0) * 2.0 - 1.0)
+        if not det_s.all():
+            zero = det_s == 0.0
+            count[zero] += (s00 + s11 < 0.0)[zero] - 1.0
+        count += below
+        n_sum = n[0] + n[1]
+        q_sum = quad_at[0] + quad_at[1]
+        dn_sum = q_sum[0] * dg[0] + q_sum[1] * dg[1] + q_sum[2] * dg[2]
+        shift = probe * probe - nu_s * nu_s
+        f = minus_det_p * (minus_det_p - 2.0 * nu_s * q) - probe * n_sum + shift * det
+        d_det = dg[0] * gbb + gaa * dg[1] - 2.0 * (gab * dg[2] + q * dg[3])
+        df = (two_lam * det - n_sum - probe * dn_sum + shift * d_det
+              - 2.0 * nu_s * minus_det_p * dg[3])
+        if not df.all():
+            df[df == 0.0] = np.nan  # no Newton step where F is flat
+        step = f / df
+        if retry is None:
+            counts, steps, poles_below = count, step, below
+        else:
+            counts[retry], steps[retry], poles_below[retry] = count, step, below
         if not stuck:
-            return counts
+            return counts, steps, poles_below
         retry = np.flatnonzero(undefined) if retry is None else retry[undefined]
         if probe is lam:
             lam = lam.copy()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qbmsim.entanglement
 from qbmsim import OscillatorNetwork, make_pure_gaussian
 from qbmsim.entanglement import DISCRIMINANT_FLOOR, TwoModeBlock
 
@@ -75,3 +76,24 @@ def scalar_lambda_of_block(block):
     if disc < DISCRIMINANT_FLOOR:
         raise ValueError(f"negative discriminant {disc:.3e}: block is not a valid covariance")
     return float(np.linalg.det(block.assembled) / (d / 2.0 + np.sqrt(max(disc, 0.0))))
+
+
+def bisect_smallest_root(bracket, coef, quad, nu_s, nu):
+    """The PT kernel's roots by bisection over the bits of doubles: the oracle of its search.
+
+    One pass checks the lower end of the bracket, then each pass halves
+    every time's bracket with one vectorised count, 63 passes at most.
+    """
+    count = qbmsim.entanglement._positive_eigenvalues_below
+    lo, hi = (np.full(coef.shape[1], end).view(np.int64) for end in bracket)
+    found = count(lo.view(np.float64), coef, quad, nu_s, nu)[0] >= 1.0
+    lo = np.where(found, 0, lo)
+    for _ in range(63):  # positive doubles have 63 value bits
+        half = (hi - lo) // 2
+        if not half.any():
+            break
+        mid = lo + half
+        found = count(mid.view(np.float64), coef, quad, nu_s, nu)[0] >= 1.0
+        hi = np.where(found, mid, hi)
+        lo = np.where(found, lo, mid)
+    return hi.view(np.float64)

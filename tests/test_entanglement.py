@@ -1,7 +1,9 @@
+import importlib.util
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -32,9 +34,11 @@ from qbmsim import (
     symplectic_spectrum,
     trajectory,
 )
+from qbmsim.cli import parse_config, run_certify, run_evolve
 from qbmsim.symplectic import thermal_diagonal
 
 from conftest import (
+    bisect_smallest_root,
     random_covariance,
     random_explicit_network,
     random_network,
@@ -334,20 +338,98 @@ def spy_on_count(monkeypatch):
     return probes
 
 
-def test_pt_minima_match_dense_ppt_verdict(rng, monkeypatch):
-    probes = spy_on_count(monkeypatch)
+def oracle_draws(rng):
+    """40 explicit networks with a temperature, 7 times and each kind of system state."""
     for _ in range(40):
         net = random_explicit_network(rng, int(rng.integers(1, 13)))
         beta = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         times = np.concatenate(([0.0, 1e-8], rng.uniform(0.0, 40.0, 5)))
         for name, gamma_sys in oracle_system_states(rng, net).items():
-            probes.clear()
-            assert_matches_dense(gamma_sys, net, beta, times, name)
-            # the 7 times fit one chunk, and each pass probes all of them in
-            # one count: one pass checks the lower end of the bracket, and
-            # the 63 value bits of a positive double take at most 63 more
-            assert 0 < len(probes) <= 64
-            assert all(lam.shape == times.shape for lam, _ in probes)
+            yield name, gamma_sys, net, beta, times
+
+
+def test_pt_minima_match_dense_ppt_verdict(rng, monkeypatch):
+    probes = spy_on_count(monkeypatch)
+    for name, gamma_sys, net, beta, times in oracle_draws(rng):
+        probes.clear()
+        assert_matches_dense(gamma_sys, net, beta, times, name)
+        # the 7 times fit one chunk, and each pass probes all of them in
+        # one count: one pass checks the lower end of the bracket, and
+        # the 63 value bits of a positive double take at most 63 more
+        assert 0 < len(probes) <= 64
+        assert all(lam.shape == times.shape for lam, _ in probes)
+
+
+def record_roots(monkeypatch):
+    """Record the inputs, result and count passes of every call of the kernel's search."""
+    roots = []
+    probes = spy_on_count(monkeypatch)
+    search = qbmsim.entanglement._smallest_root
+
+    def recording(*args):
+        probes.clear()
+        minima = search(*args)
+        roots.append((args, minima, len(probes)))
+        return minima
+
+    monkeypatch.setattr(qbmsim.entanglement, "_smallest_root", recording)
+    return roots
+
+
+def test_pt_minima_stop_where_the_count_turns(rng, monkeypatch):
+    # the count alone moves the bracket, so each minimum counts >= 1 and the
+    # double below it counts 0, whichever probes led there
+    roots = record_roots(monkeypatch)
+    count = qbmsim.entanglement._positive_eigenvalues_below
+    for _, gamma_sys, net, beta, times in oracle_draws(rng):
+        roots.clear()
+        product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], beta, times)
+        ((_, *inputs), minima, _), = roots
+        assert count(minima, *inputs)[0].min() >= 1.0
+        npt.assert_array_equal(count(np.nextafter(minima, 0.0), *inputs)[0], 0.0)
+
+
+def exact_secular(lam, coef, quad, nu_s, nu):
+    """The kernel's F(lam) at one time, at 50 digits on its double inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam, nu_s = Decimal(float(lam)), Decimal(float(nu_s))
+        g = [Decimal(0)] * 4
+        for column, pole in zip(coef.T.tolist(), nu.tolist()):
+            inv = 1 / ((Decimal(pole) - lam) * (Decimal(pole) + lam))
+            g = [gk + Decimal(c) * inv for gk, c in zip(g, column)]
+        g = [g[0] * lam, g[1] * lam, g[2] * lam, g[3] - Decimal("0.5")]
+        det = g[0] * g[1] - g[2] * g[2] - g[3] * g[3]
+        n = [sum(Decimal(c) * gj for c, gj in zip(row, g)) for row in quad.tolist()]
+        return (Decimal(quad[3][3]) ** 2 - lam * (n[0] + n[1])
+                + (lam * lam - nu_s * nu_s) * det - 2 * nu_s * n[3])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("workload, max_passes", [("evolve-n8", 24), ("certify-n256", 32)])
+def test_pt_minima_take_few_passes_on_the_benchmark_inputs(monkeypatch, workload,
+                                                           max_passes, seed):
+    # the bisection took 56 passes on every evolve-n8 variant and 57-58 on certify-n256
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = parse_config(workloads.make_config(workload, seed))
+    roots = record_roots(monkeypatch)
+    run_evolve(config) if workload == "evolve-n8" else run_certify(config)
+    monkeypatch.undo()
+    assert roots
+    for (bracket, coef, quad, nu_s, nu), minima, passes in roots:
+        assert passes <= max_passes
+        ref = bisect_smallest_root(bracket, coef, quad, nu_s, nu)
+        # where the count is noisy, the two searches may stop on different
+        # doubles of the noise: a value more than 1e-13 from the bisection's
+        # must lie within 1e-13 of the root of F on the same inputs
+        for i in np.flatnonzero(np.abs(minima - ref) > 1e-13 * ref):
+            f_below, f_above = (exact_secular(minima[i] * (1.0 + side), coef[:, i],
+                                              quad[:, :, i], nu_s, nu)
+                                for side in (-1e-13, 1e-13))
+            assert f_below * f_above < 0, (workload, seed, i, minima[i], ref[i])
 
 
 def test_pt_minima_above_two_match_dense(rng):
@@ -359,6 +441,43 @@ def test_pt_minima_above_two_match_dense(rng):
     minima = product_state_pt_minima(hot, net.modes, net.omegas[1:], 0.05, times)
     assert minima.min() >= 2.0
     assert_matches_dense(hot, net, 0.05, times, "hot")
+
+
+def test_pt_minima_drop_converged_times_without_moving_any(monkeypatch):
+    # a system hotter than the bath: at t = 0 the minimum is the bath's least
+    # nu_j, a pole of F that only bisection finds, so that time runs on alone
+    net = make_spectral_model(SpectralFamily(1.0, 2.0, 0.1, 8))
+    times = np.linspace(0.0, 200.0, 500)
+    args = (3.0 * np.eye(2), net.modes, net.omegas[1:], 1.0, times)
+    probes = spy_on_count(monkeypatch)
+    minima = product_state_pt_minima(*args)
+    sizes = [lam.size for lam, _ in probes]
+    assert sizes[0] == times.size and sizes[-1] < times.size // 50 and len(sizes) <= 64
+    d = thermal_diagonal(net.omegas[1:], 1.0)
+    assert minima[0] == np.min(np.sqrt(d[0::2]) * np.sqrt(d[1::2]))
+    # each time's probes are its own, so keeping every time changes no value
+    monkeypatch.setattr(qbmsim.entanglement, "_DROP_ELEMENTS", np.inf)
+    probes.clear()
+    npt.assert_array_equal(product_state_pt_minima(*args), minima)
+    assert len(probes) == len(sizes) and all(lam.size == times.size for lam, _ in probes)
+
+
+def test_pt_count_at_a_time_does_not_depend_on_its_batch(rng, monkeypatch):
+    # the search drops converged times and nudges single times on a pole, so
+    # the count and the step at a time must not move with the times beside it
+    net = random_explicit_network(rng, 40)
+    roots = record_roots(monkeypatch)
+    product_state_pt_minima(random_pure_system(rng), net.modes, net.omegas[1:], 0.5,
+                            rng.uniform(0.0, 40.0, 33))
+    ((_, coef, quad, nu_s, nu), minima, _), = roots
+    count = qbmsim.entanglement._positive_eigenvalues_below
+    for lam in (minima, np.nextafter(minima, 0.0), minima * rng.uniform(0.999, 1.001, 33)):
+        whole = count(lam, coef, quad, nu_s, nu)
+        for batch in ([i] for i in range(lam.size)), [slice(1, None, 3), slice(0, 7)]:
+            for at in batch:
+                for got, want in zip(count(lam[at], coef[:, at], quad[:, :, at], nu_s, nu),
+                                     whole):
+                    npt.assert_array_equal(got, want[at])
 
 
 def test_pt_count_nudges_only_the_times_on_a_pole(monkeypatch):
@@ -383,8 +502,9 @@ def test_pt_count_nudges_only_the_times_on_a_pole(monkeypatch):
     up = np.nextafter(pole, np.inf)
     lam = np.array([pole, np.nextafter(minima[1], 0.0), pole, minima[3]])
     counts = count(lam, *args)
-    assert counts[1] == 0.0 and counts[3] >= 1.0
-    npt.assert_array_equal(counts, count(np.where(lam == pole, up, lam), *args))
+    assert counts[0][1] == 0.0 and counts[0][3] >= 1.0
+    for got, want in zip(counts, count(np.where(lam == pole, up, lam), *args)):
+        npt.assert_array_equal(got, want)
     npt.assert_array_equal(lam, [pole, np.nextafter(minima[1], 0.0), pole, minima[3]])
 
 
