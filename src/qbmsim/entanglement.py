@@ -448,17 +448,9 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
     for _ in range(_MAX_NUDGES):
         probe = lam if retry is None else lam[retry]
         at = slice(None) if retry is None else retry
-        # (nu_j - lam)(nu_j + lam) in coef's (time, mode) layout, formed along the
-        # longer of the two axes: elementwise, it is the same bits either way
-        if probe.size > nu.size:
-            dist = np.subtract(nu[:, None], probe)
-            dist *= nu[:, None] + probe
-            below = (dist < 0.0).sum(axis=0, dtype=float)  # #(nu_j < lam)
-            dist = dist.T.copy()
-        else:
-            dist = nu - probe[:, None]
-            dist *= nu + probe[:, None]
-            below = (dist < 0.0).sum(axis=1, dtype=float)
+        dist = nu - probe[:, None]
+        dist *= nu + probe[:, None]
+        below = (dist < 0.0).sum(axis=1, dtype=float)  # #(nu_j < lam)
         undefined = None
         if not dist.all():
             undefined = (dist == 0.0).any(axis=1)  # on a pole
