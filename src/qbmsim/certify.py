@@ -34,6 +34,7 @@ from .symplectic import (
     is_valid_covariance,
     purity_residual,
     thermal_diagonal,
+    thermal_factor,
     trajectory,
 )
 
@@ -190,6 +191,15 @@ _CHUNK_ENTRIES = 32768
 #: warm-started power steps before each Temple bound
 _POWER_STEPS = 3
 
+#: relative distance from the estimated beta* at which the first proofs are planted
+_PLANT_GAP = 1e-9
+
+#: evaluations the Newton search for beta* may spend
+_SEARCH_STEPS = 12
+
+#: attempts at each planted proof, each 16 times further from the estimate
+_PLANT_TRIES = 3
+
 
 class _GapBlock:
     """One n x n block A = diag(d) - E - margin * I of the bath gap, for bisection.
@@ -219,14 +229,28 @@ class _GapBlock:
     lambda_min(H) <= 1 - c always.  Each bound is widened by a rounding
     allowance for s, K y, c, r and ||K||_F.  Bounds and Cholesky see one
     symmetric E: its strict lower triangle, the only one np.linalg.cholesky
-    reads, mirrored onto the upper one.  A proven lambda_min(H) > tau also
-    holds for every larger diagonal a' >= a: for unit x and y_i = x_i
-    sqrt(a_i / a'_i), x^T H' x >= sum x_i^2 (1 - (1 - lambda) a_i / a'_i) >=
-    lambda when lambda = lambda_min(H) <= 1.  So the block keeps the last
-    such a and certifies every later a' >= a in O(n).  Between -tau and tau,
-    or when the bounds are too loose, it falls back to np.linalg.cholesky on
-    the gap built exactly as before.  The block owns env and works in it: it
-    keeps a copy of the diagonal, zeroes it, and mirrors the lower triangle.
+    reads, mirrored onto the upper one.  Between -tau and tau, or when the
+    bounds are too loose, it falls back to np.linalg.cholesky on the gap
+    built exactly as before.
+
+    A proof at one diagonal a settles every diagonal on one side of it, so
+    the block keeps the last of each kind and settles later diagonals by an
+    elementwise comparison in O(n):
+
+    - Feasibility, lambda_min(H) > tau, holds for every a' >= a: for unit x
+      and y_i = x_i sqrt(a_i / a'_i), x^T H' x >= sum x_i^2 (1 - (1 -
+      lambda) a_i / a'_i) >= lambda when lambda = lambda_min(H) <= 1.
+    - Infeasibility holds for every a' <= a.  A nonpositive a_i stays
+      nonpositive.  A proven lambda_min(H) < -tau has a witness z = S x with
+      z^T A z < -tau z^T D z, D = diag(a); A' = A - diag(a - a') and D' <= D
+      give z^T A' z <= z^T A z < -tau z^T D z <= -tau z^T D' z, so
+      lambda_min(H') < -tau for a' > 0 and Cholesky fails by the same
+      backward-error argument.
+
+    The bounds also leave what a Newton search for the edge needs: the
+    Rayleigh quotient c of the warm power vector y, x = K y, and w = 1/a
+    (see newton_step).  The block owns env and works in it: it keeps a copy
+    of the diagonal, zeroes it, and mirrors the lower triangle.
     """
 
     def __init__(self, env: NDArray[np.float64]) -> None:
@@ -244,19 +268,61 @@ class _GapBlock:
         self.tau = 8.0 * n * g / (1.0 - n * g)
         self.rounding = 8.0 * (n + 8) * u
         self.certified: NDArray[np.float64] | None = None
+        self.refuted: NDArray[np.float64] | None = None
         self.y: NDArray[np.float64] | None = None
+        # the last bounds' Rayleigh quotient, K y and 1/a; c is None when they ran no power steps
+        self.c: float | None = None
+        self.x: NDArray[np.float64] | None = None
+        self.w: NDArray[np.float64] | None = None
 
     def _chunks(self) -> Iterator[slice]:
+        """Row chunks of one O(n^2) sweep over E; every pass over E runs through them."""
         n = self.off.shape[0]
         return (slice(i, min(i + self.rows, n)) for i in range(0, n, self.rows))
+
+    def _product(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        """E v, one row chunk at a time."""
+        out = np.empty_like(v)
+        for rows in self._chunks():
+            out[rows] = self.off[rows] @ v
+        return out
 
     def decide(self, d: NDArray[np.float64], margin: float) -> bool:
         """True exactly when np.linalg.cholesky accepts this block's gap."""
         a = ((0.0 - self.diag) + d) - margin
-        if not (a > 0.0).all():
-            return False
-        verdict = self._bound(a)
+        verdict = self._kept(a)
+        if verdict is None:
+            verdict = self._bound(a)
         return self._cholesky(a) if verdict is None else verdict
+
+    def prove(self, d: NDArray[np.float64], margin: float) -> bool | None:
+        """The verdict of a kept proof or of the bounds; None when only Cholesky can tell."""
+        a = ((0.0 - self.diag) + d) - margin
+        verdict = self._kept(a)
+        return self._bound(a) if verdict is None else verdict
+
+    def probe(self, d: NDArray[np.float64], margin: float) -> bool | None:
+        """prove(d, margin), with power steps for newton_step where the bounds ran none.
+
+        A block that a kept proof or a nonpositive entry settles gets none.
+        """
+        a = ((0.0 - self.diag) + d) - margin
+        verdict = self._kept(a)
+        if verdict is not None:
+            return verdict
+        verdict = self._bound(a)
+        if self.c is None:
+            self._power(1.0 / a)
+        return verdict
+
+    def _kept(self, a: NDArray[np.float64]) -> bool | None:
+        """The verdict of a kept proof or a nonpositive entry, in O(n); clears c."""
+        self.c = None
+        if self.certified is not None and (a >= self.certified).all():
+            return True
+        if self.refuted is not None and (a <= self.refuted).all():
+            return False
+        return False if not (a > 0.0).all() else None
 
     def _cholesky(self, a: NDArray[np.float64]) -> bool:
         """np.linalg.cholesky on the gap, built in place of the zero-diagonal copy.
@@ -276,16 +342,9 @@ class _GapBlock:
             np.subtract(0.0, gap, out=gap)
         return True
 
-    def certify(self, d: NDArray[np.float64], margin: float) -> None:
-        """Run the bounds only, so that a proven feasibility serves later steps."""
-        a = ((0.0 - self.diag) + d) - margin
-        if (a > 0.0).all():
-            self._bound(a)
-
     def _bound(self, a: NDArray[np.float64]) -> bool | None:
         """Feasibility of a block with positive diagonal a; None when only Cholesky can tell."""
-        if self.certified is not None and (a >= self.certified).all():
-            return True
+        self.c = None
         w = 1.0 / a
         fro_sq = 0.0
         for rows in self._chunks():
@@ -295,23 +354,13 @@ class _GapBlock:
         if fro + delta < 1.0 - self.tau:
             self.certified = a
             return True
-        s = np.sqrt(w)
-        # |K_ij| <= v_i v_j for v = s sqrt(diag E) when E is a covariance: a cold start
-        y = s * np.sqrt(np.abs(self.diag)) if self.y is None else self.y
-        x = s * (self.off @ (s * y))
-        for _ in range(_POWER_STEPS):
-            norm = math.sqrt(float(x @ x))
-            if not 0.0 < norm < math.inf:
-                return None
-            y = x / norm
-            x = s * (self.off @ (s * y))
-        self.y = y
-        yy = float(y @ y)
-        c = float(y @ x) / yy
-        r = x - c * y
-        res = math.sqrt(float(r @ r) / yy) * (1.0 + self.rounding) + delta
+        res = self._power(w)
+        if res is None:
+            return None
+        c, res = self.c, res * (1.0 + self.rounding) + delta
         c_lo, c_hi = c - delta, c + delta
         if c_lo - 1.0 > self.tau:
+            self.refuted = a
             return False
         if c_lo > 0.0:
             eta = math.sqrt(max(fro - c_lo, 0.0) * (fro + c_lo)) * (1.0 + self.rounding)
@@ -319,6 +368,42 @@ class _GapBlock:
                 self.certified = a
                 return True
         return None
+
+    def _power(self, w: NDArray[np.float64]) -> float | None:
+        """Warm-started power steps on K for 1/a = w: the residual norm |K y - c y| / |y|.
+
+        Leaves the Rayleigh quotient c of the last iterate y, x = K y and w on the
+        block; None when an iterate over- or underflows.
+        """
+        s = np.sqrt(w)
+        # |K_ij| <= v_i v_j for v = s sqrt(diag E) when E is a covariance: a cold start
+        y = s * np.sqrt(np.abs(self.diag)) if self.y is None else self.y
+        x = s * self._product(s * y)
+        for _ in range(_POWER_STEPS):
+            norm = math.sqrt(float(x @ x))
+            if not 0.0 < norm < math.inf:
+                return None
+            y = x / norm
+            x = s * self._product(s * y)
+        self.y = y
+        yy = float(y @ y)
+        c = float(y @ x) / yy
+        r = x - c * y
+        self.c, self.x, self.w = c, x, w
+        return math.sqrt(float(r @ r) / yy)
+
+    def newton_step(self, a_dot: NDArray[np.float64]) -> float | None:
+        """Newton step in beta toward c = 1 from the last bounds; None without a usable one.
+
+        a_dot is da/dbeta.  With y held fixed, dc/dbeta = -sum (a'_i / a_i) y_i x_i
+        / y^T y in O(n).  The step is Newton's on 1/c - 1 rather than on 1 - c: K is
+        close to rank one on network Gibbs states, so c grows like 1/a_j near the
+        beta where a_j reaches 0 and 1/c is close to linear in beta around the edge.
+        """
+        if self.c is None:
+            return None
+        slope = -float((a_dot * self.w * self.y) @ self.x) / float(self.y @ self.y)
+        return self.c * (1.0 - self.c) / slope if slope > 0.0 else None
 
 
 def _bath_feasible(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
@@ -335,8 +420,109 @@ def _bath_feasible(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
         if verdict:
             verdict = block.decide(diag, margin)
         else:
-            block.certify(diag, margin)
+            block.prove(diag, margin)
     return verdict
+
+
+def _bath_proved(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
+                 beta: float, margin: float) -> bool | None:
+    """What kept proofs and bounds settle at beta, without Cholesky; None when they do not.
+
+    Every block runs, so that a block proved feasible here is kept for
+    smaller beta even when another block is proved infeasible, and every
+    block not settled by a kept proof leaves a Rayleigh quotient for
+    _newton_estimate.
+    """
+    d = thermal_diagonal(omega_bath, beta)
+    verdicts = [block.probe(diag, margin) for block, diag in zip(blocks, (d[0::2], d[1::2]))]
+    if False in verdicts:
+        return False
+    return None if None in verdicts else True
+
+
+def _newton_estimate(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
+                     beta: float) -> float | None:
+    """The least edge that a Newton step from the blocks' last bounds, run at beta, predicts."""
+    if all(block.c is None for block in blocks):
+        return None
+    f = thermal_factor(beta * omega_bath)
+    # d/dbeta of f(beta w) / w and of f(beta w) w, with f' = -(f^2 - 1) / 2
+    f_dot = -0.5 * (f - 1.0) * (f + 1.0)
+    steps = [block.newton_step(a_dot)
+             for block, a_dot in zip(blocks, (f_dot, f_dot * omega_bath**2))]
+    steps = [step for step in steps if step is not None]
+    return beta + min(steps) if steps else None
+
+
+def _search_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margin: float,
+                 beta: float, lo: float, hi: float) -> float | None:
+    """Newton's estimate of beta* from a first estimate beta, kept inside (lo, hi).
+
+    Each step proves what the bounds can at its beta and narrows (lo, hi) by
+    it; a step that leaves (lo, hi) is replaced by its midpoint.  It stops
+    once the error left after a step, taken as the step times its ratio to
+    the step before, is below the planting gap, and returns the last
+    estimate when its steps run out; None when the bounds leave no step.
+    """
+    previous = 0.0
+    for _ in range(_SEARCH_STEPS):
+        if not lo < beta < hi:
+            beta = 0.5 * (lo + hi)
+        verdict = _bath_proved(omega_bath, blocks, beta, margin)
+        if verdict is not None:
+            lo, hi = (beta, hi) if verdict else (lo, beta)
+        estimate = _newton_estimate(omega_bath, blocks, beta)
+        if estimate is None:
+            return None
+        step = abs(estimate - beta)
+        if step * (min(1.0, step / previous) if previous else 1.0) <= _PLANT_GAP * beta:
+            return estimate
+        previous, beta = step, estimate
+    return beta
+
+
+#: planted proofs (beta_ok, f_ok, beta_bad, f_bad) when none were made
+_NO_PLANTS: tuple = (0.0, None, math.inf, None)
+
+
+def _plant(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margin: float,
+           beta: float) -> tuple:
+    """Prove infeasibility just above the estimate beta and feasibility just below it.
+
+    Returns (beta_ok, f_ok, beta_bad, f_bad): where both blocks were proved
+    feasible and where one was proved infeasible, each with its thermal
+    factors f(beta w), or _NO_PLANTS's entries for a side that no proof
+    reached.  The infeasible side comes first: every block runs there, so
+    the blocks that do not bind are proved feasible up to it.
+    """
+    planted = {}
+    for side in (1.0, -1.0):
+        gap = _PLANT_GAP
+        for _ in range(_PLANT_TRIES):
+            at = beta * (1.0 + side * gap)
+            if _bath_proved(omega_bath, blocks, at, margin) is (side < 0.0):
+                planted[side] = (at, thermal_factor(at * omega_bath))
+                break
+            gap *= 16.0
+    return planted.get(-1.0, _NO_PLANTS[:2]) + planted.get(1.0, _NO_PLANTS[2:])
+
+
+def _step_feasible(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], plants: tuple,
+                   beta: float, margin: float) -> bool:
+    """One bisection step's verdict, by a planted proof in O(n) where one covers beta.
+
+    The gap's diagonal is a nondecreasing function of the thermal factors f(beta w)
+    in rounded arithmetic too, so f >= f_ok elementwise puts every block's
+    diagonal above the one proved feasible at beta_ok, and f <= f_bad puts it
+    below the one proved infeasible at beta_bad; each proof extends to that
+    side (see _GapBlock).  Elsewhere _bath_feasible decides.
+    """
+    beta_ok, f_ok, beta_bad, f_bad = plants
+    if beta <= beta_ok and (thermal_factor(beta * omega_bath) >= f_ok).all():
+        return True
+    if beta >= beta_bad and (thermal_factor(beta * omega_bath) <= f_bad).all():
+        return False
+    return _bath_feasible(omega_bath, blocks, beta, margin)
 
 
 def _bisect_beta(omega_bath: NDArray[np.float64],
@@ -346,11 +532,15 @@ def _bisect_beta(omega_bath: NDArray[np.float64],
 
     Every step's verdict is the Cholesky outcome on the position and the
     momentum block of the gap, decided by _GapBlock from bounds where they
-    settle it.  The bisection consumes env_blocks, two writeable float64
-    arrays: each ends with a zero diagonal and its strict lower triangle
-    mirrored onto the upper one.
+    settle it.  After the first step whose bounds leave a Rayleigh quotient,
+    a Newton search estimates beta* (_search_beta) and two proofs are
+    planted next to the estimate (_plant); every later step outside them is
+    decided in O(n) (_step_feasible).  Without an estimate or a planted
+    proof the steps are decided as before.  The bisection consumes
+    env_blocks, two writeable float64 arrays: each ends with a zero diagonal
+    and its strict lower triangle mirrored onto the upper one.
     """
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise ValueError("margin must be positive")
     blocks = [_GapBlock(env) for env in env_blocks]
     lo, hi = BETA_BRACKET
@@ -361,12 +551,18 @@ def _bisect_beta(omega_bath: NDArray[np.float64],
         )
     if _bath_feasible(omega_bath, blocks, hi, margin):
         return hi
+    searching, plants = True, _NO_PLANTS
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if _bath_feasible(omega_bath, blocks, mid, margin):
+        if _step_feasible(omega_bath, blocks, plants, mid, margin):
             lo = mid
         else:
             hi = mid
+        if searching and (estimate := _newton_estimate(omega_bath, blocks, mid)) is not None:
+            searching = False
+            estimate = _search_beta(omega_bath, blocks, margin, estimate, lo, hi)
+            if estimate is not None and lo < estimate < hi:
+                plants = _plant(omega_bath, blocks, margin, estimate)
     return lo
 
 
@@ -383,8 +579,14 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     Frobenius norm and a Kato-Temple bracket of the least eigenvalue of the
     unit-diagonal scaling, against Demmel's and the backward-error bounds
     for Cholesky), and runs np.linalg.cholesky only where those leave it
-    open; see _GapBlock.  The verdicts, and so beta*, are those of Cholesky
-    at every step.
+    open; see _GapBlock.  A proof at one beta also settles every step on
+    its side of it.  So once the bounds leave a Rayleigh quotient, Newton
+    steps estimate beta*, feasibility is proved just below the estimate and
+    infeasibility just above it, and every step outside those two is
+    decided in O(N) by comparing thermal factors; only the last few steps,
+    between them, run the bounds (see _bisect_beta).  The estimate only
+    chooses where proofs are tried.  The verdicts, and so beta*, are those
+    of Cholesky at every step.
     """
     ref = _gibbs_blocks(net.modes, certificate_constants(net).gamma_ref)
     return _bisect_beta(net.omegas[1:], _bath_blocks(ref), margin)

@@ -186,6 +186,19 @@ def test_critical_beta_infeasible_margin_raises():
         critical_beta(net, margin=1e9)
 
 
+@pytest.mark.parametrize("margin", [-0.0, float("nan")])
+def test_critical_beta_rejects_a_margin_that_is_not_positive(margin):
+    net = OscillatorNetwork(omegas=[1.0, 1.0], kappas=[0.1])
+    with pytest.raises(ValueError, match="margin must be positive"):
+        critical_beta(net, margin=margin)
+
+
+def test_critical_beta_infinite_margin_is_infeasible():
+    net = OscillatorNetwork(omegas=[1.0, 1.0], kappas=[0.1])
+    with pytest.raises(FeasibilityError, match="bracket"):
+        critical_beta(net, margin=float("inf"))
+
+
 def test_critical_beta_within_bracket(rng):
     for _ in range(5):
         net = random_network(rng, rng.integers(1, 5))
@@ -411,6 +424,101 @@ def test_critical_beta_runs_at_most_four_choleskys(monkeypatch, n_env):
     critical_beta(net)
     # 62-63 before the bounds, two blocks at each of ~46 steps
     assert len(calls) <= 4
+
+
+def sweep_workload():
+    """The sweep-n8-512 benchmark's bath sizes and its four margins, 1e-6 times up to 1.1."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [workloads.make_config("sweep-n8-512", seed) for seed in range(workloads.VARIANTS)]
+    margins = sorted({config["tolerances"]["margin"] for config in configs})
+    assert len(margins) == 4 and all(1e-6 <= m <= 1.1e-6 for m in margins)
+    return configs[0]["sweep_ns"], margins
+
+
+def test_critical_beta_runs_at_most_24_bounds_at_the_sweep_sizes(monkeypatch):
+    calls = []
+    bound = qbmsim.certify._GapBlock._bound
+
+    def counting(self, a):
+        calls.append(a.size)
+        return bound(self, a)
+
+    monkeypatch.setattr(qbmsim.certify._GapBlock, "_bound", counting)
+    sizes, margins = sweep_workload()
+    assert sizes == [8, 16, 32, 64, 128, 256, 512]
+    for n_env in sizes:
+        net = make_spectral_model(replace(OHMIC, n_env=n_env))
+        for margin in margins:
+            calls.clear()
+            critical_beta(net, margin)
+            # 64 at every size when each step ran the bounds of both blocks
+            assert len(calls) <= 24, (n_env, margin)
+
+
+def test_every_bisection_step_decides_like_cholesky(monkeypatch, rng):
+    # planted proofs decide most steps in O(n) and the bounds most others:
+    # each verdict is still the one Cholesky gives on both blocks at that beta
+    margin, steps = 1e-6, []
+    step_feasible = qbmsim.certify._step_feasible
+
+    def spying(omega_bath, blocks, plants, beta, step_margin):
+        verdict = step_feasible(omega_bath, blocks, plants, beta, step_margin)
+        steps.append((beta, verdict))
+        return verdict
+
+    monkeypatch.setattr(qbmsim.certify, "_step_feasible", spying)
+    for net, env_blocks in decision_cases(rng):
+        steps.clear()
+        # copies: the bisection consumes its blocks
+        qbmsim.certify._bisect_beta(net.omegas[1:], tuple(e.copy() for e in env_blocks), margin)
+        assert len(steps) > 40
+        for beta, verdict in steps:
+            d = thermal_diagonal(net.omegas[1:], beta)
+            assert verdict == all(cholesky_accepts(env, d[k::2], margin)
+                                  for k, env in enumerate(env_blocks)), beta
+
+
+@pytest.mark.parametrize("error", [0.9, 1.0 - 1e-8, 1.0 + 1e-8, 1.1, -1.0, math.inf, math.nan])
+def test_a_wrong_estimate_changes_no_verdict(monkeypatch, error):
+    # the estimate only chooses where proofs are tried: a plant that proves the
+    # other side, or nothing, is not kept as the one asked for, and an estimate
+    # outside the bracket plants nothing
+    search = qbmsim.certify._search_beta
+    monkeypatch.setattr(qbmsim.certify, "_search_beta", lambda *args: error * search(*args))
+    for net in (make_spectral_model(replace(OHMIC, n_env=64)), OscillatorNetwork(
+            omegas=[1.0, 2.5, 0.7, 0.7, 1.9, 0.3, 1.9], kappas=[0.05, 0.1, 0.08, 0.02, 0.1, 0.04])):
+        blocks = env_blocks_of(net)
+        beta = qbmsim.certify._bisect_beta(net.omegas[1:], tuple(b.copy() for b in blocks), 1e-6)
+        assert beta == cholesky_bisect(net.omegas[1:], blocks, 1e-6)
+
+
+def test_bisection_without_bounds_is_the_plain_cholesky_bisection(monkeypatch, rng):
+    # bounds that never settle leave no Rayleigh quotient, so no search and no
+    # planted proof: every step runs Cholesky, as before the bounds
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    for net, env_blocks in decision_cases(rng):
+        if net.n_env > 100:
+            continue
+        calls.clear()
+        expected = cholesky_bisect(net.omegas[1:], env_blocks, 1e-6)
+        plain = len(calls)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(qbmsim.certify._GapBlock, "_bound", lambda self, a: None)
+            beta = qbmsim.certify._bisect_beta(
+                net.omegas[1:], tuple(e.copy() for e in env_blocks), 1e-6)
+        assert beta == expected
+        assert 0 < len(calls) <= plain
 
 
 def test_block_proved_feasible_once_is_skipped_after(monkeypatch):
