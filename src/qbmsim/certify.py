@@ -233,9 +233,7 @@ class _GapBlock:
     bounds are too loose, it falls back to np.linalg.cholesky on the gap
     built exactly as before.
 
-    A proof at one diagonal a settles every diagonal on one side of it, so
-    the block keeps the last of each kind and settles later diagonals by an
-    elementwise comparison in O(n):
+    A proof at one diagonal a settles every diagonal on one side of it:
 
     - Feasibility, lambda_min(H) > tau, holds for every a' >= a: for unit x
       and y_i = x_i sqrt(a_i / a'_i), x^T H' x >= sum x_i^2 (1 - (1 -
@@ -247,10 +245,17 @@ class _GapBlock:
       lambda_min(H') < -tau for a' > 0 and Cholesky fails by the same
       backward-error argument.
 
+    Rounding is monotone, so a = ((0 - E_ii) + d_i) - margin is nondecreasing
+    in the thermal diagonal d in rounded arithmetic too.  prove therefore
+    keeps the last proof of each kind on d, for one margin throughout, and
+    settles a later d' >= d or d' <= d by one comparison in O(n).
+
     The bounds also leave what a Newton search for the edge needs: the
     Rayleigh quotient c of the warm power vector y, x = K y, and w = 1/a
-    (see newton_step).  The block owns env and works in it: it keeps a copy
-    of the diagonal, zeroes it, and mirrors the lower triangle.
+    (see newton_step).  A block with a warm y runs its power steps after a
+    Frobenius certificate too, so that it keeps a Newton step wherever the
+    bounds run.  The block owns env and works in it: it keeps a copy of the
+    diagonal, zeroes it, and mirrors the lower triangle.
     """
 
     def __init__(self, env: NDArray[np.float64]) -> None:
@@ -289,40 +294,23 @@ class _GapBlock:
 
     def decide(self, d: NDArray[np.float64], margin: float) -> bool:
         """True exactly when np.linalg.cholesky accepts this block's gap."""
-        a = ((0.0 - self.diag) + d) - margin
-        verdict = self._kept(a)
-        if verdict is None:
-            verdict = self._bound(a)
-        return self._cholesky(a) if verdict is None else verdict
+        verdict = self.prove(d, margin)
+        return self._cholesky(((0.0 - self.diag) + d) - margin) if verdict is None else verdict
 
     def prove(self, d: NDArray[np.float64], margin: float) -> bool | None:
-        """The verdict of a kept proof or of the bounds; None when only Cholesky can tell."""
-        a = ((0.0 - self.diag) + d) - margin
-        verdict = self._kept(a)
-        return self._bound(a) if verdict is None else verdict
-
-    def probe(self, d: NDArray[np.float64], margin: float) -> bool | None:
-        """prove(d, margin), with power steps for newton_step where the bounds ran none.
-
-        A block that a kept proof or a nonpositive entry settles gets none.
-        """
-        a = ((0.0 - self.diag) + d) - margin
-        verdict = self._kept(a)
-        if verdict is not None:
-            return verdict
-        verdict = self._bound(a)
-        if self.c is None:
-            self._power(1.0 / a)
-        return verdict
-
-    def _kept(self, a: NDArray[np.float64]) -> bool | None:
-        """The verdict of a kept proof or a nonpositive entry, in O(n); clears c."""
+        """The verdict of a kept proof, or of a new one, kept; None when only Cholesky can tell."""
         self.c = None
-        if self.certified is not None and (a >= self.certified).all():
+        if self.certified is not None and (d >= self.certified).all():
             return True
-        if self.refuted is not None and (a <= self.refuted).all():
+        if self.refuted is not None and (d <= self.refuted).all():
             return False
-        return False if not (a > 0.0).all() else None
+        a = ((0.0 - self.diag) + d) - margin
+        verdict = self._bound(a) if (a > 0.0).all() else False
+        if verdict:
+            self.certified = d
+        elif verdict is not None:
+            self.refuted = d
+        return verdict
 
     def _cholesky(self, a: NDArray[np.float64]) -> bool:
         """np.linalg.cholesky on the gap, built in place of the zero-diagonal copy.
@@ -344,7 +332,6 @@ class _GapBlock:
 
     def _bound(self, a: NDArray[np.float64]) -> bool | None:
         """Feasibility of a block with positive diagonal a; None when only Cholesky can tell."""
-        self.c = None
         w = 1.0 / a
         fro_sq = 0.0
         for rows in self._chunks():
@@ -352,7 +339,8 @@ class _GapBlock:
         fro = math.sqrt(fro_sq) * (1.0 + self.rounding)
         delta = self.rounding * (1.0 + fro)
         if fro + delta < 1.0 - self.tau:
-            self.certified = a
+            if self.y is not None:
+                self._power(w)  # a warm block keeps its Newton step
             return True
         res = self._power(w)
         if res is None:
@@ -360,12 +348,10 @@ class _GapBlock:
         c, res = self.c, res * (1.0 + self.rounding) + delta
         c_lo, c_hi = c - delta, c + delta
         if c_lo - 1.0 > self.tau:
-            self.refuted = a
             return False
         if c_lo > 0.0:
             eta = math.sqrt(max(fro - c_lo, 0.0) * (fro + c_lo)) * (1.0 + self.rounding)
             if c_lo > eta and 1.0 - c_hi - res**2 / (c_lo - eta) > self.tau + delta:
-                self.certified = a
                 return True
         return None
 
@@ -408,33 +394,24 @@ class _GapBlock:
 
 def _bath_feasible(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
                    beta: float, margin: float) -> bool:
-    """True when the bath gap minus margin * identity passes Cholesky in both blocks.
-
-    A block after one that fails is not needed for the answer; it runs its
-    bounds anyway, so that a feasibility proven at this beta skips it at
-    every later, smaller beta.
-    """
-    d = thermal_diagonal(omega_bath, beta)
-    verdict = True
-    for block, diag in zip(blocks, (d[0::2], d[1::2])):
-        if verdict:
-            verdict = block.decide(diag, margin)
-        else:
-            block.prove(diag, margin)
-    return verdict
+    """True when the bath gap minus margin * identity passes Cholesky in both blocks."""
+    f = thermal_factor(beta * omega_bath)
+    position, momentum = blocks
+    # thermal_diagonal's bits, f / w and f w, without interleaving them
+    return position.decide(f / omega_bath, margin) and momentum.decide(f * omega_bath, margin)
 
 
 def _bath_proved(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
                  beta: float, margin: float) -> bool | None:
     """What kept proofs and bounds settle at beta, without Cholesky; None when they do not.
 
-    Every block runs, so that a block proved feasible here is kept for
-    smaller beta even when another block is proved infeasible, and every
-    block not settled by a kept proof leaves a Rayleigh quotient for
-    _newton_estimate.
+    Every block runs, so that one proved feasible here is kept even when
+    another is proved infeasible, and each that the bounds ran on leaves a
+    Rayleigh quotient for _newton_estimate.
     """
-    d = thermal_diagonal(omega_bath, beta)
-    verdicts = [block.probe(diag, margin) for block, diag in zip(blocks, (d[0::2], d[1::2]))]
+    f = thermal_factor(beta * omega_bath)
+    verdicts = [block.prove(d, margin)
+                for block, d in zip(blocks, (f / omega_bath, f * omega_bath))]
     if False in verdicts:
         return False
     return None if None in verdicts else True
@@ -455,15 +432,29 @@ def _newton_estimate(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
 
 
 def _search_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margin: float,
-                 beta: float, lo: float, hi: float) -> float | None:
-    """Newton's estimate of beta* from a first estimate beta, kept inside (lo, hi).
+                 lo: float, hi: float) -> float | None:
+    """Newton's estimate of beta* in (lo, hi); None when the bounds leave no Newton step.
 
-    Each step proves what the bounds can at its beta and narrows (lo, hi) by
-    it; a step that leaves (lo, hi) is replaced by its midpoint.  It stops
-    once the error left after a step, taken as the step times its ratio to
-    the step before, is below the planting gap, and returns the last
-    estimate when its steps run out; None when the bounds leave no step.
+    First it bisects (lo, hi) by what the proofs settle, until a midpoint's
+    bounds leave a Rayleigh quotient, and takes that midpoint's Newton step
+    as the first estimate.  Then each Newton step, at most _SEARCH_STEPS,
+    proves what the bounds can at its beta and narrows (lo, hi) by it; a
+    step that leaves (lo, hi) is replaced by its midpoint.  It stops once the
+    error left after a step, taken as the step times its ratio to the step
+    before, is below the planting gap, and returns the last estimate when
+    its steps run out.
     """
+    beta = None
+    while beta is None:
+        if not hi - lo > 1e-10:
+            return None
+        mid = 0.5 * (lo + hi)
+        verdict = _bath_proved(omega_bath, blocks, mid, margin)
+        if verdict is not None:
+            lo, hi = (mid, hi) if verdict else (lo, mid)
+        beta = _newton_estimate(omega_bath, blocks, mid)
+        if beta is None and verdict is None:
+            return None
     previous = 0.0
     for _ in range(_SEARCH_STEPS):
         if not lo < beta < hi:
@@ -481,48 +472,21 @@ def _search_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margi
     return beta
 
 
-#: planted proofs (beta_ok, f_ok, beta_bad, f_bad) when none were made
-_NO_PLANTS: tuple = (0.0, None, math.inf, None)
-
-
 def _plant(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margin: float,
-           beta: float) -> tuple:
+           beta: float) -> None:
     """Prove infeasibility just above the estimate beta and feasibility just below it.
 
-    Returns (beta_ok, f_ok, beta_bad, f_bad): where both blocks were proved
-    feasible and where one was proved infeasible, each with its thermal
-    factors f(beta w), or _NO_PLANTS's entries for a side that no proof
-    reached.  The infeasible side comes first: every block runs there, so
-    the blocks that do not bind are proved feasible up to it.
+    Each side tries _PLANT_TRIES betas, each 16 times further from beta,
+    until one proves its side; the blocks keep every proof made.  The
+    infeasible side comes first: every block runs there, so the blocks that
+    do not bind are proved feasible up to it.
     """
-    planted = {}
     for side in (1.0, -1.0):
         gap = _PLANT_GAP
         for _ in range(_PLANT_TRIES):
-            at = beta * (1.0 + side * gap)
-            if _bath_proved(omega_bath, blocks, at, margin) is (side < 0.0):
-                planted[side] = (at, thermal_factor(at * omega_bath))
+            if _bath_proved(omega_bath, blocks, beta * (1.0 + side * gap), margin) is (side < 0.0):
                 break
             gap *= 16.0
-    return planted.get(-1.0, _NO_PLANTS[:2]) + planted.get(1.0, _NO_PLANTS[2:])
-
-
-def _step_feasible(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], plants: tuple,
-                   beta: float, margin: float) -> bool:
-    """One bisection step's verdict, by a planted proof in O(n) where one covers beta.
-
-    The gap's diagonal is a nondecreasing function of the thermal factors f(beta w)
-    in rounded arithmetic too, so f >= f_ok elementwise puts every block's
-    diagonal above the one proved feasible at beta_ok, and f <= f_bad puts it
-    below the one proved infeasible at beta_bad; each proof extends to that
-    side (see _GapBlock).  Elsewhere _bath_feasible decides.
-    """
-    beta_ok, f_ok, beta_bad, f_bad = plants
-    if beta <= beta_ok and (thermal_factor(beta * omega_bath) >= f_ok).all():
-        return True
-    if beta >= beta_bad and (thermal_factor(beta * omega_bath) <= f_bad).all():
-        return False
-    return _bath_feasible(omega_bath, blocks, beta, margin)
 
 
 def _bisect_beta(omega_bath: NDArray[np.float64],
@@ -530,15 +494,14 @@ def _bisect_beta(omega_bath: NDArray[np.float64],
                  margin: float) -> float:
     """Bisect BETA_BRACKET for the largest beta whose gap over env_blocks is >= margin.
 
-    Every step's verdict is the Cholesky outcome on the position and the
-    momentum block of the gap, decided by _GapBlock from bounds where they
-    settle it.  After the first step whose bounds leave a Rayleigh quotient,
-    a Newton search estimates beta* (_search_beta) and two proofs are
-    planted next to the estimate (_plant); every later step outside them is
-    decided in O(n) (_step_feasible).  Without an estimate or a planted
-    proof the steps are decided as before.  The bisection consumes
-    env_blocks, two writeable float64 arrays: each ends with a zero diagonal
-    and its strict lower triangle mirrored onto the upper one.
+    Once the ends of the bracket are checked, three phases share the proofs
+    the blocks keep: _search_beta estimates beta*, _plant proves both sides
+    of the estimate, and the bisection decides every midpoint by
+    _bath_feasible, the Cholesky outcome on the position and the momentum
+    block: a kept proof settles it in O(n), the bounds in O(n^2), Cholesky
+    the rest.  The bisection consumes env_blocks, two writeable float64
+    arrays: each ends with a zero diagonal and its strict lower triangle
+    mirrored onto the upper one.
     """
     if not margin > 0.0:
         raise ValueError("margin must be positive")
@@ -551,18 +514,15 @@ def _bisect_beta(omega_bath: NDArray[np.float64],
         )
     if _bath_feasible(omega_bath, blocks, hi, margin):
         return hi
-    searching, plants = True, _NO_PLANTS
+    estimate = _search_beta(omega_bath, blocks, margin, lo, hi)
+    if estimate is not None and lo < estimate < hi:
+        _plant(omega_bath, blocks, margin, estimate)
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if _step_feasible(omega_bath, blocks, plants, mid, margin):
+        if _bath_feasible(omega_bath, blocks, mid, margin):
             lo = mid
         else:
             hi = mid
-        if searching and (estimate := _newton_estimate(omega_bath, blocks, mid)) is not None:
-            searching = False
-            estimate = _search_beta(omega_bath, blocks, margin, estimate, lo, hi)
-            if estimate is not None and lo < estimate < hi:
-                plants = _plant(omega_bath, blocks, margin, estimate)
     return lo
 
 
@@ -580,13 +540,13 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     unit-diagonal scaling, against Demmel's and the backward-error bounds
     for Cholesky), and runs np.linalg.cholesky only where those leave it
     open; see _GapBlock.  A proof at one beta also settles every step on
-    its side of it.  So once the bounds leave a Rayleigh quotient, Newton
-    steps estimate beta*, feasibility is proved just below the estimate and
-    infeasibility just above it, and every step outside those two is
-    decided in O(N) by comparing thermal factors; only the last few steps,
-    between them, run the bounds (see _bisect_beta).  The estimate only
-    chooses where proofs are tried.  The verdicts, and so beta*, are those
-    of Cholesky at every step.
+    its side of it, and each block keeps its proofs.  So Newton steps
+    estimate beta*, feasibility is proved just below the estimate and
+    infeasibility just above it, and the bisection decides every step
+    outside those two in O(N); only its last few steps, between them, run
+    the bounds (see _bisect_beta).  The estimate only chooses where proofs
+    are tried.  The verdicts, and so beta*, are those of Cholesky at every
+    step.
     """
     ref = _gibbs_blocks(net.modes, certificate_constants(net).gamma_ref)
     return _bisect_beta(net.omegas[1:], _bath_blocks(ref), margin)

@@ -8,6 +8,7 @@ matrices by flipping the momentum sign of every environment mode.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -122,7 +123,7 @@ def verdict_from_pt_minimum(min_pt: float, tol: float = PPT_TOL) -> Entanglement
 #: keeps at most eight such arrays alive, so its memory does not grow with T
 _CHUNK_ELEMENTS = 1 << 15
 
-#: a probe on a pole or a bath-block eigenvalue moves up one ulp, at most this often
+#: a probe where the bath border is singular moves up one ulp, at most this often
 _MAX_NUDGES = 8
 
 #: a chunk drops its converged times once they are half of it and hold this many
@@ -425,8 +426,10 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
 
     coef and quad are as _rank_two_terms returns them.  The counts are small
     integers, held as doubles, and so is the number of poles below lam, one
-    of their terms.  A probe on a pole, or where the bath border
-    A = C^-1 + G is singular, moves up one ulp for that time alone, at most
+    of their terms.  A probe on a pole moves up to the next double that is
+    not one (see _off_the_poles); a cold bath puts dozens of poles on 1.0 and
+    on runs of consecutive doubles above it.  A probe where the bath border
+    A = C^-1 + G is singular moves up one ulp for that time alone, at most
     _MAX_NUDGES times.  A time's values are the same bits whichever times
     share its batch, as the search drops converged times and retries single
     ones.  See product_state_pt_minima for the derivation.
@@ -444,17 +447,16 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
     for q, dist = nu_j^2 - lam^2.
     """
     counts = steps = poles_below = None
+    probe = lam
     retry = None  # the times to probe again; None probes every time
     for _ in range(_MAX_NUDGES):
-        probe = lam if retry is None else lam[retry]
         at = slice(None) if retry is None else retry
         dist = nu - probe[:, None]
+        if not dist.all():
+            probe = _off_the_poles(probe, dist, nu)
+            dist = nu - probe[:, None]
         dist *= nu + probe[:, None]
         below = (dist < 0.0).sum(axis=1, dtype=float)  # #(nu_j < lam)
-        undefined = None
-        if not dist.all():
-            undefined = (dist == 0.0).any(axis=1)  # on a pole
-            dist[undefined] = 1.0  # such a time is probed again; never divide by its zero
         inv = np.divide(1.0, dist, out=dist)
         g = np.einsum("ktn,tn->kt", coef[:, at], inv)
         inv *= inv
@@ -469,10 +471,9 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
         gaa, gbb, gab, q = g
         det = gaa * gbb - (gab * gab + q * q)
         singular = det == 0.0
-        undefined = singular if undefined is None else undefined | singular
-        stuck = undefined.any()
+        stuck = singular.any()
         if stuck:
-            det[undefined] = 1.0
+            det[singular] = 1.0  # such a time is probed again; never divide by its zero
         # Schur_s = i nu_s J - lam + P X P^T = [[s00, s01], [conj s01, s11]]; quad's
         # last row and column are 0 but for quad[3, 3] = -det P, and its
         # products are taken elementwise, which no batch shape can reorder
@@ -512,11 +513,30 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
             counts[retry], steps[retry], poles_below[retry] = count, step, below
         if not stuck:
             return counts, steps, poles_below
-        retry = np.flatnonzero(undefined) if retry is None else retry[undefined]
-        if probe is lam:
-            lam = lam.copy()
-        lam.view(np.int64)[retry] += 1  # the next double up
-    raise RuntimeError(f"PT spectrum count undefined near {float(lam[retry[0]])!r}")
+        retry = np.flatnonzero(singular) if retry is None else retry[singular]
+        probe = probe[singular]
+        probe.view(np.int64)[:] += 1  # the next double up
+    raise RuntimeError(f"PT spectrum count undefined near {float(probe[0])!r}")
+
+
+def _off_the_poles(lam: NDArray[np.float64], dist: NDArray[np.float64],
+                   nu: NDArray[np.float64]) -> NDArray[np.float64]:
+    """lam with each entry that is a pole moved up to the next double that is not one.
+
+    dist holds nu_j - lam_i, zero exactly on a pole.  A bisection finds that
+    pole in the sorted poles, and the walk up from it passes over every pole
+    on the doubles that follow, so a run of any length costs no nudge.
+    """
+    poles = sorted(set(nu.tolist()))
+    moved = lam.copy()
+    for i in np.flatnonzero((dist == 0.0).any(axis=1)).tolist():
+        k = bisect.bisect_right(poles, moved[i])  # poles[k - 1] is moved[i]
+        up = math.nextafter(poles[k - 1], math.inf)
+        while k < len(poles) and poles[k] == up:
+            k += 1
+            up = math.nextafter(up, math.inf)
+        moved[i] = up
+    return moved
 
 
 def reduce_two_mode(gamma: NDArray[np.float64], env_mode: int | Sequence[int]) -> TwoModeBlock:

@@ -54,7 +54,7 @@ def thermal_factor(x: float) -> float:
     both limits are reached at full precision.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         raise ValueError("thermal_factor requires a positive argument")
     # beyond ~700 expm1 overflows; the correction is < 1e-300 there anyway
     safe = np.minimum(x, 700.0)

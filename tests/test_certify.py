@@ -459,26 +459,69 @@ def test_critical_beta_runs_at_most_24_bounds_at_the_sweep_sizes(monkeypatch):
 
 
 def test_every_bisection_step_decides_like_cholesky(monkeypatch, rng):
-    # planted proofs decide most steps in O(n) and the bounds most others:
-    # each verdict is still the one Cholesky gives on both blocks at that beta
-    margin, steps = 1e-6, []
-    step_feasible = qbmsim.certify._step_feasible
+    # kept proofs decide most steps in O(n) and the bounds most others: each
+    # verdict is still the one Cholesky gives on both blocks at that beta, and
+    # so is every verdict that the search and the plants prove
+    margin, steps, proved = 1e-6, [], []
+    bath_feasible, bath_proved = qbmsim.certify._bath_feasible, qbmsim.certify._bath_proved
 
-    def spying(omega_bath, blocks, plants, beta, step_margin):
-        verdict = step_feasible(omega_bath, blocks, plants, beta, step_margin)
+    def spying(omega_bath, blocks, beta, step_margin):
+        verdict = bath_feasible(omega_bath, blocks, beta, step_margin)
         steps.append((beta, verdict))
         return verdict
 
-    monkeypatch.setattr(qbmsim.certify, "_step_feasible", spying)
+    def spying_proved(omega_bath, blocks, beta, step_margin):
+        verdict = bath_proved(omega_bath, blocks, beta, step_margin)
+        proved.append((beta, verdict))
+        return verdict
+
+    monkeypatch.setattr(qbmsim.certify, "_bath_feasible", spying)
+    monkeypatch.setattr(qbmsim.certify, "_bath_proved", spying_proved)
     for net, env_blocks in decision_cases(rng):
         steps.clear()
+        proved.clear()
         # copies: the bisection consumes its blocks
         qbmsim.certify._bisect_beta(net.omegas[1:], tuple(e.copy() for e in env_blocks), margin)
         assert len(steps) > 40
-        for beta, verdict in steps:
+        assert any(verdict is not None for _, verdict in proved)
+        for beta, verdict in steps + [step for step in proved if step[1] is not None]:
             d = thermal_diagonal(net.omegas[1:], beta)
             assert verdict == all(cholesky_accepts(env, d[k::2], margin)
                                   for k, env in enumerate(env_blocks)), beta
+
+
+def test_a_kept_proof_settles_its_side_without_bounds(monkeypatch, rng):
+    # a = ((0 - E_ii) + d_i) - margin is nondecreasing in d: a feasibility
+    # proved at d holds for every d' >= d, an infeasibility for every d' <= d
+    calls = []
+    bound = qbmsim.certify._GapBlock._bound
+
+    def counting(self, a):
+        calls.append(a.size)
+        return bound(self, a)
+
+    monkeypatch.setattr(qbmsim.certify._GapBlock, "_bound", counting)
+    margin, settled = 1e-6, Counter()
+    for net, env_blocks in decision_cases(rng):
+        omega_bath = net.omegas[1:]
+        probes = decision_probes(net, env_blocks, margin)[::5]
+        for k, env in enumerate(env_blocks):
+            for beta in probes:
+                block = qbmsim.certify._GapBlock(env.copy())
+                d = thermal_diagonal(omega_bath, beta)[k::2]
+                verdict = block.prove(d, margin)
+                if verdict is None:
+                    continue
+                settled[verdict] += 1
+                # half of the entries moved past the proof by up to 50 %, the rest equal
+                up = d * (1.0 + rng.uniform(0.0, 0.5, d.size) * (rng.random(d.size) < 0.5))
+                moved = up if verdict else d - (up - d)
+                calls.clear()
+                assert block.prove(moved, margin) is verdict
+                assert block.prove(d, margin) is verdict
+                assert not calls
+                assert cholesky_accepts(env, moved, margin) == verdict
+    assert min(settled.values()) > 20
 
 
 @pytest.mark.parametrize("error", [0.9, 1.0 - 1e-8, 1.0 + 1e-8, 1.1, -1.0, math.inf, math.nan])

@@ -399,6 +399,22 @@ def test_evolve_tol_override_matches_the_dense_inconclusive_band(tmp_path, rng):
     assert_rows_match_dense(rows, verdicts, "tol override")
 
 
+def test_evolve_on_a_cold_bath_matches_the_dense_ppt_oracle(tmp_path):
+    # at beta 10 the bath's nu_j sit on 1.0 and on runs of up to 16 consecutive
+    # doubles above it; a probe on such a run once ended the run with exit 1
+    family = {"p": 1.0, "omega_max": 3.86, "coupling_norm": 0.1, "n_env": 251}
+    grid = {"start": 0.0, "stop": 50.0, "points": 50}
+    config = write_config(tmp_path, {"version": 1, "model": {"family": family}, "beta": 10.0,
+                                     "system_state": {"kind": "vacuum"}, "time_grid": grid})
+    out = str(tmp_path / "cold.csv")
+    assert main(["evolve", "--config", config, "--out", out]) == 0
+    _, _, cells = read_csv(out)
+    rows = [tuple(float(c) for c in row) for row in cells][::7]
+    net = make_spectral_model(SpectralFamily(1.0, 3.86, 0.1, 251))
+    verdicts = dense_verdicts(np.eye(2), net, 10.0, [row[0] for row in rows], PPT_TOL)
+    assert_rows_match_dense(rows, verdicts, "cold bath")
+
+
 def test_evolve_builds_no_dense_matrix_per_step(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("evolve ran a dense per-step routine")

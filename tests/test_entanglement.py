@@ -485,14 +485,53 @@ def test_pt_count_nudges_only_the_times_on_a_pole(monkeypatch):
     npt.assert_array_equal(lam, [pole, np.nextafter(minima[1], 0.0), pole, minima[3]])
 
 
-def test_pt_count_gives_up_after_eight_nudges():
-    # poles on eight consecutive doubles: every nudge lands on the next one
-    nu = np.array([1.5])
-    for _ in range(7):
-        nu = np.append(nu, np.nextafter(nu[-1], np.inf))
+def consecutive_doubles(start, n):
+    """n doubles from start, each the next one up."""
+    return (np.full(n, start).view(np.int64) + np.arange(n)).view(np.float64)
+
+
+@pytest.mark.parametrize("run", [8, 20])
+def test_pt_count_steps_over_a_run_of_poles(run):
+    # poles on consecutive doubles: a probe on any of them is counted at the
+    # first double above the run, and spends none of the nudges
+    nu = consecutive_doubles(1.5, run)
+    past = np.nextafter(nu[-1], np.inf)
     count = qbmsim.entanglement._positive_eigenvalues_below
-    with pytest.raises(RuntimeError, match="undefined near"):
-        count(np.array([1.5, 3.0]), np.zeros((4, 2, 8)), np.ones((4, 4, 2)), 1.0, nu)
+    args = (np.zeros((4, 2, run)), np.ones((4, 4, 2)), 1.0, nu)
+    for on in (nu[0], nu[run // 2], nu[-1]):
+        for got, want in zip(count(np.array([on, 3.0]), *args),
+                             count(np.array([past, 3.0]), *args)):
+            npt.assert_array_equal(got, want)
+
+
+def test_pt_count_gives_up_after_eight_nudges():
+    # a bath border A that stays singular: equal gaa, gbb and gab of 4e8 hide
+    # q^2 = 0.25 in det A, so every nudge up one ulp finds det A = 0 again
+    coef = np.zeros((4, 1, 1))
+    coef[:3] = 1e9
+    count = qbmsim.entanglement._positive_eigenvalues_below
+    with pytest.raises(RuntimeError, match="undefined near 3.0000000000000"):
+        count(np.array([3.0]), coef, np.ones((4, 4, 1)), 1.0, np.array([1.5]))
+
+
+def test_pt_count_on_a_cold_bath_of_equal_and_clustered_poles(rng):
+    # a cold bath: 64 poles exactly at 1.0 and a run of 20 on the doubles above
+    nu = np.concatenate((np.ones(64), consecutive_doubles(np.nextafter(1.0, 2.0), 20)))
+    rng.shuffle(nu)
+    run = np.unique(nu)
+    lam = np.concatenate((run, [np.nextafter(1.0, 0.0), 0.5, 1.25]))
+    coef = rng.uniform(0.0, 1e-3, (4, lam.size, nu.size))
+    quad = rng.uniform(-1.0, 1.0, (4, 4, lam.size))
+    count = qbmsim.entanglement._positive_eigenvalues_below
+    counts, steps, below = count(lam, coef, quad, 1.0, nu)
+    assert np.isfinite(counts).all()
+    # every probe on the run is counted at the first double past it, above all 84 poles
+    past = np.full(run.size, np.nextafter(run[-1], 2.0))
+    npt.assert_array_equal(below, [84.0] * run.size + [0.0, 0.0, 84.0])
+    on = slice(0, run.size)
+    for got, want in zip(count(past, coef[:, on], quad[:, :, on], 1.0, nu),
+                         (counts[on], steps[on], below[on])):
+        npt.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("beta", [0.05, 1.0, 20.0])
