@@ -188,6 +188,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 #: float64 entries per row chunk of an n x n sweep (256 KB)
 _CHUNK_ENTRIES = 32768
 
+#: side of the square tiles in which _GapBlock mirrors E: 64 x 64 doubles (32 KB)
+_MIRROR_TILE = 64
+_STRICT_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
+
 #: warm-started power steps before each Temple bound
 _POWER_STEPS = 3
 
@@ -199,6 +203,22 @@ _SEARCH_STEPS = 12
 
 #: attempts at each planted proof, each 16 times further from the estimate
 _PLANT_TRIES = 3
+
+
+def _mirror_lower(a: NDArray[np.float64]) -> None:
+    """Copy the strict lower triangle of square a onto its upper one, in place.
+
+    Tile by tile, in a few calls per tile: each transposed read of a tile
+    stays in cache, where a row-by-row mirror reads a column of a C-ordered
+    n x n array 8n bytes apart per entry and pays one call per row.
+    """
+    n, k = a.shape[0], _MIRROR_TILE
+    for lo in range(0, n, k):
+        hi = min(lo + k, n)
+        tile = a[lo:hi, lo:hi]
+        np.copyto(tile, tile.T.copy(), where=_STRICT_UPPER[:hi - lo, :hi - lo])
+        for c in range(hi, n, k):
+            a[lo:hi, c:c + k] = a[c:c + k, lo:hi].T
 
 
 class _GapBlock:
@@ -265,8 +285,7 @@ class _GapBlock:
         # temporaries: K's matvecs, ||K||_F and the fallback's off-diagonal
         self.off = env
         np.fill_diagonal(self.off, 0.0)
-        for i in range(n - 1):
-            self.off[i, i + 1:] = self.off[i + 1:, i]
+        _mirror_lower(self.off)
         self.rows = max(1, _CHUNK_ENTRIES // n)
         u = _UNIT_ROUNDOFF
         g = (n + 1) * u / (1.0 - (n + 1) * u)

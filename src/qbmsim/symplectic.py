@@ -8,6 +8,9 @@ at least 1.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -160,7 +163,9 @@ def propagator(net: OscillatorNetwork, t: float) -> NDArray[np.float64]:
     return _propagator_from_modes(net.modes, t)
 
 
-def _propagator_from_modes(modes: NormalModes, t: float) -> NDArray[np.float64]:
+def _propagator_from_modes(modes: NormalModes, t: float,
+                           tmat: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
+    """S_t from the modes; tmat, when given, is embed_orthogonal(modes.mode_matrix.T)."""
     tw = modes.tilde_omegas
     n = tw.size
     r = np.zeros((2 * n, 2 * n))
@@ -170,8 +175,9 @@ def _propagator_from_modes(modes: NormalModes, t: float) -> NDArray[np.float64]:
     r[2 * idx + 1, 2 * idx + 1] = c
     r[2 * idx, 2 * idx + 1] = s / tw
     r[2 * idx + 1, 2 * idx] = -s * tw
+    if tmat is None:
+        tmat = embed_orthogonal(modes.mode_matrix.T)
     # dense T^T R T, not n x n blocks: the onset references pin its bits (ROADMAP item 3)
-    tmat = embed_orthogonal(modes.mode_matrix.T)
     return tmat.T @ r @ tmat
 
 
@@ -181,9 +187,12 @@ def trajectory(gamma0: NDArray[np.float64], modes: NormalModes,
 
     Nothing is stacked, so memory stays at a few 2n x 2n matrices.
     """
+    tmat = embed_orthogonal(modes.mode_matrix.T)
     for t in times:
-        s = _propagator_from_modes(modes, float(t))
-        yield s @ gamma0 @ s.T
+        s = _propagator_from_modes(modes, float(t), tmat)
+        gamma_t = s @ gamma0 @ s.T
+        del s  # not held while the caller works on gamma_t
+        yield gamma_t
 
 
 def evolve(gamma: NDArray[np.float64], net: OscillatorNetwork,
@@ -199,21 +208,30 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     condition numbers beyond 1e8 they are instead the positive eigenvalues
     of the Hermitian matrix i L^T Sigma L with Gamma = L L^T, L = U sqrt(w)
     from Gamma = U diag(w) U^T, which is stabler for strongly squeezed states.
+
+    The eigensolves run with OpenBLAS set to one thread: on the 2n x 2n
+    matrices of a workflow (130 x 130 in `immediate` at n_env 64) its
+    threading of the small level-2 calls inside the Hessenberg/QR reduction
+    costs more than it saves, and there the eigenvalues come out bit for bit
+    as on two threads.  The thread count is process-wide, so BLAS calls of
+    other threads run on one thread too while an eigensolve runs; the
+    caller's count is restored afterwards, on return and on raise alike.
+    Matrix products keep the caller's count.
     """
     gamma = np.asarray(gamma, dtype=float)
     n2 = gamma.shape[0]
     if gamma.shape != (n2, n2) or n2 % 2:
         raise ValueError("covariance matrix must be square with even dimension")
-    evals = np.linalg.eigvalsh(gamma)
+    with _one_blas_thread():
+        evals = np.linalg.eigvalsh(gamma)
     if evals.min() <= 0.0:
         raise ValueError(
             f"matrix is not positive definite (min eigenvalue {evals.min():.3e})"
         )
-    n = n2 // 2
     if evals.max() / evals.min() > ILL_CONDITIONED:
         return _spectrum_schur(gamma)
-    sig = symplectic_form(n)
-    eigs = np.linalg.eigvals(sig @ gamma)
+    with _one_blas_thread():
+        eigs = np.linalg.eigvals(_sigma_times(gamma))
     # eigenvalues come in pairs +-i d; sorting |Im| pairs them up
     d = np.sort(np.abs(eigs.imag))
     return d[1::2]
@@ -221,13 +239,79 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def _spectrum_schur(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     n = gamma.shape[0] // 2
-    w, u = np.linalg.eigh(gamma)
+    with _one_blas_thread():
+        w, u = np.linalg.eigh(gamma)
     if w[0] <= 0.0:  # eigvalsh may round the least eigenvalue of a near-singular gamma up
         raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
     root = u * np.sqrt(w)
     # L^T Sigma L is real antisymmetric with eigenvalues +-i*d, so the
     # Hermitian matrix i L^T Sigma L has eigenvalues +-d, the upper n ascending
-    return np.linalg.eigvalsh(1j * (root.T @ symplectic_form(n) @ root))[n:]
+    form = 1j * (root.T @ symplectic_form(n) @ root)
+    with _one_blas_thread():
+        return np.linalg.eigvalsh(form)[n:]
+
+
+def _sigma_times(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
+    """symplectic_form(n) @ gamma bit for bit, in O(n^2) by moving rows.
+
+    Each entry of the product has one nonzero term, so row 2i is row 2i+1 of
+    gamma and row 2i+1 is row 2i negated.  Adding and subtracting from +0.0
+    turns a zero into +0.0, as the product's sum of terms does.
+    """
+    sg = np.empty_like(gamma)
+    np.add(gamma[1::2], 0.0, out=sg[0::2])
+    np.subtract(0.0, gamma[0::2], out=sg[1::2])
+    return sg
+
+
+#: OpenBLAS's (get, set) num-threads pair, looked up on first use; () where none is loaded
+_blas_thread_calls: tuple | None = None
+_blas_thread_lock = threading.Lock()
+
+
+def _find_blas_thread_calls() -> tuple:
+    """The get/set-num-threads functions of the OpenBLAS mapped into this process, or ()."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with OpenBLAS on one thread, then restore the count it had.
+
+    The count is process-wide, so the lock keeps two callers from restoring
+    each other's 1.  Without OpenBLAS this does nothing.
+    """
+    global _blas_thread_calls
+    with _blas_thread_lock:
+        if _blas_thread_calls is None:
+            _blas_thread_calls = _find_blas_thread_calls()
+        if _blas_thread_calls:
+            get, put = _blas_thread_calls
+            before = get()
+            put(1)
+            try:
+                yield
+            finally:
+                put(before)
+            return
+    yield
 
 
 def is_valid_covariance(gamma: NDArray[np.float64], tol: float = COV_TOL) -> bool:
@@ -274,9 +358,8 @@ def purity_residual(gamma: NDArray[np.float64]) -> float:
     """
     gamma = np.asarray(gamma, dtype=float)
     _require_bounded_entries(gamma)
-    n = gamma.shape[0] // 2
-    sg = symplectic_form(n) @ gamma
-    return float(np.linalg.norm(sg @ sg + np.eye(2 * n)))
+    sg = _sigma_times(gamma)
+    return float(np.linalg.norm(sg @ sg + np.eye(gamma.shape[0])))
 
 
 def mean_energy(gamma: NDArray[np.float64], w: NDArray[np.float64]) -> float:

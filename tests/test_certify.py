@@ -350,6 +350,19 @@ def test_cholesky_reads_only_the_lower_triangle(rng):
             assert np.array_equal(np.linalg.cholesky(upper), np.linalg.cholesky(gap))
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 200])
+def test_gap_block_mirrors_the_lower_triangle_bit_for_bit(rng, n):
+    env = rng.standard_normal((n, n))
+    env[n - 1, 0] = -0.0  # the sign of a zero moves too
+    env[np.triu_indices(n, 1)] = np.nan
+    expected = env.copy()
+    np.fill_diagonal(expected, 0.0)
+    for i in range(n - 1):  # the row-by-row mirror the tiles replace
+        expected[i, i + 1:] = expected[i + 1:, i]
+    block = qbmsim.certify._GapBlock(env.copy())
+    assert np.array_equal(block.off.view(np.int64), expected.view(np.int64))
+
+
 def test_gap_block_decides_like_cholesky(rng):
     margin = 1e-6
     settled = Counter()

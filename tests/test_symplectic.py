@@ -1,4 +1,9 @@
 import ast
+import contextlib
+import importlib.util
+import os
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,6 +17,7 @@ from scipy.linalg import expm
 import qbmsim.symplectic
 from qbmsim import (
     OscillatorNetwork,
+    SpectralFamily,
     build_potential_matrix,
     build_quadratic_form,
     embed_orthogonal,
@@ -20,8 +26,11 @@ from qbmsim import (
     is_pure,
     is_valid_covariance,
     make_pure_gaussian,
+    make_spectral_model,
     mean_energy,
     normal_modes,
+    partial_transpose,
+    product_initial_covariance,
     propagator,
     purity_residual,
     symplectic_form,
@@ -245,6 +254,120 @@ def test_symplectic_spectrum_fallback_mixed_pair():
     gamma[2:, 2:] = 1.8 * np.eye(2)
     vals = symplectic_spectrum(gamma)
     npt.assert_allclose(vals, [1.0, 1.8], rtol=1e-7)
+
+
+def blas_thread_calls():
+    """The loaded OpenBLAS's (get, set) num-threads pair; skips where there is none."""
+    calls = qbmsim.symplectic._find_blas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS with a thread-count API is loaded")
+    return calls
+
+
+def test_symplectic_spectrum_restores_the_blas_thread_count(rng, monkeypatch):
+    get, put = blas_thread_calls()
+    during = []
+    for name in ("eigvalsh", "eigvals", "eigh"):
+        solve = getattr(np.linalg, name)
+
+        def recording(*args, solve=solve, **kwargs):
+            during.append(get())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    valid = random_covariance(rng, 40)
+    squeezed = make_pure_gaussian(5.0, 0.4)  # the Schur route
+    before = get()
+    try:
+        # the caller's count, 1 and 2: a restore must not assume either of them
+        for start in sorted({before, 1, 2}):
+            put(start)
+            assert get() == start
+            for gamma in (valid, squeezed):
+                symplectic_spectrum(gamma)
+                assert get() == start
+            for indefinite in (np.diag([1.0, -1.0, 2.0, 2.0]), np.diag([1e10, 1.0, -1e-3, 1.0])):
+                with pytest.raises(ValueError, match="not positive definite"):
+                    symplectic_spectrum(indefinite)
+                assert get() == start
+            with pytest.raises(ValueError, match="not positive definite"):
+                qbmsim.symplectic._spectrum_schur(np.diag([1e10, 1.0, -1e-3, 1.0]))
+            assert get() == start
+    finally:
+        put(before)
+    assert during and set(during) == {1}
+
+
+def test_concurrent_spectra_leave_the_blas_thread_count_as_they_found_it(rng):
+    # the count is process-wide: without the lock, a caller that starts inside
+    # another's eigensolve reads 1 and restores 1 after the other restored 2
+    get, put = blas_thread_calls()
+    gamma = random_covariance(rng, 40)
+    expected = symplectic_spectrum(gamma)
+    results = []
+
+    def work():
+        for _ in range(25):
+            results.append(np.array_equal(symplectic_spectrum(gamma), expected))
+
+    threads = [threading.Thread(target=work) for _ in range((os.cpu_count() or 1) + 2)]
+    before, interval = get(), sys.getswitchinterval()
+    try:
+        put(2)
+        sys.setswitchinterval(1e-6)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        put(before)
+    assert len(results) == 25 * len(threads) and all(results)
+
+
+def onset_workload_states(seed):
+    """Gamma_t and its partial transpose at four times of the onset-n64 benchmark input."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = workloads.make_config("onset-n64", seed)
+    fam = config["model"]["family"]
+    net = make_spectral_model(SpectralFamily(exponent=fam["p"], omega_max=fam["omega_max"],
+                                             coupling_norm=fam["coupling_norm"],
+                                             n_env=fam["n_env"]))
+    state, grid = config["system_state"], config["time_grid"]
+    assert state["kind"] == "squeezed" and grid["spacing"] == "log"
+    gamma0 = product_initial_covariance(make_pure_gaussian(state["r"], state["theta"]),
+                                        net, config["beta"])
+    times = np.geomspace(grid["start"], grid["stop"], grid["points"])[[0, 9, 19, -1]]
+    return [g for gamma_t in trajectory(gamma0, net.modes, times)
+            for g in (gamma_t, partial_transpose(gamma_t))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_thread_eigensolves_keep_every_bit_of_the_onset_spectra(monkeypatch, seed):
+    states = onset_workload_states(seed)
+    assert states[0].shape == (130, 130)
+    spectra = [symplectic_spectrum(g) for g in states]
+    # the same eigensolves at the caller's thread count
+    monkeypatch.setattr(qbmsim.symplectic, "_one_blas_thread", contextlib.nullcontext)
+    for gamma, spectrum in zip(states, spectra):
+        assert np.array_equal(symplectic_spectrum(gamma), spectrum)
+
+
+def test_sigma_times_is_the_product_bit_for_bit(rng):
+    cases = [random_covariance(rng, n) for n in (1, 2, 5, 33)]
+    # a product state and its partial transpose hold +0.0 and -0.0 off the diagonal
+    net = random_network(rng, 4)
+    product = product_initial_covariance(make_pure_gaussian(0.7, 0.3), net, 1.5)
+    cases += [product, partial_transpose(product), -np.eye(4), np.zeros((2, 2))]
+    for gamma in cases:
+        sg = qbmsim.symplectic._sigma_times(gamma)
+        expected = symplectic_form(gamma.shape[0] // 2) @ gamma
+        assert np.array_equal(sg.view(np.int64), expected.view(np.int64))
 
 
 def test_validity_checks():
