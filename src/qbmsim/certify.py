@@ -250,8 +250,9 @@ class _GapBlock:
     allowance for s, K y, c, r and ||K||_F.  Bounds and Cholesky see one
     symmetric E: its strict lower triangle, the only one np.linalg.cholesky
     reads, mirrored onto the upper one.  Between -tau and tau, or when the
-    bounds are too loose, it falls back to np.linalg.cholesky on the gap
-    built exactly as before.
+    bounds are too loose, prove leaves the block open with its diagonal a,
+    and _cholesky runs np.linalg.cholesky on the gap built from it exactly
+    as before.
 
     A proof at one diagonal a settles every diagonal on one side of it:
 
@@ -293,6 +294,8 @@ class _GapBlock:
         self.rounding = 8.0 * (n + 8) * u
         self.certified: NDArray[np.float64] | None = None
         self.refuted: NDArray[np.float64] | None = None
+        # the diagonal a of the last prove when no proof settled it, for Cholesky
+        self.open: NDArray[np.float64] | None = None
         self.y: NDArray[np.float64] | None = None
         # the last bounds' Rayleigh quotient, K y and 1/a; c is None when they ran no power steps
         self.c: float | None = None
@@ -314,11 +317,11 @@ class _GapBlock:
     def decide(self, d: NDArray[np.float64], margin: float) -> bool:
         """True exactly when np.linalg.cholesky accepts this block's gap."""
         verdict = self.prove(d, margin)
-        return self._cholesky(((0.0 - self.diag) + d) - margin) if verdict is None else verdict
+        return self._cholesky() if verdict is None else verdict
 
     def prove(self, d: NDArray[np.float64], margin: float) -> bool | None:
         """The verdict of a kept proof, or of a new one, kept; None when only Cholesky can tell."""
-        self.c = None
+        self.c = self.open = None
         if self.certified is not None and (d >= self.certified).all():
             return True
         if self.refuted is not None and (d <= self.refuted).all():
@@ -329,17 +332,20 @@ class _GapBlock:
             self.certified = d
         elif verdict is not None:
             self.refuted = d
+        else:
+            self.open = a
         return verdict
 
-    def _cholesky(self, a: NDArray[np.float64]) -> bool:
-        """np.linalg.cholesky on the gap, built in place of the zero-diagonal copy.
+    def _cholesky(self) -> bool:
+        """np.linalg.cholesky on the gap with the diagonal the last prove left open.
 
-        0 - (0 - e) = e, so undoing it restores every entry (a -0.0 as +0.0,
-        which builds the same +0.0 gap entry).
+        The gap is built in place of the zero-diagonal copy.  0 - (0 - e) = e,
+        so undoing it restores every entry (a -0.0 as +0.0, which builds the
+        same +0.0 gap entry).
         """
         gap, diagonal = self.off, np.diag_indices_from(self.off)
         np.subtract(0.0, gap, out=gap)
-        gap[diagonal] = a
+        gap[diagonal] = self.open
         try:
             np.linalg.cholesky(gap)
         except np.linalg.LinAlgError:
@@ -411,77 +417,58 @@ class _GapBlock:
         return self.c * (1.0 - self.c) / slope if slope > 0.0 else None
 
 
-def _bath_feasible(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
-                   beta: float, margin: float) -> bool:
-    """True when the bath gap minus margin * identity passes Cholesky in both blocks."""
-    f = thermal_factor(beta * omega_bath)
-    position, momentum = blocks
-    # thermal_diagonal's bits, f / w and f w, without interleaving them
-    return position.decide(f / omega_bath, margin) and momentum.decide(f * omega_bath, margin)
+def _evaluate_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
+                   beta: float, margin: float) -> tuple[bool | None, float | None]:
+    """What kept proofs and bounds settle at beta, and the edge Newton steps predict.
 
-
-def _bath_proved(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
-                 beta: float, margin: float) -> bool | None:
-    """What kept proofs and bounds settle at beta, without Cholesky; None when they do not.
-
-    Every block runs, so that one proved feasible here is kept even when
-    another is proved infeasible, and each that the bounds ran on leaves a
-    Rayleigh quotient for _newton_estimate.
+    The verdict is None unless a block is proved infeasible or both are
+    proved feasible; a block left open keeps Cholesky's diagonal.  Every
+    block runs, so that one proved feasible here is kept even when another
+    is proved infeasible.  The estimate is the least edge that a Newton step
+    from the bounds just run predicts; None when they ran no power steps.
     """
     f = thermal_factor(beta * omega_bath)
+    # thermal_diagonal's bits, f / w and f w, without interleaving them
     verdicts = [block.prove(d, margin)
                 for block, d in zip(blocks, (f / omega_bath, f * omega_bath))]
-    if False in verdicts:
-        return False
-    return None if None in verdicts else True
-
-
-def _newton_estimate(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
-                     beta: float) -> float | None:
-    """The least edge that a Newton step from the blocks' last bounds, run at beta, predicts."""
+    verdict = False if False in verdicts else None if None in verdicts else True
     if all(block.c is None for block in blocks):
-        return None
-    f = thermal_factor(beta * omega_bath)
+        return verdict, None
     # d/dbeta of f(beta w) / w and of f(beta w) w, with f' = -(f^2 - 1) / 2
     f_dot = -0.5 * (f - 1.0) * (f + 1.0)
     steps = [block.newton_step(a_dot)
              for block, a_dot in zip(blocks, (f_dot, f_dot * omega_bath**2))]
     steps = [step for step in steps if step is not None]
-    return beta + min(steps) if steps else None
+    return verdict, (beta + min(steps) if steps else None)
+
+
+def _bath_feasible(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
+                   beta: float, margin: float) -> tuple[bool, float | None]:
+    """Cholesky's verdict on both blocks, run where _evaluate_beta left one open; its estimate."""
+    verdict, estimate = _evaluate_beta(omega_bath, blocks, beta, margin)
+    if verdict is None:
+        verdict = all(block._cholesky() for block in blocks if block.open is not None)
+    return verdict, estimate
 
 
 def _search_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margin: float,
-                 lo: float, hi: float) -> float | None:
-    """Newton's estimate of beta* in (lo, hi); None when the bounds leave no Newton step.
+                 lo: float, hi: float, beta: float) -> float | None:
+    """Newton's estimate of beta* in (lo, hi), from a first estimate beta; None without one.
 
-    First it bisects (lo, hi) by what the proofs settle, until a midpoint's
-    bounds leave a Rayleigh quotient, and takes that midpoint's Newton step
-    as the first estimate.  Then each Newton step, at most _SEARCH_STEPS,
-    proves what the bounds can at its beta and narrows (lo, hi) by it; a
-    step that leaves (lo, hi) is replaced by its midpoint.  It stops once the
-    error left after a step, taken as the step times its ratio to the step
-    before, is below the planting gap, and returns the last estimate when
-    its steps run out.
+    Each Newton step, at most _SEARCH_STEPS, proves what the bounds can at
+    its beta and narrows (lo, hi) by it; a step that leaves (lo, hi) is
+    replaced by its midpoint, which the loop evaluates again as its next
+    midpoint if no step has narrowed (lo, hi) yet.  It stops once the error left after a step,
+    taken as the step times its ratio to the step before, is below the
+    planting gap, and returns the last estimate when its steps run out.
     """
-    beta = None
-    while beta is None:
-        if not hi - lo > 1e-10:
-            return None
-        mid = 0.5 * (lo + hi)
-        verdict = _bath_proved(omega_bath, blocks, mid, margin)
-        if verdict is not None:
-            lo, hi = (mid, hi) if verdict else (lo, mid)
-        beta = _newton_estimate(omega_bath, blocks, mid)
-        if beta is None and verdict is None:
-            return None
     previous = 0.0
     for _ in range(_SEARCH_STEPS):
         if not lo < beta < hi:
             beta = 0.5 * (lo + hi)
-        verdict = _bath_proved(omega_bath, blocks, beta, margin)
+        verdict, estimate = _evaluate_beta(omega_bath, blocks, beta, margin)
         if verdict is not None:
             lo, hi = (beta, hi) if verdict else (lo, beta)
-        estimate = _newton_estimate(omega_bath, blocks, beta)
         if estimate is None:
             return None
         step = abs(estimate - beta)
@@ -503,7 +490,8 @@ def _plant(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margin: flo
     for side in (1.0, -1.0):
         gap = _PLANT_GAP
         for _ in range(_PLANT_TRIES):
-            if _bath_proved(omega_bath, blocks, beta * (1.0 + side * gap), margin) is (side < 0.0):
+            verdict, _ = _evaluate_beta(omega_bath, blocks, beta * (1.0 + side * gap), margin)
+            if verdict is (side < 0.0):
                 break
             gap *= 16.0
 
@@ -513,35 +501,38 @@ def _bisect_beta(omega_bath: NDArray[np.float64],
                  margin: float) -> float:
     """Bisect BETA_BRACKET for the largest beta whose gap over env_blocks is >= margin.
 
-    Once the ends of the bracket are checked, three phases share the proofs
-    the blocks keep: _search_beta estimates beta*, _plant proves both sides
-    of the estimate, and the bisection decides every midpoint by
-    _bath_feasible, the Cholesky outcome on the position and the momentum
-    block: a kept proof settles it in O(n), the bounds in O(n^2), Cholesky
-    the rest.  The bisection consumes env_blocks, two writeable float64
-    arrays: each ends with a zero diagonal and its strict lower triangle
-    mirrored onto the upper one.
+    Once the ends of the bracket are checked, one loop halves the bracket at
+    its midpoints, each normally evaluated once by _bath_feasible, the
+    Cholesky outcome on the position and the momentum block: a kept proof settles it
+    in O(n), the bounds in O(n^2), Cholesky the rest.  The first midpoint
+    whose bounds leave a Newton estimate inside the bracket the loop has
+    reached starts _search_beta there, and _plant proves both sides of its
+    estimate; the blocks keep those proofs, so the loop decides every later
+    midpoint outside the two in O(n).  The bisection consumes env_blocks,
+    two writeable float64 arrays: each ends with a zero diagonal and its
+    strict lower triangle mirrored onto the upper one.
     """
     if not margin > 0.0:
         raise ValueError("margin must be positive")
     blocks = [_GapBlock(env) for env in env_blocks]
     lo, hi = BETA_BRACKET
-    if not _bath_feasible(omega_bath, blocks, lo, margin):
+    if not _bath_feasible(omega_bath, blocks, lo, margin)[0]:
         raise FeasibilityError(
             f"bath condition infeasible across the whole bracket ({lo:g}, {hi:g}); "
             f"margin {margin:g} may be too large for this model"
         )
-    if _bath_feasible(omega_bath, blocks, hi, margin):
+    if _bath_feasible(omega_bath, blocks, hi, margin)[0]:
         return hi
-    estimate = _search_beta(omega_bath, blocks, margin, lo, hi)
-    if estimate is not None and lo < estimate < hi:
-        _plant(omega_bath, blocks, margin, estimate)
+    searching = True
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if _bath_feasible(omega_bath, blocks, mid, margin):
-            lo = mid
-        else:
-            hi = mid
+        feasible, estimate = _bath_feasible(omega_bath, blocks, mid, margin)
+        lo, hi = (mid, hi) if feasible else (lo, mid)
+        if searching and estimate is not None and lo < estimate < hi:
+            searching = False
+            estimate = _search_beta(omega_bath, blocks, margin, lo, hi, estimate)
+            if estimate is not None and lo < estimate < hi:
+                _plant(omega_bath, blocks, margin, estimate)
     return lo
 
 
@@ -559,13 +550,14 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     unit-diagonal scaling, against Demmel's and the backward-error bounds
     for Cholesky), and runs np.linalg.cholesky only where those leave it
     open; see _GapBlock.  A proof at one beta also settles every step on
-    its side of it, and each block keeps its proofs.  So Newton steps
-    estimate beta*, feasibility is proved just below the estimate and
-    infeasibility just above it, and the bisection decides every step
-    outside those two in O(N); only its last few steps, between them, run
-    the bounds (see _bisect_beta).  The estimate only chooses where proofs
-    are tried.  The verdicts, and so beta*, are those of Cholesky at every
-    step.
+    its side of it, and each block keeps its proofs.  So the bisection is
+    one loop over its midpoints, each normally evaluated once: at the first
+    whose bounds leave a Newton estimate inside the bracket, Newton steps estimate
+    beta*, feasibility is proved just below the estimate and infeasibility
+    just above it, and the loop decides every later step outside those two
+    in O(N); only its last few steps, between them, run the bounds (see
+    _bisect_beta).  The estimate only chooses where proofs are tried.  The
+    verdicts, and so beta*, are those of Cholesky at every step.
     """
     ref = _gibbs_blocks(net.modes, certificate_constants(net).gamma_ref)
     return _bisect_beta(net.omegas[1:], _bath_blocks(ref), margin)

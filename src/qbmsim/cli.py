@@ -272,6 +272,10 @@ def load_config(path: str) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: JSON syntax error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
     return parse_config(data)
 
 
@@ -586,7 +590,7 @@ def run_sweep(config: ExperimentConfig) -> ResultTable:
             rows.append((row.n_env, row.delta, row.omega_bound, row.gamma_ref,
                          row.beta_star, time.perf_counter() - t0, "ok"))
             n_ok += 1
-        except (ValueError, FeasibilityError) as exc:
+        except (ValueError, FeasibilityError, MemoryError) as exc:
             rows.append((int(n), "", "", "", "", time.perf_counter() - t0,
                          f"error: {exc}"))
     meta = _base_metadata(config, "sweep")

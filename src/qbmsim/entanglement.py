@@ -429,10 +429,10 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
     of their terms.  A probe on a pole moves up to the next double that is
     not one (see _off_the_poles); a cold bath puts dozens of poles on 1.0 and
     on runs of consecutive doubles above it.  A probe where the bath border
-    A = C^-1 + G is singular moves up one ulp for that time alone, at most
-    _MAX_NUDGES times.  A time's values are the same bits whichever times
-    share its batch, as the search drops converged times and retries single
-    ones.  See product_state_pt_minima for the derivation.
+    A = C^-1 + G is singular moves up one ulp, and the whole batch is counted
+    again, at most _MAX_NUDGES times.  A time's values are the same bits
+    whichever times share its batch, as the search drops converged times.
+    See product_state_pt_minima for the derivation.
 
     F = det A det Schur_s, written with n = quad g, the Schur block times
     det A before it is shifted by lam and nu_s, as
@@ -446,11 +446,8 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
     2 lam^2/dist^2) for its first three entries and sum coef_3 2 lam/dist^2
     for q, dist = nu_j^2 - lam^2.
     """
-    counts = steps = poles_below = None
     probe = lam
-    retry = None  # the times to probe again; None probes every time
     for _ in range(_MAX_NUDGES):
-        at = slice(None) if retry is None else retry
         dist = nu - probe[:, None]
         if not dist.all():
             probe = _off_the_poles(probe, dist, nu)
@@ -458,9 +455,9 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
         dist *= nu + probe[:, None]
         below = (dist < 0.0).sum(axis=1, dtype=float)  # #(nu_j < lam)
         inv = np.divide(1.0, dist, out=dist)
-        g = np.einsum("ktn,tn->kt", coef[:, at], inv)
+        g = np.einsum("ktn,tn->kt", coef, inv)
         inv *= inv
-        dg = np.einsum("ktn,tn->kt", coef[:, at], inv)
+        dg = np.einsum("ktn,tn->kt", coef, inv)
         two_lam = 2.0 * probe
         dg *= two_lam
         dg[:3] *= probe
@@ -471,15 +468,15 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
         gaa, gbb, gab, q = g
         det = gaa * gbb - (gab * gab + q * q)
         singular = det == 0.0
-        stuck = singular.any()
-        if stuck:
-            det[singular] = 1.0  # such a time is probed again; never divide by its zero
+        if singular.any():
+            # the next double up where A is singular, and the whole batch again
+            probe = (probe.view(np.int64) + singular).view(np.float64)
+            continue
         # Schur_s = i nu_s J - lam + P X P^T = [[s00, s01], [conj s01, s11]]; quad's
         # last row and column are 0 but for quad[3, 3] = -det P, and its
         # products are taken elementwise, which no batch shape can reorder
-        quad_at = quad[:3, :3, at]
-        minus_det_p = quad[3, 3, at]
-        n = quad_at[:, 0] * gaa + quad_at[:, 1] * gbb + quad_at[:, 2] * gab
+        quad3, minus_det_p = quad[:3, :3], quad[3, 3]
+        n = quad3[:, 0] * gaa + quad3[:, 1] * gbb + quad3[:, 2] * gab
         s00, s11, s01_re = n / det
         s01_im = minus_det_p * q / det
         s00 -= probe
@@ -497,7 +494,7 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
             count[zero] += (s00 + s11 < 0.0)[zero] - 1.0
         count += below
         n_sum = n[0] + n[1]
-        q_sum = quad_at[0] + quad_at[1]
+        q_sum = quad3[0] + quad3[1]
         dn_sum = q_sum[0] * dg[0] + q_sum[1] * dg[1] + q_sum[2] * dg[2]
         shift = probe * probe - nu_s * nu_s
         f = minus_det_p * (minus_det_p - 2.0 * nu_s * q) - probe * n_sum + shift * det
@@ -506,17 +503,8 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
               - 2.0 * nu_s * minus_det_p * dg[3])
         if not df.all():
             df[df == 0.0] = np.nan  # no Newton step where F is flat
-        step = f / df
-        if retry is None:
-            counts, steps, poles_below = count, step, below
-        else:
-            counts[retry], steps[retry], poles_below[retry] = count, step, below
-        if not stuck:
-            return counts, steps, poles_below
-        retry = np.flatnonzero(singular) if retry is None else retry[singular]
-        probe = probe[singular]
-        probe.view(np.int64)[:] += 1  # the next double up
-    raise RuntimeError(f"PT spectrum count undefined near {float(probe[0])!r}")
+        return count, f / df, below
+    raise RuntimeError(f"PT spectrum count undefined near {float(probe[singular][0])!r}")
 
 
 def _off_the_poles(lam: NDArray[np.float64], dist: NDArray[np.float64],

@@ -473,23 +473,24 @@ def test_critical_beta_runs_at_most_24_bounds_at_the_sweep_sizes(monkeypatch):
 
 def test_every_bisection_step_decides_like_cholesky(monkeypatch, rng):
     # kept proofs decide most steps in O(n) and the bounds most others: each
-    # verdict is still the one Cholesky gives on both blocks at that beta, and
-    # so is every verdict that the search and the plants prove
+    # verdict, both ends included, is still the one Cholesky gives on both
+    # blocks at that beta, and so is every verdict that the search and the
+    # plants prove
     margin, steps, proved = 1e-6, [], []
-    bath_feasible, bath_proved = qbmsim.certify._bath_feasible, qbmsim.certify._bath_proved
+    bath_feasible, evaluate = qbmsim.certify._bath_feasible, qbmsim.certify._evaluate_beta
 
     def spying(omega_bath, blocks, beta, step_margin):
-        verdict = bath_feasible(omega_bath, blocks, beta, step_margin)
+        verdict, estimate = bath_feasible(omega_bath, blocks, beta, step_margin)
         steps.append((beta, verdict))
-        return verdict
+        return verdict, estimate
 
-    def spying_proved(omega_bath, blocks, beta, step_margin):
-        verdict = bath_proved(omega_bath, blocks, beta, step_margin)
+    def spying_evaluate(omega_bath, blocks, beta, step_margin):
+        verdict, estimate = evaluate(omega_bath, blocks, beta, step_margin)
         proved.append((beta, verdict))
-        return verdict
+        return verdict, estimate
 
     monkeypatch.setattr(qbmsim.certify, "_bath_feasible", spying)
-    monkeypatch.setattr(qbmsim.certify, "_bath_proved", spying_proved)
+    monkeypatch.setattr(qbmsim.certify, "_evaluate_beta", spying_evaluate)
     for net, env_blocks in decision_cases(rng):
         steps.clear()
         proved.clear()
@@ -501,6 +502,28 @@ def test_every_bisection_step_decides_like_cholesky(monkeypatch, rng):
             d = thermal_diagonal(net.omegas[1:], beta)
             assert verdict == all(cholesky_accepts(env, d[k::2], margin)
                                   for k, env in enumerate(env_blocks)), beta
+
+
+def test_critical_beta_evaluates_no_beta_twice_at_the_sweep_sizes(monkeypatch):
+    # the search starts from the loop's own midpoints and hands the loop its
+    # proofs, so no beta's thermal factor and proofs are computed twice
+    betas = []
+    evaluate = qbmsim.certify._evaluate_beta
+
+    def spying(omega_bath, blocks, beta, margin):
+        betas.append(beta)
+        return evaluate(omega_bath, blocks, beta, margin)
+
+    monkeypatch.setattr(qbmsim.certify, "_evaluate_beta", spying)
+    sizes, margins = sweep_workload()
+    for n_env in sizes:
+        net = make_spectral_model(replace(OHMIC, n_env=n_env))
+        for margin in margins:
+            betas.clear()
+            critical_beta(net, margin)
+            assert len(set(betas)) == len(betas), (n_env, margin)
+            # the two ends, 44 midpoints, and the betas of the search and the plants
+            assert len(betas) <= 50, (n_env, margin)
 
 
 def test_a_kept_proof_settles_its_side_without_bounds(monkeypatch, rng):

@@ -649,6 +649,28 @@ def test_sweep_all_failed_exits_one(tmp_path, capsys):
     assert "result: FAIL" in capsys.readouterr().err
 
 
+def test_sweep_size_that_cannot_be_allocated_is_an_error_row(tmp_path, capsys, monkeypatch):
+    # the failure is raised, not provoked: an allocation of 7 TiB is refused by
+    # heuristic overcommit, but a host that always overcommits might grant it
+    error = MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000001, 1000001)")
+    study = qbmsim.cli.n_scaling_study
+
+    def failing_at_a_million(fam, ns, **kwargs):
+        if ns == [1000000]:
+            raise error
+        return study(fam, ns, **kwargs)
+
+    monkeypatch.setattr(qbmsim.cli, "n_scaling_study", failing_at_a_million)
+    config = write_config(tmp_path, {"model": dict(FAMILY), "sweep_ns": [8, 1000000]})
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--config", config, "--out", out]) == 0
+    meta, _, rows = read_csv(out)
+    assert meta["n_ok"] == "1"
+    assert rows[0][0] == "8" and rows[0][6] == "ok"
+    assert rows[1][0] == "1000000" and rows[1][6] == f"error: {error}"
+    assert "result: OK" in capsys.readouterr().out
+
+
 def test_sweep_bad_omega_sys_is_a_config_error(tmp_path, capsys):
     data = {"model": {"family": {**FAMILY["family"], "omega_sys": "x"}},
             "sweep_ns": [2, 4]}
@@ -838,6 +860,17 @@ def test_main_invalid_json(tmp_path, capsys):
     code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "JSON syntax error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"version": 1, "beta": "\xff"}', "not UTF-8 text (invalid start byte)"),
+    (b"[" * 100000, "JSON nested too deeply to parse")], ids=["not-utf8", "deep"])
+def test_main_config_bytes_that_are_not_json_text_exit_two(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
 
 #: an integer literal that json keeps exact and float() cannot convert
