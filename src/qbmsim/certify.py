@@ -185,7 +185,8 @@ def product_initial_covariance(gamma_sys: NDArray[np.float64],
 #: unit roundoff of IEEE double precision
 _UNIT_ROUNDOFF = 2.0**-53
 
-#: float64 entries per row chunk of an n x n sweep (256 KB)
+#: float64 entries per row chunk of the Frobenius sweep over E (256 KB): its squares
+#: take one chunk, not an n x n temporary
 _CHUNK_ENTRIES = 32768
 
 #: side of the square tiles in which _GapBlock mirrors E: 64 x 64 doubles (32 KB)
@@ -275,8 +276,13 @@ class _GapBlock:
     Rayleigh quotient c of the warm power vector y, x = K y, and w = 1/a
     (see newton_step).  A block with a warm y runs its power steps after a
     Frobenius certificate too, so that it keeps a Newton step wherever the
-    bounds run.  The block owns env and works in it: it keeps a copy of the
-    diagonal, zeroes it, and mirrors the lower triangle.
+    bounds run.
+
+    The block works in env, which may be a strided view such as the bath
+    block g[1:, 1:] of a reference block: it keeps a copy of the diagonal,
+    zeroes it, and mirrors the lower triangle.  Each matvec is one BLAS call
+    on env, which copies nothing; only the Frobenius sweep runs through row
+    chunks (see _CHUNK_ENTRIES).
     """
 
     def __init__(self, env: NDArray[np.float64]) -> None:
@@ -303,16 +309,13 @@ class _GapBlock:
         self.w: NDArray[np.float64] | None = None
 
     def _chunks(self) -> Iterator[slice]:
-        """Row chunks of one O(n^2) sweep over E; every pass over E runs through them."""
+        """Row chunks of the Frobenius sweep over E, which squares one chunk at a time."""
         n = self.off.shape[0]
         return (slice(i, min(i + self.rows, n)) for i in range(0, n, self.rows))
 
     def _product(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        """E v, one row chunk at a time."""
-        out = np.empty_like(v)
-        for rows in self._chunks():
-            out[rows] = self.off[rows] @ v
-        return out
+        """E v: one BLAS matvec on the view, which copies nothing."""
+        return self.off @ v
 
     def decide(self, d: NDArray[np.float64], margin: float) -> bool:
         """True exactly when np.linalg.cholesky accepts this block's gap."""
@@ -508,9 +511,9 @@ def _bisect_beta(omega_bath: NDArray[np.float64],
     whose bounds leave a Newton estimate inside the bracket the loop has
     reached starts _search_beta there, and _plant proves both sides of its
     estimate; the blocks keep those proofs, so the loop decides every later
-    midpoint outside the two in O(n).  The bisection consumes env_blocks,
-    two writeable float64 arrays: each ends with a zero diagonal and its
-    strict lower triangle mirrored onto the upper one.
+    midpoint outside the two in O(n).  The bisection works in env_blocks,
+    two writeable float64 arrays or views, and leaves each with a zero
+    diagonal and its strict lower triangle mirrored onto the upper one.
     """
     if not margin > 0.0:
         raise ValueError("margin must be positive")
@@ -540,43 +543,19 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     """Largest bath inverse temperature dominated by the reference Gibbs state.
 
     Finds beta* such that Gamma(beta H_bath) - [Gamma(gamma_ref H)]_EE >=
-    margin * identity.  The thermal factor decreases in beta, so feasibility
-    is monotone and bisection applies; the bracket is (1e-6, 1e3) and the
-    returned value is feasible with bracket width below 1e-10.  A step is
+    margin * identity: it bisects (1e-6, 1e3) to a width below 1e-10 and
+    returns the feasible end, since the thermal factor decreases in beta and
+    feasibility is monotone.  A step is
     feasible when Cholesky accepts the N x N position and momentum blocks of
-    the gap minus margin * identity.  Each block decides that outcome from
-    rigorous bounds in O(N) (a nonpositive diagonal entry) or O(N^2) (the
-    Frobenius norm and a Kato-Temple bracket of the least eigenvalue of the
-    unit-diagonal scaling, against Demmel's and the backward-error bounds
-    for Cholesky), and runs np.linalg.cholesky only where those leave it
-    open; see _GapBlock.  A proof at one beta also settles every step on
-    its side of it, and each block keeps its proofs.  So the bisection is
-    one loop over its midpoints, each normally evaluated once: at the first
-    whose bounds leave a Newton estimate inside the bracket, Newton steps estimate
-    beta*, feasibility is proved just below the estimate and infeasibility
-    just above it, and the loop decides every later step outside those two
-    in O(N); only its last few steps, between them, run the bounds (see
-    _bisect_beta).  The estimate only chooses where proofs are tried.  The
-    verdicts, and so beta*, are those of Cholesky at every step.
+    the gap minus margin * identity, so beta* is the float that Cholesky at
+    every step gives.  Rigorous bounds settle most steps without it, and a
+    kept proof settles every later step on its side in O(N) (see _GapBlock);
+    a Newton estimate of beta* only chooses where proofs are planted (see
+    _bisect_beta).  The bisection works in the bath blocks g[1:, 1:] of the
+    two reference blocks, where they lie.
     """
     ref = _gibbs_blocks(net.modes, certificate_constants(net).gamma_ref)
-    return _bisect_beta(net.omegas[1:], _bath_blocks(ref), margin)
-
-
-def _bath_blocks(ref: tuple[NDArray[np.float64], ...]) -> tuple[NDArray[np.float64], ...]:
-    """Each reference block's bath block g[1:, 1:], moved to the front of g's own buffer.
-
-    There it is C-contiguous, which the bisection's row sweeps need to run at full
-    speed, and no second n x n array outlives the move: numpy copies the overlapping
-    move through a transient buffer.  g no longer holds the reference block after it.
-    """
-    fronts = []
-    for g in ref:
-        n = g.shape[0] - 1
-        front = g.reshape(-1)[:n * n].reshape(n, n)
-        front[...] = g[1:, 1:]
-        fronts.append(front)
-    return tuple(fronts)
+    return _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)
 
 
 def build_certificate(net: OscillatorNetwork,
@@ -587,36 +566,36 @@ def build_certificate(net: OscillatorNetwork,
     the product state dominate the reference Gibbs state, via the Schur
     complement of the bath gap, plus margin times the identity.  Positions
     and momenta never mix, so each quadrature is one (n+1) x (n+1) block
-    diff = product - reference, built in the reference block the bisection
-    worked in: its bath block is the gap, solved for the Schur step, and the
-    certificate is accepted only when Cholesky accepts diff, the verdict
-    every bisection step uses (see _GapBlock).  A RuntimeError names a block
-    it rejects.  The Schur complement is at least
-    the reference state's system block, which is >= 1 (see
-    certificate_constants), so the diagonal gamma0_sys >= (1 + margin) I
+    diff = product - reference, built in the reference block itself: the
+    bisection leaves its bath block as E, which the kept bath diagonal turns
+    into the gap, solved for the Schur step.  The certificate is accepted
+    only when Cholesky accepts diff, the verdict every bisection step uses
+    (see _GapBlock); a RuntimeError names a block it rejects.  The Schur
+    complement is at least the reference state's system block, which is >= 1
+    (see certificate_constants), so the diagonal gamma0_sys >= (1 + margin) I
     obeys the uncertainty relation; a RuntimeError guards the rounding.
     """
     constants = certificate_constants(net)
+    # the bisection zeroes each bath diagonal, which the gap needs.  Allocated before the
+    # blocks, the copies split no hole that the Schur solve's copy of the gap fits into
+    g_diags = np.empty((2, net.n_env))
     ref = _gibbs_blocks(net.modes, constants.gamma_ref)
-    # the bisection consumes the blocks: keep the O(n) rest that the Schur step and
-    # Cholesky read
-    edges = [(g[0].copy(), g[1:, 0].copy(), g.diagonal()[1:].copy()) for g in ref]
-    bath_blocks = _bath_blocks(ref)
-    beta_star = _bisect_beta(net.omegas[1:], bath_blocks, margin)
+    for g_diag, g in zip(g_diags, ref):
+        g_diag[:] = g.diagonal()[1:]
+    beta_star = _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)
     beta = 0.5 * beta_star
     d = thermal_diagonal(net.omegas[1:], beta)
-    bath = np.arange(1, net.n_modes)
     entries = []
-    for name, diff, gap, (row, col, g_diag), diag in zip(
-            ("position", "momentum"), ref, bath_blocks, edges, (d[0::2], d[1::2])):
-        # g back in its own buffer, its bath block the bisection's: zero diagonal,
-        # lower triangle mirrored onto the upper one
-        diff[1:, 1:] = gap
-        diff[0], diff[1:, 0] = row, col
-        # (0 - g) + d rounds exactly like d - g, signed zeros included
-        np.subtract(0.0, diff, out=diff)
-        diff[bath, bath] = (0.0 - g_diag) + diag
-        entry = row[0] + row[1:] @ np.linalg.solve(diff[1:, 1:], row[1:]) + margin
+    for name, diff, g_diag, diag in zip(("position", "momentum"), ref, g_diags,
+                                        (d[0::2], d[1::2])):
+        # (0 - g) + d rounds exactly like d - g, signed zeros included; the bath block is
+        # the bisection's E, and row 0 stays g's until the Schur step has read it
+        gap, row, col = diff[1:, 1:], diff[0], diff[1:, 0]
+        np.subtract(0.0, gap, out=gap)
+        np.fill_diagonal(gap, (0.0 - g_diag) + diag)
+        entry = row[0] + row[1:] @ np.linalg.solve(gap, row[1:]) + margin
+        for edge in (row, col):
+            np.subtract(0.0, edge, out=edge)
         diff[0, 0] += entry
         try:
             np.linalg.cholesky(diff)

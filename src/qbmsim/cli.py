@@ -32,7 +32,7 @@ from .certify import (
     verify_all_times_separable,
 )
 from .entanglement import PPT_TOL, product_state_pt_minima, verdict_from_pt_minimum
-from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
+from .model import OscillatorNetwork, SpectralFamily, _check_squares, make_spectral_model
 from .symplectic import (
     _MAX_STATE_ENTRY,
     is_valid_covariance,
@@ -579,12 +579,16 @@ def run_sweep(config: ExperimentConfig) -> ResultTable:
         raise ConfigError("sweep_ns: required for sweep")
     if "family" not in config.model:
         raise ConfigError("model.family: sweep requires a spectral-family model")
+    family, omega_sys = _spectral_family(config)
+    try:  # every size has these frequencies
+        _check_squares(np.array([omega_sys, family.omega_max]))
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from exc
     rows = []
     n_ok = 0
     for n in sorted(config.sweep_ns):
         t0 = time.perf_counter()
         try:
-            family, omega_sys = _spectral_family(config)
             (row,) = n_scaling_study(family, [n], margin=config.margin,
                                      omega_sys=omega_sys)
             rows.append((row.n_env, row.delta, row.omega_bound, row.gamma_ref,

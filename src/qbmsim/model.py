@@ -66,6 +66,7 @@ class OscillatorNetwork:
             raise ValueError("all frequencies must be positive")
         if np.any(kappas < 0.0):
             raise ValueError("couplings must be nonnegative")
+        _check_squares(omegas)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "kappas", kappas)
         # 2V doubled in place, bit for bit 2.0 * V: no second n x n copy while eigh runs
@@ -105,6 +106,15 @@ class SpectralFamily:
             raise ValueError("n_env must be at least 1")
 
 
+def _check_squares(omegas: NDArray[np.float64]) -> None:
+    """Raise ValueError naming a frequency whose square, on V's diagonal, overflows to inf."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.square(omegas))
+    if not finite.all():
+        w = omegas[np.argmin(finite)]
+        raise ValueError(f"squared frequency ({w:g})^2 overflows double precision")
+
+
 def _potential_entries(omegas: NDArray[np.float64],
                        kappas: NDArray[np.float64]) -> NDArray[np.float64]:
     v = np.diag(omegas**2 / 2.0)
@@ -123,7 +133,7 @@ def _positive_definite_modes(two_v: NDArray[np.float64]) -> NormalModes:
         raise ValueError(f"{exc}; {_indefinite_cause(two_v)}") from None
     # eigenvalues of V, ascending
     eigs = modes.tilde_omegas**2 / 2.0
-    if eigs[0] <= POS_DEF_RTOL * eigs[-1]:
+    if not eigs[0] > POS_DEF_RTOL * eigs[-1]:  # a NaN eigenvalue fails too
         raise ValueError(
             "stiffness matrix is not positive definite "
             f"(min eigenvalue {eigs[0]:.3e}, norm {eigs[-1]:.3e}); {_indefinite_cause(two_v)}"

@@ -105,7 +105,7 @@ def _modes_of_doubled(two_v: NDArray[np.float64]) -> NormalModes:
     the eigensolver runs.
     """
     evals, m = np.linalg.eigh(two_v)
-    if evals.min() <= 0.0:
+    if not evals.min() > 0.0:  # a NaN eigenvalue fails too
         raise ValueError(
             f"stiffness matrix is not positive definite (min eig of 2V = {evals.min():.3e})"
         )

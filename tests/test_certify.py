@@ -408,6 +408,47 @@ def test_gap_block_never_reads_the_upper_triangle(rng):
     assert min(settled.values()) > 400
 
 
+def bits(value):
+    """value as comparable bits: an array's int64 view, a float's hex, None as is."""
+    if isinstance(value, np.ndarray):
+        return value.view(np.int64).tolist()
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("n_env", [64, 256])
+def test_gap_block_on_the_strided_view_gives_the_contiguous_bits(n_env):
+    # the bisection works in g[1:, 1:], rows n_env + 1 doubles apart; a block on a
+    # contiguous copy of it must prove, factorize and step exactly alike
+    margin = 1e-6
+    net = make_spectral_model(replace(OHMIC, exponent=0.5, n_env=n_env))
+    ref = qbmsim.certify._gibbs_blocks(net.modes, certificate_constants(net).gamma_ref)
+    omega_bath = net.omegas[1:]
+    probes = decision_probes(net, tuple(g[1:, 1:] for g in ref), margin)
+    settled = Counter()
+    for k, g in enumerate(ref):
+        contiguous = qbmsim.certify._GapBlock(np.ascontiguousarray(g[1:, 1:]))
+        strided = qbmsim.certify._GapBlock(g[1:, 1:])
+        assert not strided.off.flags.c_contiguous and np.shares_memory(strided.off, g)
+        for beta in probes:
+            f = thermal_factor(beta * omega_bath)
+            d, a_dot = ((f / omega_bath, -0.5 * (f - 1.0) * (f + 1.0)) if k == 0 else
+                        (f * omega_bath, -0.5 * (f - 1.0) * (f + 1.0) * omega_bath**2))
+            verdicts = []
+            for block in (strided, contiguous):
+                block.certified = block.refuted = None  # the bounds run at every probe
+                verdict = block.prove(d, margin)
+                state = [bits(block.c), bits(block.newton_step(a_dot)), bits(block.y),
+                         bits(block.x)]
+                # Cholesky at every probe, not only where the bounds leave it open
+                block.open = ((0.0 - block.diag) + d) - margin
+                accepted = block._cholesky()
+                assert verdict in (None, accepted)
+                verdicts.append((verdict, accepted, *state, bits(block.off)))
+            assert verdicts[0] == verdicts[1]
+            settled[verdicts[0][1]] += 1
+    assert min(settled[True], settled[False]) > 20, settled
+
+
 def test_critical_beta_is_bit_identical_to_cholesky_bisection_at_512():
     # the margins of the sweep-n8-512 benchmark: 1e-6 times a stretch of up to 1.1
     spec = importlib.util.spec_from_file_location(
@@ -602,9 +643,11 @@ def test_bisection_without_bounds_is_the_plain_cholesky_bisection(monkeypatch, r
 
 def test_block_proved_feasible_once_is_skipped_after(monkeypatch):
     # the momentum block never binds on network Gibbs states: once proved
-    # feasible, every later and smaller beta skips its O(n^2) bounds
+    # feasible, every later and smaller beta skips its O(n^2) bounds.  Every
+    # O(n^2) pass over E is a Frobenius sweep through the row chunks or a matvec
     blocks, sweeps = [], Counter()
-    init, chunks = qbmsim.certify._GapBlock.__init__, qbmsim.certify._GapBlock._chunks
+    block_type = qbmsim.certify._GapBlock
+    init, chunks, product = block_type.__init__, block_type._chunks, block_type._product
 
     def recording_init(self, env):
         blocks.append(self)
@@ -614,8 +657,13 @@ def test_block_proved_feasible_once_is_skipped_after(monkeypatch):
         sweeps[id(self)] += 1
         return chunks(self)
 
-    monkeypatch.setattr(qbmsim.certify._GapBlock, "__init__", recording_init)
-    monkeypatch.setattr(qbmsim.certify._GapBlock, "_chunks", counting_chunks)
+    def counting_product(self, v):
+        sweeps[id(self)] += 1
+        return product(self, v)
+
+    monkeypatch.setattr(block_type, "__init__", recording_init)
+    monkeypatch.setattr(block_type, "_chunks", counting_chunks)
+    monkeypatch.setattr(block_type, "_product", counting_product)
     critical_beta(make_spectral_model(replace(OHMIC, n_env=256)))
     position, momentum = (sweeps[id(b)] for b in blocks)
     assert position > 20
@@ -740,8 +788,8 @@ def test_certificate_builds_no_dense_matrix():
     # 2V and the eigenvectors
     assert network <= 2.5 * unit, network / unit
     # the two reference blocks, in which the bisection and the domination test
-    # work, and one of: the product m * d of the second Gibbs block, the buffer
-    # that moves a bath block to the front, Cholesky's factor
+    # work, and one of: the product m * d of the second Gibbs block, Cholesky's
+    # factor
     _, bisection = traced_peak(lambda: critical_beta(net))
     assert bisection <= 3.5 * unit, bisection / unit
     _, certificate = traced_peak(lambda: build_certificate(net))

@@ -929,6 +929,33 @@ def test_main_rejects_underflowing_temperatures_and_frequencies(
     assert len(err.splitlines()) == 1
 
 
+OVERFLOWING = {"omegas": [1.0, 1e200], "kappas": [0.2]}
+OVERFLOWING_FAMILY = {"family": {**FAMILY["family"], "omega_sys": 1e200}}
+GRID = {"start": 1e-3, "stop": 1.0, "points": 4}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("evolve", {"model": OVERFLOWING, "beta": 1.0, "time_grid": GRID}),
+    ("certify", {"model": OVERFLOWING}),
+    ("immediate", {"model": OVERFLOWING, "beta": 1.0,
+                   "system_state": {"kind": "squeezed", "r": 0.5, "theta": 0.0}}),
+    ("sweep", {"model": OVERFLOWING_FAMILY, "sweep_ns": [2, 4]}),
+    ("evolve", {"model": OVERFLOWING_FAMILY, "system_state": {"kind": "certificate"},
+                "time_grid": GRID}),
+], ids=["evolve", "certify", "immediate", "sweep", "evolve-certificate"])
+def test_main_rejects_a_frequency_whose_square_overflows(tmp_path, capsys, command, data):
+    # before, evolve wrote NaN-mode rows and exited 0, certify and sweep raised an
+    # OverflowError traceback, and immediate failed in eigh
+    config = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", config, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: model: squared frequency (1e+200)^2 overflows double precision\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("beta", [1e-300, 1e-200, 1e-160, 1e-150, 1e-100])
 @pytest.mark.parametrize("command", ["evolve", "immediate"])
 def test_main_rejects_temperatures_whose_thermal_powers_overflow(

@@ -1,3 +1,5 @@
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,8 @@ from qbmsim import (
     normal_modes,
     propagator,
 )
+
+from qbmsim.symplectic import NormalModes
 
 from conftest import random_network
 
@@ -73,6 +77,36 @@ def test_network_field_validation():
         OscillatorNetwork(omegas=[1.0, 2.0], kappas=[0.1, 0.2])
     with pytest.raises(ValueError):
         OscillatorNetwork(omegas=[1.0, np.nan], kappas=[0.1])
+
+
+@pytest.mark.parametrize("omegas, name", [
+    ([1.0, 1e200], "1e+200"),
+    ([1e200, 1.0], "1e+200"),
+    ([1.0, 2.0, 1.5e154], "1.5e+154"),
+    ([1.0, 2.0, 1.7976931348623157e308], "1.79769e+308"),
+])
+def test_network_rejects_a_frequency_whose_square_overflows(omegas, name):
+    # omega^2/2 on V's diagonal would be inf, and eigh would return NaN modes that
+    # a <= comparison lets through; the check itself warns of no overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"squared frequency ({name})^2 overflows double precision")):
+            OscillatorNetwork(omegas=omegas, kappas=[0.2] * (len(omegas) - 1))
+    # below sqrt(DBL_MAX) the square is finite: the spread is what fails
+    with pytest.raises(ValueError, match="span more than 1/POS_DEF_RTOL"):
+        OscillatorNetwork(omegas=[1.0, 1.3e154], kappas=[0.2])
+
+
+def test_nan_normal_modes_are_not_positive_definite(monkeypatch):
+    # both checks fail on a NaN eigenvalue, which no <= comparison catches
+    two_v = np.array([[2.0, -0.2], [-0.2, np.inf]])
+    with pytest.raises(ValueError, match="min eig of 2V = nan"):
+        qbmsim.model._modes_of_doubled(two_v.copy())
+    nan_modes = NormalModes(mode_matrix=np.eye(2), tilde_omegas=np.array([np.nan, 1.0]))
+    monkeypatch.setattr(qbmsim.model, "_modes_of_doubled", lambda two_v: nan_modes)
+    with pytest.raises(ValueError, match="min eigenvalue nan"):
+        qbmsim.model._positive_definite_modes(two_v.copy())
 
 
 def test_quadratic_form_system_alone():
