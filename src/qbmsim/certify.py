@@ -50,6 +50,10 @@ VERIFY_TOL = 1e-8
 #: det(B) - 1 below this makes the onset derivative one-sided
 DEGENERATE_DET_B = 1e-12
 
+#: time step of lambda_dot_finite_difference
+_FD_STEP = 1e-6
+
+
 class FeasibilityError(RuntimeError):
     """No inverse temperature in the searched bracket satisfies the bath condition."""
 
@@ -163,11 +167,6 @@ def certificate_constants(net: OscillatorNetwork) -> CertificateConstants:
     )
 
 
-def bath_gibbs_covariance(net: OscillatorNetwork, beta: float) -> NDArray[np.float64]:
-    """Thermal covariance of the uncoupled bath, shape (2N, 2N); it is diagonal."""
-    return np.diag(thermal_diagonal(net.omegas[1:], beta))
-
-
 def product_initial_covariance(gamma_sys: NDArray[np.float64],
                                net: OscillatorNetwork,
                                beta: float) -> NDArray[np.float64]:
@@ -178,7 +177,7 @@ def product_initial_covariance(gamma_sys: NDArray[np.float64],
     d = thermal_diagonal(net.omegas[1:], beta)
     out = np.zeros((d.size + 2,) * 2)
     out[:2, :2] = gamma_sys
-    np.fill_diagonal(out[2:, 2:], d)
+    np.fill_diagonal(out[2:, 2:], d.T.ravel())  # thermal_diagonal's rows, interleaved
     return out
 
 
@@ -431,7 +430,7 @@ def _evaluate_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
     from the bounds just run predicts; None when they ran no power steps.
     """
     f = thermal_factor(beta * omega_bath)
-    # thermal_diagonal's bits, f / w and f w, without interleaving them
+    # thermal_diagonal's rows, f / w and f w, from the f that the Newton slope needs too
     verdicts = [block.prove(d, margin)
                 for block, d in zip(blocks, (f / omega_bath, f * omega_bath))]
     verdict = False if False in verdicts else None if None in verdicts else True
@@ -584,10 +583,9 @@ def build_certificate(net: OscillatorNetwork,
         g_diag[:] = g.diagonal()[1:]
     beta_star = _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)
     beta = 0.5 * beta_star
-    d = thermal_diagonal(net.omegas[1:], beta)
     entries = []
     for name, diff, g_diag, diag in zip(("position", "momentum"), ref, g_diags,
-                                        (d[0::2], d[1::2])):
+                                        thermal_diagonal(net.omegas[1:], beta)):
         # (0 - g) + d rounds exactly like d - g, signed zeros included; the bath block is
         # the bisection's E, and row 0 stays g's until the Schur step has read it
         gap, row, col = diff[1:, 1:], diff[0], diff[1:, 0]
@@ -685,10 +683,9 @@ def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
 
 def lambda_dot_finite_difference(gamma_sys: NDArray[np.float64],
                                  net: OscillatorNetwork, env_mode: int,
-                                 beta: float, h: float = 1e-6) -> float:
-    """Richardson-refined central difference of lambda_t at t = 0, for a finite step h > 0."""
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
+                                 beta: float) -> float:
+    """Richardson-refined central difference of lambda_t at t = 0, with step _FD_STEP."""
+    h = _FD_STEP
     gamma0 = product_initial_covariance(gamma_sys, net, beta)
     half = h / 2.0
     lam_h, lam_mh, lam_half, lam_mhalf = (

@@ -331,8 +331,8 @@ def _system_covariance(config: ExperimentConfig, net: OscillatorNetwork, power: 
         try:
             diag = thermal_diagonal(net.omegas[1:], config.beta)
         except ValueError:  # beta * omega underflows to zero
-            diag = np.full(2, math.inf)
-        f_power = np.max(diag[0::2] * diag[1::2]) ** (power // 2)
+            diag = np.full((2, 1), math.inf)
+        f_power = np.max(diag[0] * diag[1]) ** (power // 2)
     if not np.isfinite(diag).all():
         raise ConfigError(f"beta: {config.beta!r} is too small; the bath's thermal "
                           "covariance f(beta w)/w is not finite in double precision")
@@ -368,8 +368,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit(table: ResultTable, fmt: str, path: str, y_column: str | None = None) -> None:
-    """Write a result table as 'csv' or 'svg' (single static line chart)."""
+def emit(table: ResultTable, fmt: str, path: str) -> None:
+    """Write a result table as 'csv' or 'svg', a static line chart of its second column."""
     if not table.rows:
         raise ValueError("refusing to write an empty table")
     if fmt == "csv":
@@ -383,7 +383,7 @@ def emit(table: ResultTable, fmt: str, path: str, y_column: str | None = None) -
                              for row in table.rows)
     elif fmt == "svg":
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_svg_line_chart(table, y_column))
+            fh.write(_svg_line_chart(table))
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
@@ -393,14 +393,10 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _svg_line_chart(table: ResultTable, y_column: str | None) -> str:
-    if y_column is None:
-        if len(table.columns) < 2:
-            raise ValueError("table needs at least two columns for a chart")
-        y_column = table.columns[1]
-    if y_column not in table.columns:
-        raise ValueError(f"unknown column {y_column!r} for SVG output")
-    xi, yi = 0, table.columns.index(y_column)
+def _svg_line_chart(table: ResultTable) -> str:
+    if len(table.columns) < 2:
+        raise ValueError("table needs at least two columns for a chart")
+    xi, yi = 0, 1
     pts = [(float(r[xi]), float(r[yi])) for r in table.rows
            if isinstance(r[xi], (int, float, np.integer, np.floating))
            and isinstance(r[yi], (int, float, np.integer, np.floating))]
@@ -430,7 +426,7 @@ def _svg_line_chart(table: ResultTable, y_column: str | None) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">'
-        f'{escape(y_column)} vs {escape(table.columns[xi])}</text>',
+        f'{escape(table.columns[yi])} vs {escape(table.columns[xi])}</text>',
     ]
     for i in range(5):
         frac = i / 4.0

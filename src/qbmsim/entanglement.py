@@ -1,9 +1,10 @@
 """PPT-based separability tests for Gaussian states.
 
-For a bipartition with a single mode on one side, positivity of the partial
-transpose is necessary and sufficient for separability, so the verdicts here
-are decisions, not just witnesses.  The partial transpose acts on covariance
-matrices by flipping the momentum sign of every environment mode.
+The one bipartition is mode 0, the system, against the bath.  With a single
+mode on one side, positivity of the partial transpose is necessary and
+sufficient for separability, so the verdicts here are decisions, not just
+witnesses.  The partial transpose acts on covariance matrices by flipping the
+momentum sign of every bath mode.
 """
 
 from __future__ import annotations
@@ -63,41 +64,30 @@ class TwoModeBlock:
         return np.block([[self.a, self.c], [np.swapaxes(self.c, -1, -2), self.b]])
 
 
-def partial_transpose(gamma: NDArray[np.float64],
-                      system_modes: Iterable[int] = (0,)) -> NDArray[np.float64]:
-    """Flip the momentum sign of every mode outside system_modes.
+def partial_transpose(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Flip the momentum sign of every mode but mode 0, the system.
 
-    Equivalent to conjugation by a diagonal sign matrix, so applying it
-    twice restores the input exactly.
+    This is the partial transpose across the cut of mode 0 against the bath,
+    conjugation by D = diag(1, 1, 1, -1, ..., 1, -1), so applying it twice
+    restores the input exactly.  Raises ValueError for a covariance with no
+    bath mode.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = gamma.shape[0] // 2
-    sys = set(int(m) for m in system_modes)
-    if not sys or sys >= set(range(n)):
-        raise ValueError("system_modes must be a nonempty proper subset of the modes")
-    if min(sys) < 0 or max(sys) >= n:
-        raise ValueError(f"mode index out of range for {n} modes")
+    if n < 2:
+        raise ValueError("the partial transpose needs at least one bath mode")
     signs = np.ones(2 * n)
-    signs[1::2] = [1.0 if m in sys else -1.0 for m in range(n)]
+    signs[3::2] = -1.0
     return signs[:, None] * gamma * signs[None, :]
 
 
-def ppt_verdict(gamma: NDArray[np.float64],
-                system_modes: Iterable[int] = (0,),
-                tol: float = PPT_TOL) -> EntanglementVerdict:
-    """Decide separability across the given bipartition.
+def ppt_verdict(gamma: NDArray[np.float64], tol: float = PPT_TOL) -> EntanglementVerdict:
+    """Decide whether mode 0 is separable from the bath.
 
-    Requires one side of the bipartition to consist of a single mode, the
-    regime where the PPT criterion is conclusive in both directions.
+    Across this 1 x N cut the PPT criterion is conclusive in both directions
+    (Werner and Wolf, PRL 86, 3658, 2001): see verdict_from_pt_minimum.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    n = gamma.shape[0] // 2
-    sys = set(int(m) for m in system_modes)
-    if min(len(sys), n - len(sys)) >= 2:
-        raise ValueError(
-            "PPT is only conclusive when one side of the bipartition is a single mode"
-        )
-    spec = symplectic_spectrum(partial_transpose(gamma, sys))
+    spec = symplectic_spectrum(partial_transpose(gamma))
     return verdict_from_pt_minimum(float(spec.min()), tol)
 
 
@@ -232,11 +222,11 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
     chol = (l00, c / l00, math.sqrt(pivot))
     root = np.sqrt(thermal_diagonal(omega_bath, beta))
     m, w = modes.mode_matrix, modes.tilde_omegas
-    if root.size // 2 + 1 != w.size:
-        raise ValueError(f"omega_bath has {root.size // 2} modes, "
+    if root.shape[1] + 1 != w.size:
+        raise ValueError(f"omega_bath has {root.shape[1]} modes, "
                          f"the network {w.size - 1} bath modes")
     nu_s = chol[0] * chol[2]
-    nu = root[0::2] * root[1::2]
+    nu = root[0] * root[1]
     # lam_min(gamma_sys) as det / lam_max: the closed form for lam_min cancels
     # on a squeezed state
     lam_min = min(nu_s * nu_s / (0.5 * (a + b) + math.hypot(0.5 * (a - b), c)),
@@ -284,7 +274,7 @@ def _rank_two_terms(times: NDArray[np.float64], m: NDArray[np.float64],
     quad[1, :3] = b1 * b1, a1 * a1, -2.0 * a1 * b1
     quad[2, :3] = b0 * b1, a0 * a1, -(a0 * b1 + b0 * a1)
     quad[3, 3] = b0 * a1 - a0 * b1
-    rx, rp = root[0::2], root[1::2]
+    rx, rp = root
     coef = np.empty((4, times.size, rx.size))
     ax = np.multiply(rx, xx[:, 1:], out=coef[0])
     bx = np.multiply(rx, px[:, 1:], out=coef[1])

@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 #: condition number of Gamma beyond which the Hermitian-form fallback is used
 ILL_CONDITIONED = 1e8
 
-#: default tolerance on symplectic eigenvalues for physicality checks
+#: tolerance on symplectic eigenvalues for physicality checks
 COV_TOL = 1e-9
 
 #: bound on a system state's entries, about 5.8e76: a product of two stays below
@@ -118,17 +118,17 @@ def _modes_of_doubled(two_v: NDArray[np.float64]) -> NormalModes:
 def thermal_diagonal(omegas: NDArray[np.float64], beta: float) -> NDArray[np.float64]:
     """Gibbs covariance of uncoupled oscillators, which is diagonal.
 
-    Returns the interleaved diagonal (f(beta*w)/w, f(beta*w)*w) per
-    frequency w, with f the thermal factor; beta = inf gives the ground
-    state.  Callers place it on the diagonal of a matrix they already own.
+    Returns its diagonal as a (2, n) array, one column per frequency w: row 0
+    holds the position entries f(beta*w)/w and row 1 the momentum entries
+    f(beta*w)*w, with f the thermal factor; beta = inf gives the ground state.
     """
     if not beta > 0.0:
         raise ValueError("beta must be positive")
     omegas = np.asarray(omegas, dtype=float)
     f = np.atleast_1d(thermal_factor(beta * omegas))
-    d = np.empty(2 * omegas.size)
-    d[0::2] = f / omegas
-    d[1::2] = f * omegas
+    d = np.empty((2, f.size))
+    np.divide(f, omegas, out=d[0])
+    np.multiply(f, omegas, out=d[1])
     return d
 
 
@@ -147,9 +147,9 @@ def gibbs_covariance(modes: NormalModes, beta: float) -> NDArray[np.float64]:
 def _gibbs_blocks(modes: NormalModes,
                   beta: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """The n x n position and momentum blocks of gibbs_covariance."""
-    d = thermal_diagonal(modes.tilde_omegas, beta)
+    x, p = thermal_diagonal(modes.tilde_omegas, beta)
     m = modes.mode_matrix
-    return (m * d[0::2]) @ m.T, (m * d[1::2]) @ m.T
+    return (m * x) @ m.T, (m * p) @ m.T
 
 
 def propagator(net: OscillatorNetwork, t: float) -> NDArray[np.float64]:
@@ -314,8 +314,8 @@ def _one_blas_thread() -> Iterator[None]:
     yield
 
 
-def is_valid_covariance(gamma: NDArray[np.float64], tol: float = COV_TOL) -> bool:
-    """True when Gamma is symmetric, positive definite and Gamma + i Sigma >= 0."""
+def is_valid_covariance(gamma: NDArray[np.float64]) -> bool:
+    """True when Gamma is symmetric, positive definite and Gamma + i Sigma >= 0 to COV_TOL."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
         return False
@@ -325,7 +325,7 @@ def is_valid_covariance(gamma: NDArray[np.float64], tol: float = COV_TOL) -> boo
         spec = symplectic_spectrum(gamma)
     except ValueError:
         return False
-    return bool(spec.min() >= 1.0 - tol)
+    return bool(spec.min() >= 1.0 - COV_TOL)
 
 
 def is_pure(gamma: NDArray[np.float64], tol: float = 1e-9) -> bool:

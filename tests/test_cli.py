@@ -731,18 +731,12 @@ def test_svg_output_is_wellformed(tmp_path):
     table = ResultTable(columns=["t", "y"],
                         rows=[(float(x), float(np.cos(x))) for x in xs])
     path = tmp_path / "chart.svg"
-    emit(table, "svg", str(path), y_column="y")
+    emit(table, "svg", str(path))
     root = ET.fromstring(path.read_text(encoding="utf-8"))
     assert root.tag.endswith("svg")
     tags = [el.tag.split("}")[-1] for el in root.iter()]
     assert "polyline" in tags
     assert tags.count("text") >= 11  # title plus two tick labels per gridline
-
-
-def test_svg_rejects_unknown_column(tmp_path):
-    table = ResultTable(columns=["t", "y"], rows=[(0.0, 1.0), (1.0, 2.0)])
-    with pytest.raises(ValueError, match="unknown column"):
-        emit(table, "svg", str(tmp_path / "x.svg"), y_column="z")
 
 
 def test_svg_escape_matches_the_standard_library(tmp_path, monkeypatch):

@@ -113,6 +113,21 @@ def test_embed_orthogonal_layout():
     npt.assert_array_equal(e[0::2, 1::2], np.zeros((2, 2)))
 
 
+def test_thermal_diagonal_rows_are_the_position_and_momentum_entries(rng):
+    omegas = rng.uniform(0.05, 5.0, 17)
+    net = OscillatorNetwork(omegas=np.concatenate(([1.0], omegas)), kappas=np.zeros(17))
+    for beta in (1e-6, 0.3, 2.0, 50.0, np.inf):
+        d = qbmsim.symplectic.thermal_diagonal(omegas, beta)
+        f = thermal_factor(beta * omegas)
+        assert d.shape == (2, 17)
+        assert np.array_equal(d[0], f / omegas) and np.array_equal(d[1], f * omegas)
+        # the dense builder interleaves them as (x1, p1, x2, p2, ...)
+        bath = product_initial_covariance(np.eye(2), net, beta)[2:, 2:]
+        assert np.array_equal(np.diag(bath)[0::2], d[0])
+        assert np.array_equal(np.diag(bath)[1::2], d[1])
+        assert np.array_equal(bath, np.diag(np.diag(bath)))
+
+
 def test_gibbs_single_mode_values():
     net = OscillatorNetwork(omegas=[2.0], kappas=[])
     modes = normal_modes(build_potential_matrix(net))
