@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,9 +25,10 @@ from .entanglement import (
     product_state_pt_minima,
     reduce_two_mode,
 )
-from .model import OscillatorNetwork, SpectralFamily, make_spectral_model
+from .model import OscillatorNetwork
 from .symplectic import (
     COV_TOL,
+    NormalModes,
     _gibbs_blocks,
     _purity_bound,
     is_pure,
@@ -111,6 +112,18 @@ class OnsetReport:
     that every sampled time up to t shows joint entanglement.  onset_order
     and onset_coeff come from fitting 1 - lambda_full ~ coeff * t**order on
     the small-time part of the curve.
+
+    lambda_dot0 is the exact d(lambda)/dt at t = 0 of the leading pair, the
+    probed mode with the least lambda at the first grid time: 0.  Take
+    lambda = d/2 - sqrt(disc) as in lambda_of_block.  The product state has
+    C = 0 at t = 0 and C = O(t), so det C and disc's C terms are O(t^2).  A
+    and B move under their own traceless generators Sigma W_jj, so det A
+    and det B are fixed to first order.  As det A = 1 < det B, sqrt(disc) =
+    (det B - det A)/2 + O(t^2), hence lambda'(0) = 0.  B is the thermal
+    diag(f/w, f w), so det B = f(beta w)^2.  lambda_dot0_fd is its
+    finite-difference check (lambda_dot_finite_difference).  Both are NaN
+    when det B - 1 <= DEGENERATE_DET_B: that bath mode is effectively at
+    zero temperature, and the derivative at t = 0 is one-sided.
     """
 
     times: NDArray[np.float64]
@@ -132,15 +145,6 @@ class OnsetReport:
     @property
     def onset_curve(self) -> list[tuple[float, float]]:
         return list(zip(self.times.tolist(), self.lambda_full.tolist()))
-
-
-@dataclass(frozen=True)
-class ScalingRow:
-    n_env: int
-    delta: float
-    omega_bound: float
-    gamma_ref: float
-    beta_star: float
 
 
 def certificate_constants(net: OscillatorNetwork) -> CertificateConstants:
@@ -648,49 +652,18 @@ def _time_grid(times: NDArray[np.float64]) -> NDArray[np.float64]:
     return times
 
 
-def _require_pure(gamma_sys: NDArray[np.float64]) -> None:
-    """Raise ImpureStateError unless is_pure(gamma_sys, tol=1e-8)."""
-    if not is_pure(gamma_sys, tol=1e-8):
-        raise ImpureStateError(f"system state must be pure (purity residual "
-                               f"{purity_residual(gamma_sys):.3e}, "
-                               f"bound {_purity_bound(gamma_sys, 1e-8):.3e})")
+def lambda_dot_finite_difference(gamma0: NDArray[np.float64], modes: NormalModes,
+                                 env_mode: int) -> float:
+    """Richardson-refined central difference of lambda_t at t = 0, with step _FD_STEP.
 
-
-def lambda_dot_analytic(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
-                        env_mode: int, beta: float) -> float:
-    """Exact d(lambda)/dt at t = 0 for a pure system and a thermal bath: 0.
-
-    Take lambda = d/2 - sqrt(disc) as in lambda_of_block.  At t = 0 the
-    product state has C = 0 and C = O(t), so det C and disc's C terms are
-    O(t^2).  A and B move under their own traceless generators Sigma W_jj,
-    so det A and det B are fixed to first order.  As det A = 1 < det B,
-    sqrt(disc) = (det B - det A)/2 + O(t^2), hence lambda'(0) = 0.  B is the
-    thermal diag(f/w, f w), so det B = f(beta w)^2.  Raises ValueError for an
-    impure system, env_mode outside 1..n_env, or det B - 1 <= DEGENERATE_DET_B
-    (a bath mode effectively at zero temperature).
+    lambda_t is the pair lambda of mode 0 and env_mode in the state gamma0
+    evolved under the normal modes `modes`.
     """
-    _require_pure(gamma_sys)
-    if not 1 <= env_mode <= net.n_env:
-        raise ValueError(f"env_mode must be in 1..{net.n_env}, got {env_mode}")
-    det_b = np.prod(thermal_diagonal(net.omegas[env_mode:env_mode + 1], beta))
-    if det_b - 1.0 <= DEGENERATE_DET_B:
-        raise ValueError(
-            f"bath mode {env_mode} is effectively at zero temperature "
-            f"(det B - 1 = {det_b - 1.0:.3e}); the derivative at t = 0 is one-sided"
-        )
-    return 0.0
-
-
-def lambda_dot_finite_difference(gamma_sys: NDArray[np.float64],
-                                 net: OscillatorNetwork, env_mode: int,
-                                 beta: float) -> float:
-    """Richardson-refined central difference of lambda_t at t = 0, with step _FD_STEP."""
     h = _FD_STEP
-    gamma0 = product_initial_covariance(gamma_sys, net, beta)
     half = h / 2.0
     lam_h, lam_mh, lam_half, lam_mhalf = (
         lambda_of_block(reduce_two_mode(gamma_t, env_mode))
-        for gamma_t in trajectory(gamma0, net.modes, (h, -h, half, -half)))
+        for gamma_t in trajectory(gamma0, modes, (h, -h, half, -half)))
     central_h = (lam_h - lam_mh) / (2.0 * h)
     central_half = (lam_half - lam_mhalf) / (2.0 * half)
     return float((4.0 * central_half - central_h) / 3.0)
@@ -714,7 +687,10 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     that are empty, not finite or not strictly positive.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
-    _require_pure(gamma_sys)
+    if not is_pure(gamma_sys, tol=1e-8):
+        raise ImpureStateError(f"system state must be pure (purity residual "
+                               f"{purity_residual(gamma_sys):.3e}, "
+                               f"bound {_purity_bound(gamma_sys, 1e-8):.3e})")
     if times is None:
         times = np.geomspace(1e-4, 1e-1, 25)
     times = _time_grid(times)
@@ -729,7 +705,7 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     for i, gamma_t in enumerate(trajectory(gamma0, net.modes, times)):
         lam[i] = lambda_of_block(reduce_two_mode(gamma_t, probed))
         pt_min[i] = ppt_verdict(gamma_t).min_pt_symplectic
-    del gamma0, gamma_t  # freed, not stacked under the finite difference's own dense states
+    del gamma_t  # freed, not stacked under the finite difference's own dense states
     entangled = pt_min < 1.0
     passed = bool(entangled.all())
     if passed:
@@ -738,13 +714,11 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
         first_bad = int(np.argmin(entangled))
         epsilon = float(times[first_bad - 1]) if first_bad > 0 else 0.0
     leading = probed[int(np.argmin(lam[0]))]
-    try:
-        ld0 = lambda_dot_analytic(gamma_sys, net, leading, beta)
-    except ValueError:
-        # purity and the mode index hold here: only a zero-temperature mode raises
+    # det B of the leading pair; see OnsetReport for lambda_dot0 = 0
+    if np.prod(thermal_diagonal(net.omegas[leading:leading + 1], beta)) - 1.0 <= DEGENERATE_DET_B:
         ld0 = ld0_fd = float("nan")
     else:
-        ld0_fd = lambda_dot_finite_difference(gamma_sys, net, leading, beta)
+        ld0, ld0_fd = 0.0, lambda_dot_finite_difference(gamma0, net.modes, leading)
     order, coeff = _fit_onset(times, pt_min ** 2)
     return OnsetReport(
         times=times,
@@ -774,29 +748,3 @@ def _fit_onset(times: NDArray[np.float64],
         return float("nan"), float("nan")
     slope, intercept = np.polyfit(np.log(times[keep]), np.log(gap[keep]), 1)
     return float(slope), float(np.exp(intercept))
-
-
-def n_scaling_study(fam: SpectralFamily, ns: list[int],
-                    margin: float = DEFAULT_MARGIN,
-                    omega_sys: float = 1.0) -> list[ScalingRow]:
-    """Certificate constants and critical beta across bath sizes.
-
-    ns must be strictly ascending.  The coupling family keeps the squared
-    coupling norm fixed, so gamma_ref should be independent of N and
-    beta_star should stay bounded away from zero.
-    """
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("bath sizes must be strictly ascending")
-    rows = []
-    for n in ns:
-        net = make_spectral_model(replace(fam, n_env=int(n)), omega_sys=omega_sys)
-        constants = certificate_constants(net)
-        beta_star = critical_beta(net, margin=margin)
-        rows.append(ScalingRow(
-            n_env=int(n),
-            delta=constants.delta,
-            omega_bound=constants.omega_bound,
-            gamma_ref=constants.gamma_ref,
-            beta_star=beta_star,
-        ))
-    return rows

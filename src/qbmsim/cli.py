@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from .certify import (
     ImpureStateError,
     SeparabilityCertificate,
     build_certificate,
+    certificate_constants,
+    critical_beta,
     immediate_entanglement_check,
-    n_scaling_study,
     verify_all_times_separable,
 )
 from .entanglement import PPT_TOL, product_state_pt_minima, verdict_from_pt_minimum
@@ -585,14 +586,16 @@ def run_sweep(config: ExperimentConfig) -> ResultTable:
     for n in sorted(config.sweep_ns):
         t0 = time.perf_counter()
         try:
-            (row,) = n_scaling_study(family, [n], margin=config.margin,
-                                     omega_sys=omega_sys)
-            rows.append((row.n_env, row.delta, row.omega_bound, row.gamma_ref,
-                         row.beta_star, time.perf_counter() - t0, "ok"))
+            net = make_spectral_model(replace(family, n_env=int(n)), omega_sys=omega_sys)
+            constants = certificate_constants(net)
+            beta_star = critical_beta(net, margin=config.margin)
+            rows.append((int(n), constants.delta, constants.omega_bound, constants.gamma_ref,
+                         beta_star, time.perf_counter() - t0, "ok"))
             n_ok += 1
         except (ValueError, FeasibilityError, MemoryError) as exc:
             rows.append((int(n), "", "", "", "", time.perf_counter() - t0,
                          f"error: {exc}"))
+        net = None  # released before the next size is built, on either path
     meta = _base_metadata(config, "sweep")
     meta["n_ok"] = str(n_ok)
     return ResultTable(

@@ -15,7 +15,6 @@ import qbmsim.model
 from qbmsim import (
     FeasibilityError,
     OscillatorNetwork,
-    ScalingRow,
     SeparabilityCertificate,
     SpectralFamily,
     build_certificate,
@@ -26,11 +25,9 @@ from qbmsim import (
     gibbs_covariance,
     immediate_entanglement_check,
     is_valid_covariance,
-    lambda_dot_analytic,
     lambda_dot_finite_difference,
     make_pure_gaussian,
     make_spectral_model,
-    n_scaling_study,
     normal_modes,
     product_initial_covariance,
     reduce_two_mode,
@@ -954,7 +951,7 @@ def test_verify_streams_without_dense_matrices():
 
 def test_lambda_dot_zero_exactly_for_vacuum_decoupled():
     net = OscillatorNetwork(omegas=[1.0, 1.3], kappas=[0.0])
-    assert lambda_dot_analytic(np.eye(2), net, 1, beta=1.0) == 0.0
+    assert immediate_entanglement_check(np.eye(2), net, beta=1.0).lambda_dot0 == 0.0
 
 
 def test_lambda_dot_vanishes_at_t_zero(rng):
@@ -964,35 +961,30 @@ def test_lambda_dot_vanishes_at_t_zero(rng):
         net = random_network(rng, n_env)
         gamma_sys = random_pure_system(rng, r_max=1.2)
         beta = rng.uniform(0.05, 6.0)
-        mode = int(rng.integers(1, n_env + 1))
-        ld = lambda_dot_analytic(gamma_sys, net, mode, beta)
-        assert abs(ld) <= 1e-12
+        report = immediate_entanglement_check(gamma_sys, net, beta,
+                                              times=np.geomspace(1e-3, 1e-1, 4))
+        assert report.lambda_dot0 == 0.0
+        assert abs(report.lambda_dot0_fd) <= 1e-6
 
 
 def test_lambda_dot_matches_finite_difference(rng):
+    # lambda'(0) = 0 for every bath mode, not only the leading one that immediate checks
     for _ in range(30):
         n_env = int(rng.integers(1, 5))
         net = random_network(rng, n_env)
         gamma_sys = random_pure_system(rng, r_max=1.2)
         beta = rng.uniform(0.05, 6.0)
         mode = int(rng.integers(1, n_env + 1))
-        ld = lambda_dot_analytic(gamma_sys, net, mode, beta)
-        fd = lambda_dot_finite_difference(gamma_sys, net, mode, beta)
-        assert abs(ld - fd) <= 1e-6 * max(1.0, abs(fd))
-
-
-def test_lambda_dot_rejects_mixed_system():
-    net = OscillatorNetwork(omegas=[1.0, 1.0], kappas=[0.1])
-    with pytest.raises(ValueError, match="pure"):
-        lambda_dot_analytic(2.0 * np.eye(2), net, 1, beta=1.0)
+        gamma0 = product_initial_covariance(gamma_sys, net, beta)
+        assert abs(lambda_dot_finite_difference(gamma0, net.modes, mode)) <= 1e-6
 
 
 def test_lambda_dot_rejects_frozen_bath_mode():
     # beta*omega ~ 2e5: det B - 1 underflows and the two-sided derivative
-    # stops existing
+    # stops existing, so neither the exact value nor its check is reported
     net = OscillatorNetwork(omegas=[1.0, 2.0], kappas=[0.1])
-    with pytest.raises(ValueError, match="zero temperature"):
-        lambda_dot_analytic(np.eye(2), net, 1, beta=1e5)
+    report = immediate_entanglement_check(np.eye(2), net, beta=1e5)
+    assert math.isnan(report.lambda_dot0) and math.isnan(report.lambda_dot0_fd)
 
 
 def test_lambda_dot_zero_temperature_decision_matches_dense_det():
@@ -1001,30 +993,47 @@ def test_lambda_dot_zero_temperature_decision_matches_dense_det():
         block = reduce_two_mode(product_initial_covariance(np.eye(2), net, beta), mode)
         return np.linalg.det(block.b) - 1.0 <= DEGENERATE_DET_B
 
-    explicit = OscillatorNetwork(omegas=[1.0, 2.0, 0.7], kappas=[0.1, 0.05])
-    # beta * omega around 29, where det B - 1 = 4 e^{-beta omega} crosses 1e-12
-    cases = [(explicit, mode, x / explicit.omegas[mode])
-             for mode in (1, 2) for x in np.linspace(27.0, 31.0, 401)]
+    # one bath mode, so that it is the leading one, at beta * omega around 29,
+    # where det B - 1 = 4 e^{-beta omega} crosses 1e-12
+    cases = [(OscillatorNetwork(omegas=[1.0, omega], kappas=[kappa]), x / omega)
+             for omega, kappa in ((2.0, 0.1), (0.7, 0.05))
+             for x in np.linspace(27.0, 31.0, 401)]
     # the frozen bath of the immediate CLI test: every mode at beta = 1e5
-    frozen = make_spectral_model(SpectralFamily(1.0, 2.0, 0.1, 4))
-    cases += [(frozen, mode, 1e5) for mode in range(1, 5)]
+    cases.append((make_spectral_model(SpectralFamily(1.0, 2.0, 0.1, 4)), 1e5))
     decisions = Counter()
-    for net, mode, beta in cases:
-        degenerate = dense_degenerate(net, mode, beta)
+    for net, beta in cases:
+        report = immediate_entanglement_check(np.eye(2), net, beta, times=np.array([1e-3]))
+        leading = report.probed_modes[int(np.argmin(report.lambda_by_mode[0]))]
+        degenerate = dense_degenerate(net, leading, beta)
         decisions[degenerate] += 1
         if degenerate:
-            with pytest.raises(ValueError, match="zero temperature"):
-                lambda_dot_analytic(np.eye(2), net, mode, beta)
+            assert math.isnan(report.lambda_dot0) and math.isnan(report.lambda_dot0_fd)
         else:
-            assert lambda_dot_analytic(np.eye(2), net, mode, beta) == 0.0
+            assert report.lambda_dot0 == 0.0 and math.isfinite(report.lambda_dot0_fd)
     assert decisions[True] > 4 and decisions[False] > 0
 
 
-def test_lambda_dot_rejects_system_index():
-    net = OscillatorNetwork(omegas=[1.0, 2.0], kappas=[0.1])
-    for env_mode in (0, net.n_env + 1):
-        with pytest.raises(ValueError, match="env_mode must be in 1..1"):
-            lambda_dot_analytic(np.eye(2), net, env_mode, beta=1.0)
+def test_immediate_builds_the_initial_state_once(monkeypatch):
+    """The finite difference evolves the very Gamma_0 that the onset curve came from."""
+    built, differenced = [], []
+    build = qbmsim.certify.product_initial_covariance
+    difference = qbmsim.certify.lambda_dot_finite_difference
+
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def recording_difference(gamma0, modes, env_mode):
+        differenced.append(gamma0)
+        return difference(gamma0, modes, env_mode)
+
+    monkeypatch.setattr(qbmsim.certify, "product_initial_covariance", counting_build)
+    monkeypatch.setattr(qbmsim.certify, "lambda_dot_finite_difference", recording_difference)
+    report = immediate_entanglement_check(make_pure_gaussian(1.0, 0.3),
+                                          make_spectral_model(OHMIC), beta=1.0)
+    assert len(built) == 1 and len(differenced) == 1
+    assert differenced[0] is built[0]
+    assert report.lambda_dot0 == 0.0 and abs(report.lambda_dot0_fd) <= 1e-6
 
 
 # ------------------------------------------------------------- onset report
@@ -1112,18 +1121,16 @@ def test_purity_gate_accepts_strongly_squeezed_pure_states(r, theta):
     # (theta = 1), both above the old absolute gate of 1e-8
     net = make_spectral_model(OHMIC)
     gamma_sys = make_pure_gaussian(r, theta)
-    assert lambda_dot_analytic(gamma_sys, net, 1, beta=1.0) == 0.0
     report = immediate_entanglement_check(gamma_sys, net, beta=1.0,
                                           times=np.geomspace(1e-3, 1e-1, 4))
     assert report.passed
+    assert report.lambda_dot0 == 0.0
 
 
 def test_purity_gate_rejects_a_slightly_mixed_state():
     net = make_spectral_model(OHMIC)
     mixed = 1.0001 * make_pure_gaussian(1.0, 0.3)  # purity residual 2.8e-4
-    with pytest.raises(ValueError, match="pure"):
-        lambda_dot_analytic(mixed, net, 1, beta=1.0)
-    with pytest.raises(ValueError, match="pure"):
+    with pytest.raises(ImpureStateError, match="pure"):
         immediate_entanglement_check(mixed, net, beta=1.0)
 
 
@@ -1137,23 +1144,25 @@ def test_immediate_rejects_bad_time_grid(times, match):
 # ------------------------------------------------------------- bath scaling
 
 
+def scaling_rows(fam, ns):
+    """(certificate constants, critical beta) of the family at each bath size."""
+    rows = []
+    for n in ns:
+        net = make_spectral_model(replace(fam, n_env=n))
+        rows.append((certificate_constants(net), critical_beta(net)))
+    return rows
+
+
 def test_scaling_study_constant_gamma():
-    rows = n_scaling_study(OHMIC, [2, 4, 8, 16])
-    assert [r.n_env for r in rows] == [2, 4, 8, 16]
-    gammas = np.array([r.gamma_ref for r in rows])
+    rows = scaling_rows(OHMIC, [2, 4, 8, 16])
+    gammas = np.array([c.gamma_ref for c, _ in rows])
     npt.assert_allclose(gammas, gammas[0], atol=1e-12)
-    deltas = np.array([r.delta for r in rows])
+    deltas = np.array([c.delta for c, _ in rows])
     npt.assert_allclose(deltas, 2.0 * OHMIC.coupling_norm, rtol=1e-12)
-    assert all(isinstance(r, ScalingRow) and r.beta_star > 0.0 for r in rows)
-
-
-def test_scaling_study_requires_ascending_sizes():
-    with pytest.raises(ValueError, match="ascending"):
-        n_scaling_study(OHMIC, [4, 4, 8])
+    assert all(beta_star > 0.0 for _, beta_star in rows)
 
 
 def test_scaling_study_weak_coupling_limit():
     fam = replace(OHMIC, coupling_norm=1e-8)
-    rows = n_scaling_study(fam, [2, 4])
-    for row in rows:
-        assert abs(row.beta_star - row.gamma_ref) <= 1e-4
+    for constants, beta_star in scaling_rows(fam, [2, 4]):
+        assert abs(beta_star - constants.gamma_ref) <= 1e-4

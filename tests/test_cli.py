@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import qbmsim.entanglement
 import qbmsim.symplectic
 from qbmsim import (
     INCONCLUSIVE,
+    FeasibilityError,
     build_certificate,
     build_potential_matrix,
     build_quadratic_form,
@@ -651,16 +653,17 @@ def test_sweep_all_failed_exits_one(tmp_path, capsys):
 
 def test_sweep_size_that_cannot_be_allocated_is_an_error_row(tmp_path, capsys, monkeypatch):
     # the failure is raised, not provoked: an allocation of 7 TiB is refused by
-    # heuristic overcommit, but a host that always overcommits might grant it
+    # heuristic overcommit, but a host that always overcommits might grant it.  The
+    # network's (n+1)^2 potential matrix is the first allocation of that size
     error = MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000001, 1000001)")
-    study = qbmsim.cli.n_scaling_study
+    build = qbmsim.cli.make_spectral_model
 
-    def failing_at_a_million(fam, ns, **kwargs):
-        if ns == [1000000]:
+    def failing_at_a_million(fam, **kwargs):
+        if fam.n_env == 1000000:
             raise error
-        return study(fam, ns, **kwargs)
+        return build(fam, **kwargs)
 
-    monkeypatch.setattr(qbmsim.cli, "n_scaling_study", failing_at_a_million)
+    monkeypatch.setattr(qbmsim.cli, "make_spectral_model", failing_at_a_million)
     config = write_config(tmp_path, {"model": dict(FAMILY), "sweep_ns": [8, 1000000]})
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", config, "--out", out]) == 0
@@ -669,6 +672,31 @@ def test_sweep_size_that_cannot_be_allocated_is_an_error_row(tmp_path, capsys, m
     assert rows[0][0] == "8" and rows[0][6] == "ok"
     assert rows[1][0] == "1000000" and rows[1][6] == f"error: {error}"
     assert "result: OK" in capsys.readouterr().out
+
+
+def test_sweep_holds_one_network_at_a_time(monkeypatch):
+    # each size's network, (n+1)^2 arrays at scale, is released before the next one
+    # is built, also after a size that failed; the sizes run in ascending order
+    build, bisect = qbmsim.cli.make_spectral_model, qbmsim.cli.critical_beta
+    built = []
+
+    def checked_build(fam, **kwargs):
+        assert all(ref() is None for ref in built), "an earlier network is still alive"
+        net = build(fam, **kwargs)
+        built.append(weakref.ref(net))
+        return net
+
+    def failing_at_four(net, **kwargs):
+        if net.n_env == 4:
+            raise FeasibilityError("no beta at this size")
+        return bisect(net, **kwargs)
+
+    monkeypatch.setattr(qbmsim.cli, "make_spectral_model", checked_build)
+    monkeypatch.setattr(qbmsim.cli, "critical_beta", failing_at_four)
+    table = run_sweep(parse_config({"model": dict(FAMILY), "sweep_ns": [8, 4, 2, 16]}))
+    assert [row[0] for row in table.rows] == [2, 4, 8, 16]
+    assert [row[6] for row in table.rows] == ["ok", "error: no beta at this size", "ok", "ok"]
+    assert len(built) == 4
 
 
 def test_sweep_bad_omega_sys_is_a_config_error(tmp_path, capsys):
@@ -1217,6 +1245,21 @@ def test_every_subcommand_runs_with_scipy_unimportable(tmp_path):
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("result: OK") == 4
+
+
+def test_readme_library_example_runs_with_scipy_unimportable():
+    # the documented public API, the sweep row from its primitives included,
+    # runs on numpy alone and raises no warning
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library"):]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    src = str(Path(qbmsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c",
+                           "import sys; sys.modules['scipy'] = None\n" + example],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("True ")
 
 
 #: what xml.sax.saxutils pulled in: urllib.request, http.client, email, ssl, socket
