@@ -316,10 +316,6 @@ class _GapBlock:
         n = self.off.shape[0]
         return (slice(i, min(i + self.rows, n)) for i in range(0, n, self.rows))
 
-    def _product(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        """E v: one BLAS matvec on the view, which copies nothing."""
-        return self.off @ v
-
     def decide(self, d: NDArray[np.float64], margin: float) -> bool:
         """True exactly when np.linalg.cholesky accepts this block's gap."""
         verdict = self.prove(d, margin)
@@ -395,13 +391,14 @@ class _GapBlock:
         s = np.sqrt(w)
         # |K_ij| <= v_i v_j for v = s sqrt(diag E) when E is a covariance: a cold start
         y = s * np.sqrt(np.abs(self.diag)) if self.y is None else self.y
-        x = s * self._product(s * y)
+        # E v is one BLAS matvec on the view of the reference block, which copies nothing
+        x = s * (self.off @ (s * y))
         for _ in range(_POWER_STEPS):
             norm = math.sqrt(float(x @ x))
             if not 0.0 < norm < math.inf:
                 return None
             y = x / norm
-            x = s * self._product(s * y)
+            x = s * (self.off @ (s * y))
         self.y = y
         yy = float(y @ y)
         c = float(y @ x) / yy

@@ -61,23 +61,23 @@ _MAX_SQUEEZING = math.log(_MAX_STATE_CONDITION) / 4.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: dict
+    """A config as parse_config checks it: each value built once, for the workflows to read."""
+
+    #: the bath: a coupling family, or explicit (omegas, kappas) with omegas[0] the system's
+    model: SpectralFamily | tuple[list[float], list[float]]
+    #: the system frequency of a family model
+    omega_sys: float = 1.0
     version: int = 1
     beta: float | None = None
-    system_state: dict = field(default_factory=lambda: {"kind": "vacuum"})
+    #: the system's initial covariance, or None for the certificate state
+    gamma_sys: np.ndarray | None = field(default_factory=lambda: np.eye(2))
+    #: start, stop, points and spacing, with spacing's default filled in
     time_grid: dict | None = None
-    tolerances: dict = field(default_factory=dict)
+    ppt_tol: float = PPT_TOL
+    margin: float = DEFAULT_MARGIN
     seed: int = 0
     sweep_ns: list[int] | None = None
     raw: dict = field(default_factory=dict)
-
-    @property
-    def ppt_tol(self) -> float:
-        return float(self.tolerances.get("ppt", PPT_TOL))
-
-    @property
-    def margin(self) -> float:
-        return float(self.tolerances.get("margin", DEFAULT_MARGIN))
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -96,6 +96,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(
             "model: exactly one of {omegas, kappas} or {family} must be given"
         )
+    omega_sys = 1.0
     if has_explicit:
         _check_keys(model, "model", required=("omegas", "kappas"))
         for key in ("omegas", "kappas"):
@@ -105,6 +106,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"model.omegas[{i}]: must be positive, got {w!r}")
         if not model["kappas"]:
             raise ConfigError("model.kappas: the bath needs at least one mode")
+        bath = (model["omegas"], model["kappas"])
     else:
         _check_keys(model, "model", required=("family",))
         fam = model["family"]
@@ -119,22 +121,21 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not _is_number(omega_sys) or omega_sys <= 0:
             raise ConfigError("model.family.omega_sys: must be a positive finite number, "
                               f"got {omega_sys!r}")
-        if fam["omega_max"] <= 0:
-            raise ConfigError("model.family.omega_max: must be positive")
-        if fam["coupling_norm"] < 0:
-            raise ConfigError("model.family.coupling_norm: must be nonnegative")
-        if int(fam["n_env"]) != fam["n_env"] or fam["n_env"] < 1:
-            raise ConfigError("model.family.n_env: must be a positive integer")
+        try:
+            bath = SpectralFamily(exponent=float(fam["p"]), omega_max=float(fam["omega_max"]),
+                                  coupling_norm=float(fam["coupling_norm"]), n_env=fam["n_env"])
+            _check_squares(np.array([omega_sys], dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"model: {exc}") from exc
     beta = data.get("beta")
     if beta is not None:
         if not _is_number(beta) or beta <= 0:
             raise ConfigError(f"beta: must be a positive finite number, got {beta!r}")
         beta = float(beta)
-    state = data.get("system_state", {"kind": "vacuum"})
-    _validate_state(state)
+    gamma_sys = _system_state(data.get("system_state", {"kind": "vacuum"}))
     grid = data.get("time_grid")
     if grid is not None:
-        _validate_grid(grid)
+        grid = _time_grid(grid)
     tol = data.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: must be an object")
@@ -152,8 +153,10 @@ def parse_config(data: dict) -> ExperimentConfig:
                 or not all(_is_int(n) for n in sweep_ns)
                 or len(set(sweep_ns)) != len(sweep_ns)):
             raise ConfigError("sweep_ns: must be a nonempty list of distinct integers")
-    return ExperimentConfig(model=model, version=version, beta=beta,
-                            system_state=state, time_grid=grid, tolerances=tol,
+    return ExperimentConfig(model=bath, omega_sys=float(omega_sys), version=version, beta=beta,
+                            gamma_sys=gamma_sys, time_grid=grid,
+                            ppt_tol=float(tol.get("ppt", PPT_TOL)),
+                            margin=float(tol.get("margin", DEFAULT_MARGIN)),
                             seed=seed, sweep_ns=sweep_ns, raw=data)
 
 
@@ -187,7 +190,8 @@ def _require_number_list(value, name: str) -> None:
         raise ConfigError(f"{name}: must be a list of numbers")
 
 
-def _validate_state(state) -> None:
+def _system_state(state) -> np.ndarray | None:
+    """The system's initial covariance; None for the certificate, built per network."""
     if not isinstance(state, dict) or "kind" not in state:
         raise ConfigError("system_state: must be an object with a 'kind' key")
     kind = state["kind"]
@@ -202,6 +206,7 @@ def _validate_state(state) -> None:
             raise ConfigError(
                 f"system_state.r: |r| must be at most {_MAX_SQUEEZING:.4f} = ln(2^52)/4, "
                 f"beyond which double precision cannot evolve the state; got {state['r']!r}")
+        return make_pure_gaussian(float(state["r"]), float(state["theta"]))
     if kind == "matrix":
         entries = state.get("entries")
         if (not isinstance(entries, list) or len(entries) != 2
@@ -224,9 +229,11 @@ def _validate_state(state) -> None:
             raise ConfigError(
                 "system_state.entries: not a valid single-mode covariance matrix"
             )
+        return m
+    return np.eye(2) if kind == "vacuum" else None
 
 
-def _validate_grid(grid) -> None:
+def _time_grid(grid) -> dict:
     if not isinstance(grid, dict):
         raise ConfigError("time_grid: must be an object")
     _check_keys(grid, "time_grid", required=("start", "stop", "points"),
@@ -246,6 +253,7 @@ def _validate_grid(grid) -> None:
         raise ConfigError("time_grid.start: must be positive for log spacing")
     if start < 0:
         raise ConfigError("time_grid.start: must be nonnegative")
+    return {**grid, "spacing": spacing}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -281,29 +289,16 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _grid_times(grid: dict) -> np.ndarray:
-    spacing = grid.get("spacing", "linear")
-    if spacing == "log":
+    if grid["spacing"] == "log":
         return np.geomspace(grid["start"], grid["stop"], grid["points"])
     return np.linspace(grid["start"], grid["stop"], grid["points"])
 
 
-def _spectral_family(config: ExperimentConfig) -> tuple[SpectralFamily, float]:
-    """The config's coupling family and system frequency omega_sys."""
-    fam = config.model["family"]
-    family = SpectralFamily(exponent=float(fam["p"]),
-                            omega_max=float(fam["omega_max"]),
-                            coupling_norm=float(fam["coupling_norm"]),
-                            n_env=int(fam["n_env"]))
-    return family, float(fam.get("omega_sys", 1.0))
-
-
 def _materialize_network(config: ExperimentConfig) -> OscillatorNetwork:
     try:
-        if "family" in config.model:
-            family, omega_sys = _spectral_family(config)
-            return make_spectral_model(family, omega_sys=omega_sys)
-        return OscillatorNetwork(omegas=np.asarray(config.model["omegas"], float),
-                                 kappas=np.asarray(config.model["kappas"], float))
+        if isinstance(config.model, SpectralFamily):
+            return make_spectral_model(config.model, omega_sys=config.omega_sys)
+        return OscillatorNetwork(*config.model)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -315,17 +310,9 @@ def _system_covariance(config: ExperimentConfig, net: OscillatorNetwork, power: 
     thermal factor: evolve's rank-two kernel forms f^2 = (f/w)(f w), and
     immediate's pair discriminant squares det B = f^2.
     """
-    kind = config.system_state["kind"]
-    if kind == "certificate":
+    if config.gamma_sys is None:
         cert = build_certificate(net, margin=config.margin)
         return cert.gamma0_sys, cert.beta
-    if kind == "vacuum":
-        gamma_sys = np.eye(2)
-    elif kind == "squeezed":
-        gamma_sys = make_pure_gaussian(float(config.system_state["r"]),
-                                       float(config.system_state["theta"]))
-    else:
-        gamma_sys = np.asarray(config.system_state["entries"], dtype=float)
     if config.beta is None:
         raise ConfigError("beta: required unless system_state.kind is 'certificate'")
     with np.errstate(over="ignore"):
@@ -340,7 +327,7 @@ def _system_covariance(config: ExperimentConfig, net: OscillatorNetwork, power: 
     if not math.isfinite(f_power):
         raise ConfigError(f"beta: {config.beta!r} is too small; the bath's thermal factor "
                           f"f(beta w)^{power} overflows double precision")
-    return gamma_sys, config.beta
+    return config.gamma_sys, config.beta
 
 
 @dataclass
@@ -376,7 +363,7 @@ def emit(table: ResultTable, fmt: str, path: str) -> None:
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             for key in sorted(table.metadata):
-                fh.write(f"# {key}: {table.metadata[key]}\n")
+                fh.write(f"# {key}: {_format_cell(table.metadata[key])}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(table.columns)
             # a Python float, the common cell, skips _format_cell's type dispatch
@@ -459,7 +446,7 @@ def _base_metadata(config: ExperimentConfig, command: str) -> dict:
         "artifact_version": __version__,
         "command": command,
         "config": json.dumps(config.raw, sort_keys=True, separators=(",", ":")),
-        "seed": str(config.seed),
+        "seed": config.seed,
     }
 
 
@@ -485,7 +472,7 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
     rows = [(float(t), v.min_pt_symplectic, v.log_negativity, energy, min_symplectic)
             for t, v in zip(times, verdicts)]
     meta = _base_metadata(config, "evolve")
-    meta["beta"] = _format_cell(float(beta))
+    meta["beta"] = float(beta)
     meta["wall_clock_s"] = f"{time.perf_counter() - t0:.6f}"
     return ResultTable(
         columns=["t", "min_pt_symplectic", "log_negativity", "mean_energy",
@@ -507,9 +494,8 @@ def run_certify(config: ExperimentConfig) -> tuple[ResultTable, SeparabilityCert
     meta = _base_metadata(config, "certify")
     cert_fields = certificate_to_dict(cert)
     cert_fields.update(cert_fields.pop("constants"), min_pt_overall=report.min_pt)
-    meta.update({key: _format_cell(value) for key, value in cert_fields.items()})
-    meta["gamma0_sys"] = json.dumps(cert_fields["gamma0_sys"])
-    meta["passed"] = str(report.passed)
+    meta.update(cert_fields, gamma0_sys=json.dumps(cert_fields["gamma0_sys"]),
+                passed=report.passed)
     meta["wall_clock_s"] = f"{time.perf_counter() - t0:.6f}"
     table = ResultTable(columns=["t", "min_pt_symplectic"], rows=rows, metadata=meta)
     return table, cert
@@ -557,13 +543,13 @@ def run_immediate(config: ExperimentConfig):
     rows = [(0.0, *lam0.tolist(), pt0 ** 2, pt0), *map(tuple, curves.tolist())]
     meta = _base_metadata(config, "immediate")
     meta.update({
-        "beta": _format_cell(float(beta)),
-        "lambda_dot0": _format_cell(report.lambda_dot0),
-        "lambda_dot0_fd": _format_cell(report.lambda_dot0_fd),
-        "onset_order": _format_cell(report.onset_order),
-        "onset_coeff": _format_cell(report.onset_coeff),
-        "epsilon_found": _format_cell(report.epsilon_found),
-        "passed": str(report.passed),
+        "beta": float(beta),
+        "lambda_dot0": report.lambda_dot0,
+        "lambda_dot0_fd": report.lambda_dot0_fd,
+        "onset_order": report.onset_order,
+        "onset_coeff": report.onset_coeff,
+        "epsilon_found": report.epsilon_found,
+        "passed": report.passed,
     })
     meta["wall_clock_s"] = f"{time.perf_counter() - t0:.6f}"
     table = ResultTable(columns=["t", *lam_cols, "lambda_full", "min_pt_symplectic"],
@@ -574,19 +560,14 @@ def run_immediate(config: ExperimentConfig):
 def run_sweep(config: ExperimentConfig) -> ResultTable:
     if config.sweep_ns is None:
         raise ConfigError("sweep_ns: required for sweep")
-    if "family" not in config.model:
+    if not isinstance(config.model, SpectralFamily):
         raise ConfigError("model.family: sweep requires a spectral-family model")
-    family, omega_sys = _spectral_family(config)
-    try:  # every size has these frequencies
-        _check_squares(np.array([omega_sys, family.omega_max]))
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
     rows = []
     n_ok = 0
     for n in sorted(config.sweep_ns):
         t0 = time.perf_counter()
         try:
-            net = make_spectral_model(replace(family, n_env=int(n)), omega_sys=omega_sys)
+            net = make_spectral_model(replace(config.model, n_env=n), omega_sys=config.omega_sys)
             constants = certificate_constants(net)
             beta_star = critical_beta(net, margin=config.margin)
             rows.append((int(n), constants.delta, constants.omega_bound, constants.gamma_ref,
@@ -597,7 +578,7 @@ def run_sweep(config: ExperimentConfig) -> ResultTable:
                          f"error: {exc}"))
         net = None  # released before the next size is built, on either path
     meta = _base_metadata(config, "sweep")
-    meta["n_ok"] = str(n_ok)
+    meta["n_ok"] = n_ok
     return ResultTable(
         columns=["n_env", "delta", "omega_bound", "gamma_ref", "beta_star",
                  "wall_clock_s", "status"],
@@ -647,13 +628,13 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(certificate_to_dict(cert), fh, indent=2, sort_keys=True)
                 fh.write("\n")
             print(f"certificate written to {cert_path}")
-            failed = table.metadata["passed"] != "True"
+            failed = not table.metadata["passed"]
         elif args.command == "immediate":
             table, report = run_immediate(config)
             failed = not report.passed
         else:
             table = run_sweep(config)
-            failed = int(table.metadata["n_ok"]) == 0
+            failed = table.metadata["n_ok"] == 0
         emit(table, args.format, args.out)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

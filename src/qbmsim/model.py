@@ -90,6 +90,8 @@ class SpectralFamily:
     Bath frequencies are the uniform grid j*omega_max/n_env for j = 1..n_env
     and the couplings are normalised so that sum(kappa**2) == coupling_norm.
     exponent 1 is the linear (Ohmic-like) family; <1 softer, >1 stiffer.
+    Raises ValueError for a family that builds no network, such as a sum of
+    omega_j**(2 * exponent) that is 0 or inf in doubles; n_env 4.0 is kept as 4.
     """
 
     exponent: float
@@ -98,12 +100,29 @@ class SpectralFamily:
     n_env: int
 
     def __post_init__(self) -> None:
-        if self.omega_max <= 0.0:
+        if not self.omega_max > 0.0:
             raise ValueError("omega_max must be positive")
-        if self.coupling_norm < 0.0:
+        if not self.coupling_norm >= 0.0:
             raise ValueError("coupling_norm must be nonnegative")
-        if self.n_env < 1:
-            raise ValueError("n_env must be at least 1")
+        if not (self.n_env >= 1 and float(self.n_env).is_integer()):
+            raise ValueError("n_env must be a positive integer")
+        object.__setattr__(self, "n_env", int(self.n_env))
+        total = _bath_weights(self)[2]
+        if not 0.0 < total < np.inf:
+            raise ValueError(
+                f"sum of omega_j^(2p) over the bath is {total:g} in double precision; "
+                "omega_max and p leave no coupling weights to normalise")
+        # every network of the family, whatever its n_env, has omega_max on V's diagonal
+        _check_squares(np.array([self.omega_max]))
+
+
+def _bath_weights(fam: SpectralFamily) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
+    """The bath frequencies, their weights omega_j**exponent and the sum of squared weights."""
+    j = np.arange(1, fam.n_env + 1, dtype=float)
+    omega_env = j * fam.omega_max / fam.n_env
+    with np.errstate(over="ignore"):
+        weights = omega_env**fam.exponent
+        return omega_env, weights, np.sum(weights**2)
 
 
 def _check_squares(omegas: NDArray[np.float64]) -> None:
@@ -184,18 +203,9 @@ def make_spectral_model(fam: SpectralFamily,
     Bath frequencies are j*omega_max/n_env for j = 1..n_env; couplings are
     alpha * omega_j**exponent with alpha chosen so that the squared coupling
     norm equals fam.coupling_norm exactly. Raises ValueError if the requested
-    norm makes the stiffness matrix lose positive definiteness, or if the sum
-    of omega_j**(2 * exponent) is zero or not finite in double precision.
+    norm makes the stiffness matrix lose positive definiteness.
     """
-    j = np.arange(1, fam.n_env + 1, dtype=float)
-    omega_env = j * fam.omega_max / fam.n_env
-    with np.errstate(over="ignore"):
-        weights = omega_env**fam.exponent
-        total = np.sum(weights**2)
-    if not 0.0 < total < np.inf:
-        raise ValueError(
-            f"sum of omega_j^(2p) over the bath is {total:g} in double precision; "
-            "omega_max and p leave no coupling weights to normalise")
+    omega_env, weights, total = _bath_weights(fam)
     alpha = np.sqrt(fam.coupling_norm / total)
     kappas = alpha * weights
     omegas = np.concatenate(([float(omega_sys)], omega_env))

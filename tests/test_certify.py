@@ -639,10 +639,11 @@ def test_bisection_without_bounds_is_the_plain_cholesky_bisection(monkeypatch, r
 def test_block_proved_feasible_once_is_skipped_after(monkeypatch):
     # the momentum block never binds on network Gibbs states: once proved
     # feasible, every later and smaller beta skips its O(n^2) bounds.  Every
-    # O(n^2) pass over E is a Frobenius sweep through the row chunks or a matvec
+    # O(n^2) pass over E is a Frobenius sweep through the row chunks or one of
+    # the 1 + _POWER_STEPS matvecs of a power call
     blocks, sweeps = [], Counter()
     block_type = qbmsim.certify._GapBlock
-    init, chunks, product = block_type.__init__, block_type._chunks, block_type._product
+    init, chunks, power = block_type.__init__, block_type._chunks, block_type._power
 
     def recording_init(self, env):
         blocks.append(self)
@@ -652,13 +653,13 @@ def test_block_proved_feasible_once_is_skipped_after(monkeypatch):
         sweeps[id(self)] += 1
         return chunks(self)
 
-    def counting_product(self, v):
-        sweeps[id(self)] += 1
-        return product(self, v)
+    def counting_power(self, w):
+        sweeps[id(self)] += 1 + qbmsim.certify._POWER_STEPS
+        return power(self, w)
 
     monkeypatch.setattr(block_type, "__init__", recording_init)
     monkeypatch.setattr(block_type, "_chunks", counting_chunks)
-    monkeypatch.setattr(block_type, "_product", counting_product)
+    monkeypatch.setattr(block_type, "_power", counting_power)
     critical_beta(make_spectral_model(replace(OHMIC, n_env=256)))
     position, momentum = (sweeps[id(b)] for b in blocks)
     assert position > 20

@@ -102,7 +102,7 @@ def test_parse_minimal_defaults():
     assert config.version == 1
     assert config.beta == 1.0
     assert config.seed == 0
-    assert config.system_state == {"kind": "vacuum"}
+    npt.assert_array_equal(config.gamma_sys, np.eye(2))
     assert config.ppt_tol == 1e-9
     assert config.margin == 1e-6
 
@@ -178,6 +178,9 @@ def test_parse_tolerance_overrides():
     *[({"model": {"family": {**FAMILY["family"], "omega_sys": w0}}, "beta": 1.0},
        "model.family.omega_sys: ") for w0 in ("x", True, 0, -1.0)],
     ({"model": {"omegas": [1.0], "kappas": []}, "beta": 1.0}, "model.kappas: "),
+    ({"model": {"family": [1.0, 2.0, 0.1, 4]}, "beta": 1.0}, "model.family: must be an object"),
+    (minimal(tolerances=[1e-9, 1e-6]), "tolerances: must be an object"),
+    (minimal(time_grid=[0.0, 1.0, 5]), "time_grid: must be an object"),
 ])
 def test_parse_rejects_and_names_the_field(data, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -452,7 +455,7 @@ def test_certify_metadata_roundtrip():
     grid = {"start": 0.0, "stop": 20.0, "points": 50}
     table, cert = run_certify(parse_config({"model": dict(FAMILY),
                                             "time_grid": grid}))
-    assert table.metadata["passed"] == "True"
+    assert table.metadata["passed"] is True
     # 17 significant digits round-trip float64 exactly
     net = make_spectral_model(SpectralFamily(1.0, 2.0, 0.1, 4))
     assert float(table.metadata["beta_star"]) == critical_beta(net)
@@ -491,7 +494,7 @@ def test_immediate_prepends_separable_origin():
     first = table.rows[0]
     assert first[0] == 0.0
     npt.assert_allclose(first[1:], 1.0, atol=1e-12)
-    assert table.metadata["passed"] == "True"
+    assert table.metadata["passed"] is True
     assert float(table.metadata["epsilon_found"]) > 0.0
 
 
@@ -697,6 +700,41 @@ def test_sweep_holds_one_network_at_a_time(monkeypatch):
     assert [row[0] for row in table.rows] == [2, 4, 8, 16]
     assert [row[6] for row in table.rows] == ["ok", "error: no beta at this size", "ok", "ok"]
     assert len(built) == 4
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n_env": 2.5}, "n_env must be a positive integer"),
+    ({"omega_max": 0}, "omega_max must be positive"),
+    ({"coupling_norm": -0.1}, "coupling_norm must be nonnegative"),
+    ({"p": 0.5, "omega_max": 1e200}, "squared frequency (1e+200)^2 overflows double precision"),
+    ({"omega_max": 1e200}, "sum of omega_j^(2p) over the bath is inf in double precision"),
+])
+@pytest.mark.parametrize("command", ["evolve", "certify", "immediate", "sweep"])
+def test_main_reports_a_family_error_as_a_model_error(tmp_path, capsys, command, change,
+                                                      message):
+    # before, n_env 2.5 built 3 bath modes at 0.8, 1.6 and 2.4, past omega_max 2
+    data = {"model": {"family": {**FAMILY["family"], **change}}, "beta": 1.0,
+            "time_grid": {"start": 1e-3, "stop": 1.0, "points": 4}, "sweep_ns": [2, 4]}
+    config = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", config, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: model: {message}"), err
+    assert len(err.splitlines()) == 1
+
+
+def test_one_size_sweep_as_svg(tmp_path):
+    # one n_env is a degenerate x range, which the chart widens to [n, n + 1]
+    config = write_config(tmp_path, {"model": dict(FAMILY), "sweep_ns": [4]})
+    out = tmp_path / "sweep.svg"
+    assert main(["sweep", "--config", config, "--out", str(out), "--format", "svg"]) == 0
+    root = ET.parse(out).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    # the title, then an x and a y tick label per gridline
+    assert labels[1::2] == ["4", "4.25", "4.5", "4.75", "5"]
 
 
 def test_sweep_bad_omega_sys_is_a_config_error(tmp_path, capsys):

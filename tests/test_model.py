@@ -146,6 +146,26 @@ def test_quadratic_form_matches_hamiltonian(rng):
         npt.assert_allclose(h_form, h_direct, rtol=1e-12)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 2.0, 0.1, 2.5), "n_env must be a positive integer"),
+    ((1.0, 0.0, 0.1, 4), "omega_max must be positive"),
+    ((1.0, 2.0, -0.1, 4), "coupling_norm must be nonnegative"),
+    ((0.5, 1e200, 0.1, 4), "squared frequency (1e+200)^2 overflows double precision"),
+    ((1.0, 1e200, 0.1, 4), "sum of omega_j^(2p) over the bath is inf in double precision"),
+])
+def test_spectral_family_rejects_a_family_that_builds_no_network(args, message):
+    # before, n_env 2.5 built 3 bath modes at 0.8, 1.6 and 2.4, past omega_max 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            SpectralFamily(*args)
+
+
+def test_spectral_family_keeps_an_integral_float_size_as_an_int():
+    family = SpectralFamily(1.0, 2.0, 0.1, 4.0)
+    assert family == SpectralFamily(1.0, 2.0, 0.1, 4) and type(family.n_env) is int
+
+
 def test_spectral_model_single_mode():
     fam = SpectralFamily(exponent=1.0, omega_max=1.0, coupling_norm=0.04, n_env=1)
     net = make_spectral_model(fam)
