@@ -15,6 +15,7 @@ network diagonalises V once, on construction, and keeps the result as its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,22 +108,37 @@ class SpectralFamily:
         if not (self.n_env >= 1 and float(self.n_env).is_integer()):
             raise ValueError("n_env must be a positive integer")
         object.__setattr__(self, "n_env", int(self.n_env))
-        total = _bath_weights(self)[2]
-        if not 0.0 < total < np.inf:
-            raise ValueError(
-                f"sum of omega_j^(2p) over the bath is {total:g} in double precision; "
-                "omega_max and p leave no coupling weights to normalise")
+        # the largest squared weight decides the sum wherever n_env of it, with slack, stay
+        # finite: then a family whose n_env no workflow runs, a sweep's, allocates nothing
+        with np.errstate(over="ignore"):
+            top = float(np.max(_weights_at(self, np.array([1.0, self.n_env]))[1] ** 2))
+        if not (0.0 < top and 2.0 * self.n_env * top < math.inf):  # a NaN fails too
+            # a top of 0 or inf is the sum's; between, it must be summed as it was
+            total = top if top in (0.0, math.inf) else _bath_weights(self)[2]
+            if not 0.0 < total < np.inf:
+                raise ValueError(
+                    f"sum of omega_j^(2p) over the bath is {total:g} in double precision; "
+                    "omega_max and p leave no coupling weights to normalise")
         # every network of the family, whatever its n_env, has omega_max on V's diagonal
         _check_squares(np.array([self.omega_max]))
 
 
 def _bath_weights(fam: SpectralFamily) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
     """The bath frequencies, their weights omega_j**exponent and the sum of squared weights."""
-    j = np.arange(1, fam.n_env + 1, dtype=float)
+    omega_env, weights = _weights_at(fam, np.arange(1, fam.n_env + 1, dtype=float))
+    with np.errstate(over="ignore"):
+        return omega_env, weights, np.sum(weights**2)
+
+
+def _weights_at(fam: SpectralFamily,
+                j: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The frequencies j * omega_max / n_env of bath modes j and their weights omega**exponent.
+
+    The weight is monotone in omega, so the largest lies at j = 1 or j = n_env.
+    """
     omega_env = j * fam.omega_max / fam.n_env
     with np.errstate(over="ignore"):
-        weights = omega_env**fam.exponent
-        return omega_env, weights, np.sum(weights**2)
+        return omega_env, omega_env**fam.exponent
 
 
 def _check_squares(omegas: NDArray[np.float64]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from numpy.typing import NDArray
 if TYPE_CHECKING:
     from .model import OscillatorNetwork
 
-#: condition number of Gamma beyond which the Hermitian-form fallback is used
+#: condition number of Gamma, by eigvalsh, beyond which the Hermitian-form fallback
+#: is used; eigvalsh runs only where _well_conditioned cannot prove it is not exceeded
 ILL_CONDITIONED = 1e8
 
 #: tolerance on symplectic eigenvalues for physicality checks
@@ -209,6 +211,13 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     of the Hermitian matrix i L^T Sigma L with Gamma = L L^T, L = U sqrt(w)
     from Gamma = U diag(w) U^T, which is stabler for strongly squeezed states.
 
+    The condition number is eigvalsh's, and eigvalsh also rejects a matrix
+    that is not positive definite.  It runs only where the O(n^2) bound of
+    _well_conditioned cannot prove the eigvals route (a Gamma whose
+    diagonal-scaled off-diagonal part has Frobenius norm near 1 or more, or a
+    bound condition number beyond ILL_CONDITIONED / 2); where the bound
+    proves it, eigvalsh would have reported the same, and is skipped.
+
     The eigensolves run with OpenBLAS set to one thread: on the 2n x 2n
     matrices of a workflow (130 x 130 in `immediate` at n_env 64) its
     threading of the small level-2 calls inside the Hessenberg/QR reduction
@@ -222,19 +231,68 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     n2 = gamma.shape[0]
     if gamma.shape != (n2, n2) or n2 % 2:
         raise ValueError("covariance matrix must be square with even dimension")
-    with _one_blas_thread():
-        evals = np.linalg.eigvalsh(gamma)
-    if evals.min() <= 0.0:
-        raise ValueError(
-            f"matrix is not positive definite (min eigenvalue {evals.min():.3e})"
-        )
-    if evals.max() / evals.min() > ILL_CONDITIONED:
-        return _spectrum_schur(gamma)
+    if not _well_conditioned(gamma):
+        with _one_blas_thread():
+            evals = np.linalg.eigvalsh(gamma)
+        if evals.min() <= 0.0:
+            raise ValueError(
+                f"matrix is not positive definite (min eigenvalue {evals.min():.3e})"
+            )
+        if evals.max() / evals.min() > ILL_CONDITIONED:
+            return _spectrum_schur(gamma)
     with _one_blas_thread():
         eigs = np.linalg.eigvals(_sigma_times(gamma))
     # eigenvalues come in pairs +-i d; sorting |Im| pairs them up
     d = np.sort(np.abs(eigs.imag))
     return d[1::2]
+
+
+def _well_conditioned(gamma: NDArray[np.float64]) -> bool:
+    """True only when an O(n^2) bound proves what eigvalsh(gamma) would report.
+
+    That is: positive definite, with condition number at most ILL_CONDITIONED,
+    so that symplectic_spectrum takes its eigvals route.  eigvalsh reads the
+    lower triangle only, so the bound reads exactly that: G, the symmetric
+    matrix with gamma's diagonal and strict lower triangle.
+
+    - With d = diag(G) > 0 and H = D^-1/2 G D^-1/2, which has a unit
+      diagonal, ||H - I||_2 <= ||H - I||_F = f, f^2 = 2 sum_{i>j}
+      g_ij^2 / (d_i d_j).  f is widened for its own rounding, as
+      certify._GapBlock._bound widens ||K||_F; the absolute term also covers
+      scaled entries that underflow.
+    - By Ostrowski's theorem every eigenvalue of G = D^1/2 H D^1/2 lies in
+      [(1 - f) min d, (1 + f) max d] when f < 1.
+    - eigvalsh is backward stable: it returns the exact eigenvalues of G + E
+      with ||E||_2 <= p(n) u ||G||_2, so by Weyl each moves by at most
+      p(n) u (1 + f) max d.  p(n) = (n + 8)^2 is charged to both ends.
+    - When the lower end less that is a positive normal double and the
+      ends' ratio is at most ILL_CONDITIONED / 2, eigvalsh finds min > 0 and
+      max / min <= ILL_CONDITIONED; the factor 2 covers the rounding of the
+      ends and of the ratio.
+
+    This is the Frobenius certificate of _GapBlock.  A NaN, an inf or a
+    diagonal entry <= 0 proves nothing.  The scaled lower triangle is one
+    n x n float temporary (np.tril's mask adds n x n bytes), in place of the
+    copy that eigvalsh makes.
+    """
+    d = gamma.diagonal()
+    d_min, d_max = float(d.min(initial=math.inf)), float(d.max(initial=0.0))
+    if not 0.0 < d_min <= d_max < math.inf:  # a NaN, and an empty gamma, fail too
+        return False
+    n = gamma.shape[0]
+    slack = (n + 8) ** 2 * float(np.finfo(float).eps) / 2.0
+    s = 1.0 / np.sqrt(d)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        h = np.tril(gamma, -1)
+        h *= s[:, None]
+        h *= s
+        f_sq = 2.0 * float(np.vdot(h, h))
+    f = math.sqrt(f_sq) * (1.0 + slack) + slack
+    if not f < 1.0:  # inf and NaN fail too
+        return False
+    top = (1.0 + f) * (1.0 + slack) * d_max
+    bottom = (1.0 - f) * d_min - slack * (1.0 + f) * d_max
+    return float(np.finfo(float).tiny) <= bottom and top <= ILL_CONDITIONED / 2.0 * bottom
 
 
 def _spectrum_schur(gamma: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -745,6 +745,24 @@ def test_sweep_bad_omega_sys_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: model.family.omega_sys:")
 
 
+def test_sweep_ignores_the_size_of_the_family_it_does_not_run(tmp_path):
+    # the family's own n_env decides nothing in a sweep: at 1e15 its weights were
+    # summed when the config was parsed, and the run ended in `failure: Unable to
+    # allocate 7.11 PiB`
+    rows = {}
+    for n_env in (8, 1e15):
+        data = {"model": {"family": {**FAMILY["family"], "n_env": n_env}}, "sweep_ns": [2, 4]}
+        out = tmp_path / f"sweep_{n_env:g}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 0
+        _, header, table = read_csv(out)
+        col = header.index("wall_clock_s")
+        rows[n_env] = [row[:col] + row[col + 1:] for row in table]
+    assert len(rows[8]) == 2 and rows[1e15] == rows[8]
+
+
 # ----------------------------------------------------------------- emitting
 
 

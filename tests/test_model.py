@@ -1,6 +1,8 @@
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -18,6 +20,7 @@ from qbmsim import (
     propagator,
 )
 
+from qbmsim.model import _bath_weights
 from qbmsim.symplectic import NormalModes
 
 from conftest import random_network
@@ -159,6 +162,33 @@ def test_spectral_family_rejects_a_family_that_builds_no_network(args, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             SpectralFamily(*args)
+
+
+@pytest.mark.parametrize("exponent", [-200.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 200.0])
+def test_spectral_family_decides_the_weight_sum_as_summing_does(exponent):
+    # the largest squared weight decides in O(1) what the sum over every mode decided
+    for omega_max in (1e-3, 0.1, 1.0, 2.0, 5.88, 10.0, 1e3):
+        for n_env in (1, 2, 7, 100, 10**4, 10**6):
+            summed = _bath_weights(SimpleNamespace(exponent=exponent, omega_max=omega_max,
+                                                   n_env=n_env))[2]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if 0.0 < summed < np.inf:
+                    SpectralFamily(exponent, omega_max, 0.1, n_env)
+                else:
+                    message = f"sum of omega_j^(2p) over the bath is {summed:g} in"
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                        SpectralFamily(exponent, omega_max, 0.1, n_env)
+
+
+def test_spectral_family_of_a_size_no_one_runs_allocates_nothing_that_size():
+    tracemalloc.start()
+    try:
+        family = SpectralFamily(1.0, 2.0, 0.1, 10**15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert family.n_env == 10**15 and peak < 2**20
 
 
 def test_spectral_family_keeps_an_integral_float_size_as_an_int():

@@ -23,6 +23,7 @@ from qbmsim import (
     embed_orthogonal,
     evolve,
     gibbs_covariance,
+    immediate_entanglement_check,
     is_pure,
     is_valid_covariance,
     make_pure_gaussian,
@@ -342,8 +343,8 @@ def test_concurrent_spectra_leave_the_blas_thread_count_as_they_found_it(rng):
     assert len(results) == 25 * len(threads) and all(results)
 
 
-def onset_workload_states(seed):
-    """Gamma_t and its partial transpose at four times of the onset-n64 benchmark input."""
+def onset_workload_input(seed):
+    """The system state, network, beta and 30 times of the onset-n64 benchmark input."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -355,10 +356,15 @@ def onset_workload_states(seed):
                                              n_env=fam["n_env"]))
     state, grid = config["system_state"], config["time_grid"]
     assert state["kind"] == "squeezed" and grid["spacing"] == "log"
-    gamma0 = product_initial_covariance(make_pure_gaussian(state["r"], state["theta"]),
-                                        net, config["beta"])
-    times = np.geomspace(grid["start"], grid["stop"], grid["points"])[[0, 9, 19, -1]]
-    return [g for gamma_t in trajectory(gamma0, net.modes, times)
+    times = np.geomspace(grid["start"], grid["stop"], grid["points"])
+    return make_pure_gaussian(state["r"], state["theta"]), net, config["beta"], times
+
+
+def onset_workload_states(seed):
+    """Gamma_t and its partial transpose at four times of the onset-n64 benchmark input."""
+    gamma_sys, net, beta, times = onset_workload_input(seed)
+    gamma0 = product_initial_covariance(gamma_sys, net, beta)
+    return [g for gamma_t in trajectory(gamma0, net.modes, times[[0, 9, 19, -1]])
             for g in (gamma_t, partial_transpose(gamma_t))]
 
 
@@ -371,6 +377,82 @@ def test_one_thread_eigensolves_keep_every_bit_of_the_onset_spectra(monkeypatch,
     monkeypatch.setattr(qbmsim.symplectic, "_one_blas_thread", contextlib.nullcontext)
     for gamma, spectrum in zip(states, spectra):
         assert np.array_equal(symplectic_spectrum(gamma), spectrum)
+
+
+def spectrum_or_error(gamma):
+    """symplectic_spectrum's bits, or the type and message of what it raised."""
+    try:
+        return symplectic_spectrum(gamma).view(np.int64).tolist()
+    except Exception as exc:  # every kind counts: the proof must not change which
+        return type(exc), str(exc)
+
+
+def route_proof_cases(rng):
+    """Inputs on both sides of the route proof, and inputs it must leave to eigvalsh."""
+    cases = [g for seed in range(4) for g in onset_workload_states(seed)]
+    for n in (1, 2, 3, 5, 8, 17, 33, 65):
+        for spread in (0.05, 0.3, 1.0):
+            gamma = random_covariance(rng, n, spread)
+            cases += [gamma, 1e150 * gamma, 1e-150 * gamma]
+            if n > 1:
+                cases += [partial_transpose(gamma), 1e150 * partial_transpose(gamma)]
+    # a product state and its partial transpose hold +0.0 and -0.0 off the diagonal
+    product = product_initial_covariance(make_pure_gaussian(0.7, 0.3), random_network(rng, 4), 1.5)
+    cases += [product, partial_transpose(product)]
+    # the Schur route, and indefinite inputs that eigvalsh rejects
+    mixed = np.zeros((4, 4))
+    mixed[:2, :2] = make_pure_gaussian(5.0, 0.0)
+    mixed[2:, 2:] = 1.8 * np.eye(2)
+    cases += [make_pure_gaussian(5.0, 0.4), mixed, np.diag([1.0, -1.0]),
+              np.diag([1e10, 1.0, -1e-3, 1.0]), np.zeros((2, 2)), np.zeros((0, 0)),
+              np.diag([5e-324, 5e-324]), np.diag([1e308, 1e308])]
+    # nearly diagonal, with condition numbers on both sides of ILL_CONDITIONED
+    near_identity = np.eye(8) + 0.01 * random_covariance(rng, 4)
+    for ratio in (1e6, 6e7, 1.5e8, 1e12):
+        root = np.sqrt(np.geomspace(1.0, ratio, 8))
+        cases.append(root[:, None] * near_identity * root)
+    # eigvalsh reads the lower triangle only: an upper one that differs, or is not finite
+    upper = np.triu_indices(4, 1)
+    for value in (0.5, 3.0, np.nan, np.inf):
+        gamma = np.eye(4)
+        gamma[upper] = value
+        cases += [gamma, gamma.T.copy()]
+    for value in (np.nan, np.inf, -np.inf):
+        for index in ((0, 0), (1, 0), (0, 1)):
+            gamma = np.eye(2) + 0.1
+            gamma[index] = value
+            cases.append(gamma)
+    return cases
+
+
+def test_route_proof_keeps_every_spectrum_and_error(rng, monkeypatch):
+    # the oracle is symplectic_spectrum with the proof switched off, which runs eigvalsh
+    cases = route_proof_cases(rng)
+    proved = [bool(qbmsim.symplectic._well_conditioned(g)) for g in cases]
+    assert any(proved) and not all(proved)
+    results = [spectrum_or_error(g) for g in cases]
+    monkeypatch.setattr(qbmsim.symplectic, "_well_conditioned", lambda gamma: False)
+    for gamma, result in zip(cases, results):
+        assert spectrum_or_error(gamma) == result
+
+
+def test_onset_spectra_run_no_eigvalsh(monkeypatch):
+    # every dense spectrum of the onset-n64 input is proved well conditioned, so a
+    # bound that is loosened or dropped fails here, not only in the benchmark
+    for seed in range(4):
+        assert all(qbmsim.symplectic._well_conditioned(g) for g in onset_workload_states(seed))
+    gamma_sys, net, beta, times = onset_workload_input(0)
+    calls = {"eigvalsh": 0, "eigvals": 0}
+    for name in calls:
+        solve = getattr(np.linalg, name)
+
+        def counting(*args, name=name, solve=solve, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    immediate_entanglement_check(gamma_sys, net, beta, times)
+    assert times.size == 30 and calls == {"eigvalsh": 0, "eigvals": 30}
 
 
 def test_sigma_times_is_the_product_bit_for_bit(rng):
