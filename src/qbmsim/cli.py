@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import time
 from collections.abc import Collection
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -337,6 +339,16 @@ class ResultTable:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # one pass at C speed over tables whose rows are whole and whose cells are all
+        # finite numbers; any other table takes the row-by-row scan, which names the
+        # first row at fault
+        width = len(self.columns)
+        try:
+            if (all(map(width.__eq__, map(len, self.rows)))
+                    and all(map(math.isfinite, chain.from_iterable(self.rows)))):
+                return
+        except (TypeError, ValueError, OverflowError):  # a string cell, or an int past a double
+            pass
         for i, row in enumerate(self.rows):
             if len(row) != len(self.columns):
                 raise ValueError(
@@ -468,9 +480,9 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
     energy = float((net.omegas[0] ** 2 * gamma_sys[0, 0] + gamma_sys[1, 1]) / 4.0
                    + np.sum(net.omegas[1:] * f) / 2.0)
     minima = product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], beta, times)
-    verdicts = (verdict_from_pt_minimum(m, config.ppt_tol) for m in minima.tolist())
-    rows = [(float(t), v.min_pt_symplectic, v.log_negativity, energy, min_symplectic)
-            for t, v in zip(times, verdicts)]
+    verdicts = verdict_from_pt_minimum(minima, config.ppt_tol)
+    rows = list(zip(times.tolist(), minima.tolist(), verdicts.log_negativity.tolist(),
+                    repeat(energy), repeat(min_symplectic)))
     meta = _base_metadata(config, "evolve")
     meta["beta"] = float(beta)
     meta["wall_clock_s"] = f"{time.perf_counter() - t0:.6f}"
@@ -594,7 +606,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args leaves it as it was."""
     parser = _Parser(
         prog="qbmsim",
         description="Gaussian dynamics and entanglement certification for an "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,12 +43,13 @@ class EntanglementVerdict:
     band (width 2*tol below the separability threshold) flags states too
     close to the boundary to call either way.  log_negativity is
     max(0, -ln(min_pt_symplectic)), reported as exactly 0 whenever the state
-    is not entangled at tolerance.
+    is not entangled at tolerance.  A verdict on an array of minima holds
+    arrays, one entry per state (see verdict_from_pt_minimum).
     """
 
-    status: str
-    min_pt_symplectic: float
-    log_negativity: float
+    status: str | NDArray[np.str_]
+    min_pt_symplectic: float | NDArray[np.float64]
+    log_negativity: float | NDArray[np.float64]
 
 
 @dataclass(frozen=True)
@@ -91,22 +92,27 @@ def ppt_verdict(gamma: NDArray[np.float64], tol: float = PPT_TOL) -> Entanglemen
     return verdict_from_pt_minimum(float(spec.min()), tol)
 
 
-def verdict_from_pt_minimum(min_pt: float, tol: float = PPT_TOL) -> EntanglementVerdict:
+def verdict_from_pt_minimum(min_pt: float | NDArray[np.float64],
+                            tol: float = PPT_TOL) -> EntanglementVerdict:
     """The PPT verdict on a state whose smallest PT symplectic eigenvalue is min_pt.
 
     Separable when min_pt >= 1 - tol, entangled when min_pt < 1 - 3 tol and
     inconclusive in between; log_negativity is max(0, -ln min_pt), and
-    exactly 0 for a separable state.
+    exactly 0 for a separable state.  An array of minima gives one verdict
+    whose fields are arrays, elementwise the verdicts of its entries; ln is
+    taken only where the state is not separable.
     """
-    if min_pt >= 1.0 - tol:
-        status = SEPARABLE
-    elif min_pt < 1.0 - 3.0 * tol:
-        status = ENTANGLED
-    else:
-        status = INCONCLUSIVE
-    log_neg = 0.0 if status == SEPARABLE else max(0.0, -float(np.log(min_pt)))
-    return EntanglementVerdict(status=status, min_pt_symplectic=min_pt,
-                               log_negativity=log_neg)
+    m = np.asarray(min_pt, dtype=float)
+    separable = m >= 1.0 - tol
+    status = np.where(separable, SEPARABLE,
+                      np.where(m < 1.0 - 3.0 * tol, ENTANGLED, INCONCLUSIVE))
+    neg_log = -np.log(m, out=np.zeros_like(m), where=~separable)
+    # max(0, x) as Python's max takes it: 0 for a NaN and for -0.0
+    log_neg = np.where(neg_log > 0.0, neg_log, 0.0)
+    if m.ndim == 0:
+        return EntanglementVerdict(status=str(status), min_pt_symplectic=min_pt,
+                                   log_negativity=float(log_neg))
+    return EntanglementVerdict(status=status, min_pt_symplectic=m, log_negativity=log_neg)
 
 
 #: elements of one (times, modes) array in a chunk of the time grid; the kernel
@@ -185,8 +191,10 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
     once that estimate has converged it is checked 8 ulps to either side, and
     elsewhere the bracket's bits are bisected (see _smallest_root).  A chunk
     of an unsqueezed state's evolution takes about 21 passes where bisection
-    took 56; a minimum on a pole, the least nu_j at t = 0 when the system
-    is hotter than the bath for one, is still found by bisection alone.
+    took 56, and F and F' are evaluated on about 13 of them, the passes
+    where some time may take Newton's step; a minimum on a pole, the least
+    nu_j at t = 0 when the system is hotter than the bath for one, is still
+    found by bisection alone.
 
     The bracket holds at every t.  Above: the update has one positive and
     one negative eigenvalue, so by Weyl's inequalities the smallest positive
@@ -250,7 +258,9 @@ def _rank_two_terms(times: NDArray[np.float64], m: NDArray[np.float64],
     coef holds per bath mode a_x^2 + a_p^2, b_x^2 + b_p^2, a_x b_x + a_p b_p
     and nu (a_x b_p - a_p b_x).  With g = (gaa, gbb, gab, q) the entries of
     A = C^-1 + G, X = A^-1 = adj(A) / det A, and quad maps g to det A times
-    the entries s00, s11, Re s01 and Im s01 of P X P^T.  Products go to
+    the entries s00, s11, Re s01 and Im s01 of P X P^T: its rows 0 to 2 map
+    (gaa, gbb, gab) and quad[3, 3] = -det P maps q.  quad[3, :3] holds the
+    sum of rows 0 and 1, which Newton's step reads.  Products go to
     their destination in place, so at most seven (T, n) arrays are alive at
     once.
     """
@@ -273,6 +283,7 @@ def _rank_two_terms(times: NDArray[np.float64], m: NDArray[np.float64],
     quad[0, :3] = b0 * b0, a0 * a0, -2.0 * a0 * b0
     quad[1, :3] = b1 * b1, a1 * a1, -2.0 * a1 * b1
     quad[2, :3] = b0 * b1, a0 * a1, -(a0 * b1 + b0 * a1)
+    quad[3, :3] = quad[0, :3] + quad[1, :3]
     quad[3, 3] = b0 * a1 - a0 * b1
     rx, rp = root
     coef = np.empty((4, times.size, rx.size))
@@ -309,7 +320,9 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
     below it counts 0.  The first pass checks that the lower end counts 0
     and starts a time where it does not from 0 instead.  What the search
     chooses is the next probe, from the step F/F' that the count returns at
-    the last probe x, which is lo or hi:
+    the last probe x, which is lo or hi, and which is evaluated only when
+    some time meets the first rule's conditions on count(hi), the poles, the
+    window and the spare passes:
 
     - Newton's estimate x - F(x)/F'(x), when count(hi) is 1 and no nu_j lies
       in [lo, hi), so that F has one simple zero and no pole there, and the
@@ -342,12 +355,12 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
     above = np.array(poles + [math.inf])  # above[k]: the least pole >= lam when k poles lie below
     below = np.array([-poles[0]] + poles)  # below[k]: the greatest pole < lam
     lo, hi = (np.full(coef.shape[1], end).view(np.int64) for end in bracket)
-    counts, steps, k_lo = _positive_eigenvalues_below(lo.view(np.float64), coef, quad,
-                                                      nu_s, nu)
+    counts, newton_step, k_lo = _positive_eigenvalues_below(lo.view(np.float64), coef,
+                                                            quad, nu_s, nu)
     lo[counts >= 1.0] = 0
     k_lo[counts >= 1.0] = 0  # k_lo, k_hi: the poles below lo and below hi
     k_hi = np.full(lo.size, float(nu.size))
-    x = lo.copy()  # the last probe; steps holds F/F' there
+    x = lo.copy()  # the last probe; newton_step gives F/F' there
     top = np.zeros(lo.size)  # count(hi), 0 until a probe sets hi
     est = np.zeros(lo.size, dtype=np.int64)  # the estimate under check
     rad = np.zeros(lo.size, dtype=np.int64)  # its window's half width: 0 not yet, -1 never
@@ -359,18 +372,25 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
         converged = int(done.sum())
         if converged == done.size:
             break
+        # passes + ceil(log2 width) < _MAX_PASSES: the pass need not halve the bracket
+        spare = width <= 1 << (_MAX_PASSES - 1 - passes)
+        newton = (top == 1.0) & spare & (rad == 0) & (k_lo == k_hi)
+        # F/F' only on a pass where some time may take Newton's step; the count's
+        # arrays are released before the next count either way
+        steps = newton_step() if newton.any() else None
+        newton_step = None
         if 2 * converged >= done.size and converged * nu.size >= _DROP_ELEMENTS:
             minima[at[done]] = hi[done].view(np.float64)
             live = ~done
-            at, lo, hi, k_lo, k_hi, x, steps, top, est, rad, width = (
-                a[live] for a in (at, lo, hi, k_lo, k_hi, x, steps, top, est, rad, width))
+            at, lo, hi, k_lo, k_hi, x, top, est, rad, width, spare, newton = (
+                a[live] for a in (at, lo, hi, k_lo, k_hi, x, top, est, rad, width, spare,
+                                  newton))
+            steps = None if steps is None else steps[live]
             coef, quad = coef[:, live], quad[:, :, live]
-        # passes + ceil(log2 width) < _MAX_PASSES: the pass need not halve the bracket
-        spare = width <= 1 << (_MAX_PASSES - 1 - passes)
         probe = lo + width // 2
-        newton = (top == 1.0) & spare & (rad == 0) & np.isfinite(steps)
+        if steps is not None:
+            newton &= np.isfinite(steps)
         if newton.any():
-            newton &= k_lo == k_hi
             xf = x.view(np.float64)
             guess = (xf - steps).view(np.int64)
             from_lo = x == lo
@@ -390,8 +410,8 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
             low, high = est - rad, est + rad
             probe = np.where(checking & (lo < low), low,
                              np.where(checking & (high < hi), high, probe))
-        counts, steps, k = _positive_eigenvalues_below(probe.view(np.float64), coef, quad,
-                                                       nu_s, nu)
+        counts, newton_step, k = _positive_eigenvalues_below(probe.view(np.float64), coef,
+                                                             quad, nu_s, nu)
         up = counts >= 1.0
         if check:
             # the root lies outside the window: widen it, or give up on it
@@ -410,9 +430,14 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
 def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float64],
                                 quad: NDArray[np.float64], nu_s: float,
                                 nu: NDArray[np.float64]
-                                ) -> tuple[NDArray[np.float64], NDArray[np.float64],
+                                ) -> tuple[NDArray[np.float64],
+                                           Callable[[], NDArray[np.float64]],
                                            NDArray[np.float64]]:
     """Number of positive eigenvalues of H below lam[i] at time i, F/F' and #(nu_j < lam[i]).
+
+    F/F' comes as a function of no arguments, to be called at most once: it
+    takes about a quarter of a count, and the search calls it only on a
+    pass where some time may take Newton's step.
 
     coef and quad are as _rank_two_terms returns them.  The counts are small
     integers, held as doubles, and so is the number of poles below lam, one
@@ -446,16 +471,9 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
         below = (dist < 0.0).sum(axis=1, dtype=float)  # #(nu_j < lam)
         inv = np.divide(1.0, dist, out=dist)
         g = np.einsum("ktn,tn->kt", coef, inv)
-        inv *= inv
-        dg = np.einsum("ktn,tn->kt", coef, inv)
-        two_lam = 2.0 * probe
-        dg *= two_lam
-        dg[:3] *= probe
-        dg[:3] += g[:3]
-        g[:3] *= probe
-        g[3] -= 0.5
         # A = [[gaa, gab + iq], [gab - iq, gbb]]
-        gaa, gbb, gab, q = g
+        gaa, gbb, gab = g[:3] * probe
+        q = g[3] - 0.5
         det = gaa * gbb - (gab * gab + q * q)
         singular = det == 0.0
         if singular.any():
@@ -463,8 +481,8 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
             probe = (probe.view(np.int64) + singular).view(np.float64)
             continue
         # Schur_s = i nu_s J - lam + P X P^T = [[s00, s01], [conj s01, s11]]; quad's
-        # last row and column are 0 but for quad[3, 3] = -det P, and its
-        # products are taken elementwise, which no batch shape can reorder
+        # last column is 0 but for quad[3, 3] = -det P, and its products are
+        # taken elementwise, which no batch shape can reorder
         quad3, minus_det_p = quad[:3, :3], quad[3, 3]
         n = quad3[:, 0] * gaa + quad3[:, 1] * gbb + quad3[:, 2] * gab
         s00, s11, s01_re = n / det
@@ -483,17 +501,27 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
             zero = det_s == 0.0
             count[zero] += (s00 + s11 < 0.0)[zero] - 1.0
         count += below
-        n_sum = n[0] + n[1]
-        q_sum = quad3[0] + quad3[1]
-        dn_sum = q_sum[0] * dg[0] + q_sum[1] * dg[1] + q_sum[2] * dg[2]
-        shift = probe * probe - nu_s * nu_s
-        f = minus_det_p * (minus_det_p - 2.0 * nu_s * q) - probe * n_sum + shift * det
-        d_det = dg[0] * gbb + gaa * dg[1] - 2.0 * (gab * dg[2] + q * dg[3])
-        df = (two_lam * det - n_sum - probe * dn_sum + shift * d_det
-              - 2.0 * nu_s * minus_det_p * dg[3])
-        if not df.all():
-            df[df == 0.0] = np.nan  # no Newton step where F is flat
-        return count, f / df, below
+
+        def newton_step():
+            # squares inv in place: the count has no further use for it
+            dg = np.einsum("ktn,tn->kt", coef, np.multiply(inv, inv, out=inv))
+            two_lam = 2.0 * probe
+            dg *= two_lam
+            dg[:3] *= probe
+            dg[:3] += g[:3]
+            n_sum = n[0] + n[1]
+            q_sum = quad[3, :3]
+            dn_sum = q_sum[0] * dg[0] + q_sum[1] * dg[1] + q_sum[2] * dg[2]
+            shift = probe * probe - nu_s * nu_s
+            f = minus_det_p * (minus_det_p - 2.0 * nu_s * q) - probe * n_sum + shift * det
+            d_det = dg[0] * gbb + gaa * dg[1] - 2.0 * (gab * dg[2] + q * dg[3])
+            df = (two_lam * det - n_sum - probe * dn_sum + shift * d_det
+                  - 2.0 * nu_s * minus_det_p * dg[3])
+            if not df.all():
+                df[df == 0.0] = np.nan  # no Newton step where F is flat
+            return f / df
+
+        return count, newton_step, below
     raise RuntimeError(f"PT spectrum count undefined near {float(probe[singular][0])!r}")
 
 

@@ -231,6 +231,8 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     n2 = gamma.shape[0]
     if gamma.shape != (n2, n2) or n2 % 2:
         raise ValueError("covariance matrix must be square with even dimension")
+    if not n2:
+        raise ValueError("covariance matrix is empty: it needs at least one mode")
     if not _well_conditioned(gamma):
         with _one_blas_thread():
             evals = np.linalg.eigvalsh(gamma)

@@ -810,6 +810,28 @@ def test_result_table_validates_rows():
         ResultTable(columns=["a"], rows=[(float("nan"),)])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([(0.0, 1.0), (1.0, float("nan")), (2.0, 1.0)], "row 1 contains a non-finite value"),
+    ([(0.0, 1.0), (1.0, 2.0), (np.float64(-np.inf), 1.0)], "row 2 contains a non-finite value"),
+    ([(1, "ok"), (2, "error: x"), (3, float("inf"))], "row 2 contains a non-finite value"),
+    ([(float("nan"), 1.0), (1.0,)], "row 0 contains a non-finite value"),
+    ([(0.0, 1.0), (1.0,), (float("nan"), 1.0)], "row 1 has 1 cells, expected 2"),
+    ([(0.0, 1.0), (1.0, 2.0, 3.0)], "row 1 has 3 cells, expected 2"),
+])
+def test_result_table_names_the_first_row_at_fault(rows, message):
+    # the rows are checked in one pass, and the first row at fault is named,
+    # whichever of its two faults it has
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ResultTable(columns=["a", "b"], rows=rows)
+
+
+def test_result_table_keeps_cells_that_are_not_floats():
+    # only float cells must be finite: ints past a double, bools, strings and
+    # numpy integers pass as they did before the one-pass check
+    rows = [(10**400, True), ("nan", np.int64(3)), (-(10**400), ""), (1.0, np.float64(2.0))]
+    assert ResultTable(columns=["a", "b"], rows=rows).rows == rows
+
+
 def test_svg_output_is_wellformed(tmp_path):
     xs = np.linspace(0.0, 5.0, 30)
     table = ResultTable(columns=["t", "y"],
@@ -922,6 +944,65 @@ def test_config_echo_roundtrips(tmp_path, command, tolerances):
 
 
 # --------------------------------------------------------------- exit codes
+
+
+def outputs_of(run, argv, out):
+    """Exit code, stdout, stderr and every file named after out, wall clock aside."""
+    for stale in out.parent.glob(out.name + "*"):
+        stale.unlink()
+    code, stdout, stderr = run(argv)
+    files = {path.name: b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                                 if not line.startswith(b"# wall_clock_s:"))
+             for path in sorted(out.parent.glob(out.name + "*"))}
+    return code, stdout, stderr, files
+
+
+def in_this_process(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def in_a_fresh_process(argv):
+    src = str(Path(qbmsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "qbmsim", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_behave_like_first_calls(tmp_path, monkeypatch):
+    # perfbench calls main again and again in one process: the parser, built
+    # once, must leave every later call as a first call in a fresh process leaves it
+    evolve, certify = str(CONFIGS / "evolve_vacuum.json"), str(CONFIGS / "certify_ohmic8.json")
+    calls = [
+        (["evolve", "--config", evolve, "--out"], "evolve.csv", []),
+        (["evolve", "--config", evolve, "--out"], "flag.csv", ["--bogus"]),
+        (["evolve", "--config", evolve, "--out"], "evolve.svg", ["--format", "svg"]),
+        (["certify", "--config", certify, "--out"], "certify.csv", []),
+    ]
+    fresh = [outputs_of(in_a_fresh_process, [*head, str(tmp_path / name), *tail],
+                        tmp_path / name) for head, name, tail in calls]
+    built = []
+    init = qbmsim.cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qbmsim.cli._Parser, "__init__", counting)
+    qbmsim.cli._build_parser.cache_clear()
+    repeated = [outputs_of(in_this_process, [*head, str(tmp_path / name), *tail],
+                           tmp_path / name) for head, name, tail in calls]
+    assert repeated == fresh
+    code, stdout, stderr, files = repeated[1]
+    assert code == 2 and stdout == "" and files == {}
+    assert stderr.count("\n") == 1 and stderr.startswith("config error: ")
+    assert [code for code, *_ in repeated] == [0, 2, 0, 0]
+    assert sorted(repeated[3][3]) == ["certify.csv", "certify.csv.certificate.json"]
+    # one parser and its four subcommands, for all four calls
+    assert built == ["qbmsim", *(f"qbmsim {name}" for name in
+                                 ("evolve", "certify", "immediate", "sweep"))]
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -34,6 +34,7 @@ from qbmsim import (
     trajectory,
 )
 from qbmsim.cli import parse_config, run_certify, run_evolve
+from qbmsim.entanglement import PPT_TOL, verdict_from_pt_minimum
 from qbmsim.symplectic import thermal_diagonal
 
 from conftest import (
@@ -139,6 +140,40 @@ def test_ppt_verdict_tolerance_scales():
     loose = ppt_verdict(two_mode_squeezed(r).assembled, tol=1e-2)
     assert strict.status == ENTANGLED
     assert loose.status == SEPARABLE
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_verdict_on_an_array_is_the_scalar_verdict_bit_for_bit():
+    # evolve decides its minima as one array; each entry must be the verdict
+    # that ppt_verdict reaches on that minimum alone, log-negativity to the bit
+    values = [1.0, 5e-324, 0.5, 2.0, np.nextafter(1.0, 0.0)]
+    for edge in (1.0 - PPT_TOL, 1.0 - 3.0 * PPT_TOL):
+        values += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)]
+    config = parse_config({
+        "model": {"family": {"p": 1.0, "omega_max": 2.0, "coupling_norm": 0.3, "n_env": 8}},
+        "beta": 5.0, "system_state": {"kind": "squeezed", "r": 1.0, "theta": 0.3},
+        "time_grid": {"start": 0.0, "stop": 30.0, "points": 300}})
+    table = run_evolve(config)
+    evolved = [row[1] for row in table.rows]
+    for minima in (np.array(values), np.array(evolved)):
+        verdict = verdict_from_pt_minimum(minima)
+        scalar = [verdict_from_pt_minimum(m) for m in minima.tolist()]
+        assert verdict.status.tolist() == [v.status for v in scalar]
+        assert bits(verdict.min_pt_symplectic) == bits(minima)
+        assert bits(verdict.log_negativity) == bits([v.log_negativity for v in scalar])
+        assert all(type(v.status) is str and type(v.log_negativity) is float
+                   for v in scalar)
+    statuses = verdict_from_pt_minimum(np.array(values)).status.tolist()
+    assert statuses == [SEPARABLE, ENTANGLED, ENTANGLED, SEPARABLE, SEPARABLE,
+                        INCONCLUSIVE, SEPARABLE, SEPARABLE,
+                        ENTANGLED, INCONCLUSIVE, INCONCLUSIVE]
+    # evolve's rows hold the log-negativity of one scalar verdict per time
+    assert any(row[2] > 0.0 for row in table.rows)
+    for row, minimum in zip(table.rows, evolved):
+        assert bits(row[2]) == bits(verdict_from_pt_minimum(minimum).log_negativity)
 
 
 def test_reduce_two_mode_product_structure(rng):
@@ -390,16 +425,21 @@ def test_pt_minima_stop_where_the_count_turns(rng, monkeypatch):
         npt.assert_array_equal(count(np.nextafter(minima, 0.0), *inputs)[0], 0.0)
 
 
+def benchmark_config(workload, seed):
+    """The config of one perfbench workload and seed, parsed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return parse_config(workloads.make_config(workload, seed))
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("workload, max_passes", [("evolve-n8", 24), ("certify-n256", 32)])
 def test_pt_minima_take_few_passes_on_the_benchmark_inputs(monkeypatch, workload,
                                                            max_passes, seed):
     # the bisection took 56 passes on every evolve-n8 variant and 57-58 on certify-n256
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    config = parse_config(workloads.make_config(workload, seed))
+    config = benchmark_config(workload, seed)
     roots = record_roots(monkeypatch)
     run_evolve(config) if workload == "evolve-n8" else run_certify(config)
     monkeypatch.undo()
@@ -408,6 +448,78 @@ def test_pt_minima_take_few_passes_on_the_benchmark_inputs(monkeypatch, workload
         assert passes <= max_passes
         npt.assert_allclose(minima, bisect_smallest_root(bracket, coef, quad, nu_s, nu),
                             rtol=1e-13, atol=0.0)
+
+
+def minima_with_newton_steps(monkeypatch, run, eager):
+    """run()'s PT minima, and per count whether its Newton step F/F' was evaluated.
+
+    eager evaluates every count's step as it is counted: the reference that
+    a search evaluating F and F' only where a step may be taken must match.
+    """
+    count = qbmsim.entanglement._positive_eigenvalues_below
+    evaluated = []
+
+    def spy(*args):
+        counts, newton_step, below = count(*args)
+        evaluated.append(eager)
+        if eager:
+            steps = newton_step()
+            return counts, lambda: steps, below
+
+        def step(at=len(evaluated) - 1):
+            evaluated[at] = True
+            return newton_step()
+
+        return counts, step, below
+
+    monkeypatch.setattr(qbmsim.entanglement, "_positive_eigenvalues_below", spy)
+    minima = run()
+    monkeypatch.undo()
+    return minima, evaluated
+
+
+def workflow_minima(config, run):
+    table = run(config)
+    return bits([row[1] for row in (table[0] if isinstance(table, tuple) else table).rows])
+
+
+def oracle_draw_minima(seed):
+    return bits([m for _, gamma_sys, net, beta, times in oracle_draws(np.random.default_rng(seed))
+                 for m in product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:],
+                                                  beta, times)])
+
+
+#: CI's cold bath: dozens of poles on 1.0 and on runs of consecutive doubles above it
+COLD_BATH = {"model": {"family": {"p": 1.0, "omega_max": 3.86, "coupling_norm": 0.1,
+                                  "n_env": 251}},
+             "beta": 10.0, "system_state": {"kind": "vacuum"},
+             "time_grid": {"start": 0.0, "stop": 50.0, "points": 50}}
+
+
+@pytest.mark.parametrize("name, seed", [("evolve-n8", s) for s in range(4)]
+                         + [("certify-n256", s) for s in range(4)]
+                         + [("cold bath", None), ("oracle draws", 3)])
+def test_pt_search_evaluates_newton_steps_only_where_one_may_be_taken(monkeypatch, name,
+                                                                      seed):
+    # F and F' are a quarter of a count: the search skips them on a pass that no
+    # time can take a Newton step from.  Every minimum keeps its bits, and the
+    # search its count of passes, against F and F' after every count
+    if name == "oracle draws":
+        def run():
+            return oracle_draw_minima(seed)
+    else:
+        config = parse_config(COLD_BATH) if seed is None else benchmark_config(name, seed)
+        workflow = run_certify if name == "certify-n256" else run_evolve
+
+        def run():
+            return workflow_minima(config, workflow)
+    minima, evaluated = minima_with_newton_steps(monkeypatch, run, eager=False)
+    every_minima, every_pass = minima_with_newton_steps(monkeypatch, run, eager=True)
+    assert minima == every_minima
+    assert len(evaluated) == len(every_pass)
+    assert 0 < sum(evaluated) < len(evaluated)
+    # the first count, at the bracket's lower end, never steers a Newton step
+    assert not evaluated[0]
 
 
 def test_pt_minima_above_two_match_dense(rng):
@@ -440,6 +552,12 @@ def test_pt_minima_drop_converged_times_without_moving_any(monkeypatch):
     assert len(probes) == len(sizes) and all(lam.size == times.size for lam, _ in probes)
 
 
+def count_and_step(*args):
+    """The PT count's three values, with its Newton step F/F' evaluated."""
+    counts, newton_step, below = qbmsim.entanglement._positive_eigenvalues_below(*args)
+    return counts, newton_step(), below
+
+
 def test_pt_count_at_a_time_does_not_depend_on_its_batch(rng, monkeypatch):
     # the search drops converged times and nudges single times on a pole, so
     # the count and the step at a time must not move with the times beside it
@@ -448,7 +566,7 @@ def test_pt_count_at_a_time_does_not_depend_on_its_batch(rng, monkeypatch):
     product_state_pt_minima(random_pure_system(rng), net.modes, net.omegas[1:], 0.5,
                             rng.uniform(0.0, 40.0, 33))
     ((_, coef, quad, nu_s, nu), minima, _), = roots
-    count = qbmsim.entanglement._positive_eigenvalues_below
+    count = count_and_step
     for lam in (minima, np.nextafter(minima, 0.0), minima * rng.uniform(0.999, 1.001, 33)):
         whole = count(lam, coef, quad, nu_s, nu)
         for batch in ([i] for i in range(lam.size)), [slice(1, None, 3), slice(0, 7)]:
@@ -476,7 +594,7 @@ def test_pt_count_nudges_only_the_times_on_a_pole(monkeypatch):
     # one batch: two probes on the pole, one an ulp below the root at t = 0.3
     # (count 0) and one on the root at t = 7 (count >= 1); only the first two
     # may move up an ulp
-    count = qbmsim.entanglement._positive_eigenvalues_below
+    count = count_and_step
     up = np.nextafter(pole, np.inf)
     lam = np.array([pole, np.nextafter(minima[1], 0.0), pole, minima[3]])
     counts = count(lam, *args)
@@ -497,7 +615,7 @@ def test_pt_count_steps_over_a_run_of_poles(run):
     # first double above the run, and spends none of the nudges
     nu = consecutive_doubles(1.5, run)
     past = np.nextafter(nu[-1], np.inf)
-    count = qbmsim.entanglement._positive_eigenvalues_below
+    count = count_and_step
     args = (np.zeros((4, 2, run)), np.ones((4, 4, 2)), 1.0, nu)
     for on in (nu[0], nu[run // 2], nu[-1]):
         for got, want in zip(count(np.array([on, 3.0]), *args),
@@ -523,7 +641,7 @@ def test_pt_count_on_a_cold_bath_of_equal_and_clustered_poles(rng):
     lam = np.concatenate((run, [np.nextafter(1.0, 0.0), 0.5, 1.25]))
     coef = rng.uniform(0.0, 1e-3, (4, lam.size, nu.size))
     quad = rng.uniform(-1.0, 1.0, (4, 4, lam.size))
-    count = qbmsim.entanglement._positive_eigenvalues_below
+    count = count_and_step
     counts, steps, below = count(lam, coef, quad, 1.0, nu)
     assert np.isfinite(counts).all()
     # every probe on the run is counted at the first double past it, above all 84 poles

@@ -248,6 +248,17 @@ def test_symplectic_spectrum_rejects_indefinite():
         symplectic_spectrum(np.diag([1.0, -1.0]))
 
 
+def test_symplectic_spectrum_rejects_an_empty_matrix(monkeypatch):
+    # 0 is even, so the shape check lets 0 x 0 through; it must not reach
+    # numpy's "zero-size array to reduction operation minimum", on either route
+    message = "^covariance matrix is empty: it needs at least one mode$"
+    with pytest.raises(ValueError, match=message):
+        symplectic_spectrum(np.zeros((0, 0)))
+    monkeypatch.setattr(qbmsim.symplectic, "_well_conditioned", lambda gamma: False)
+    with pytest.raises(ValueError, match=message):
+        symplectic_spectrum(np.zeros((0, 0)))
+
+
 def test_schur_route_rejects_what_eigh_finds_indefinite():
     # eigvalsh and eigh may round the least eigenvalue of a near-singular matrix
     # to opposite signs; the Schur route must raise, not take the root of a negative
