@@ -220,8 +220,9 @@ def _system_state(state) -> np.ndarray | None:
             raise ConfigError("system_state.entries: every entry must be below 2^255 "
                               "in magnitude, beyond which products of entries overflow "
                               "double precision")
-        # before is_valid_covariance, whose spectrum routine forms the eigenvalue ratio;
-        # compared as evals[1] / 2^52 here, since the ratio itself may overflow
+        # a valid state may still be too ill-conditioned to evolve, which
+        # is_valid_covariance does not ask; compared as hi / 2^52 > lo, since the
+        # ratio itself may overflow
         lo, hi = np.linalg.eigvalsh(m).tolist()
         if lo > 0.0 and hi / _MAX_STATE_CONDITION > lo:
             raise ConfigError(

@@ -22,8 +22,8 @@ from numpy.typing import NDArray
 if TYPE_CHECKING:
     from .model import OscillatorNetwork
 
-#: condition number of Gamma, by eigvalsh, beyond which the Hermitian-form fallback
-#: is used; eigvalsh runs only where _well_conditioned cannot prove it is not exceeded
+#: largest condition number of Gamma for the eigvals route, which runs only where
+#: _well_conditioned proves it; the Hermitian-form route runs elsewhere
 ILL_CONDITIONED = 1e8
 
 #: tolerance on symplectic eigenvalues for physicality checks
@@ -59,7 +59,7 @@ def thermal_factor(x: float) -> float:
     both limits are reached at full precision.
     """
     x = np.asarray(x, dtype=float)
-    if (x <= 0.0).any():
+    if not (x > 0.0).all():  # a NaN fails too
         raise ValueError("thermal_factor requires a positive argument")
     # beyond ~700 expm1 overflows; the correction is < 1e-300 there anyway
     safe = np.minimum(x, 700.0)
@@ -206,17 +206,15 @@ def evolve(gamma: NDArray[np.float64], net: OscillatorNetwork,
 def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     """Symplectic eigenvalues of a symmetric positive definite matrix.
 
-    Returned ascending.  Computed from the eigenvalues of Sigma*Gamma; for
-    condition numbers beyond 1e8 they are instead the positive eigenvalues
-    of the Hermitian matrix i L^T Sigma L with Gamma = L L^T, L = U sqrt(w)
-    from Gamma = U diag(w) U^T, which is stabler for strongly squeezed states.
-
-    The condition number is eigvalsh's, and eigvalsh also rejects a matrix
-    that is not positive definite.  It runs only where the O(n^2) bound of
-    _well_conditioned cannot prove the eigvals route (a Gamma whose
-    diagonal-scaled off-diagonal part has Frobenius norm near 1 or more, or a
-    bound condition number beyond ILL_CONDITIONED / 2); where the bound
-    proves it, eigvalsh would have reported the same, and is skipped.
+    Returned ascending.  Where _well_conditioned proves, in O(n^2), that
+    Gamma is positive definite with condition number at most ILL_CONDITIONED,
+    they come from the eigenvalues of Sigma*Gamma.  Elsewhere they are the
+    positive eigenvalues of the Hermitian matrix i L^T Sigma L with
+    Gamma = L L^T, L = U sqrt(w) from Gamma = U diag(w) U^T, which is stabler
+    for strongly squeezed states; that eigh also rejects a matrix that is not
+    positive definite.  A Gamma with an entry that is not finite, or whose
+    entries differ from their transposes by more than 1e-10 (1 + max|Gamma|),
+    is rejected before either route.
 
     The eigensolves run with OpenBLAS set to one thread: on the 2n x 2n
     matrices of a workflow (130 x 130 in `immediate` at n_env 64) its
@@ -225,23 +223,24 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     as on two threads.  The thread count is process-wide, so BLAS calls of
     other threads run on one thread too while an eigensolve runs; the
     caller's count is restored afterwards, on return and on raise alike.
-    Matrix products keep the caller's count.
+    Matrix products keep the caller's count, apart from the two that form
+    the Hermitian matrix between its route's eigensolves.
     """
     gamma = np.asarray(gamma, dtype=float)
-    n2 = gamma.shape[0]
-    if gamma.shape != (n2, n2) or n2 % 2:
+    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
         raise ValueError("covariance matrix must be square with even dimension")
-    if not n2:
+    if not gamma.size:
         raise ValueError("covariance matrix is empty: it needs at least one mode")
+    scale = float(np.abs(gamma).max())
+    if not scale < math.inf:  # a NaN fails too
+        raise ValueError("covariance matrix has an entry that is not finite")
+    with np.errstate(over="ignore"):
+        skew = float(np.abs(gamma - gamma.T).max())
+    if not skew <= 1e-10 * (1.0 + scale):
+        raise ValueError(
+            f"covariance matrix is not symmetric: max |Gamma - Gamma^T| = {skew:.3e}")
     if not _well_conditioned(gamma):
-        with _one_blas_thread():
-            evals = np.linalg.eigvalsh(gamma)
-        if evals.min() <= 0.0:
-            raise ValueError(
-                f"matrix is not positive definite (min eigenvalue {evals.min():.3e})"
-            )
-        if evals.max() / evals.min() > ILL_CONDITIONED:
-            return _spectrum_schur(gamma)
+        return _spectrum_schur(gamma)
     with _one_blas_thread():
         eigs = np.linalg.eigvals(_sigma_times(gamma))
     # eigenvalues come in pairs +-i d; sorting |Im| pairs them up
@@ -250,32 +249,29 @@ def symplectic_spectrum(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _well_conditioned(gamma: NDArray[np.float64]) -> bool:
-    """True only when an O(n^2) bound proves what eigvalsh(gamma) would report.
+    """True only when an O(n^2) bound proves that the eigvals route may run.
 
-    That is: positive definite, with condition number at most ILL_CONDITIONED,
-    so that symplectic_spectrum takes its eigvals route.  eigvalsh reads the
-    lower triangle only, so the bound reads exactly that: G, the symmetric
-    matrix with gamma's diagonal and strict lower triangle.
+    That is: gamma is positive definite with condition number at most
+    ILL_CONDITIONED.  The bound reads the lower triangle, as the Hermitian
+    route's eigh does: G, the symmetric matrix with gamma's diagonal and
+    strict lower triangle.  symplectic_spectrum has checked that gamma is
+    symmetric to 1e-10 (1 + max|gamma|) before it asks.
 
     - With d = diag(G) > 0 and H = D^-1/2 G D^-1/2, which has a unit
       diagonal, ||H - I||_2 <= ||H - I||_F = f, f^2 = 2 sum_{i>j}
       g_ij^2 / (d_i d_j).  f is widened for its own rounding, as
       certify._GapBlock._bound widens ||K||_F; the absolute term also covers
-      scaled entries that underflow.
+      scaled entries that underflow.  Its margin over the sum's rounding,
+      tens of eps, also covers the few roundings of the ends and of their
+      comparison below.
     - By Ostrowski's theorem every eigenvalue of G = D^1/2 H D^1/2 lies in
-      [(1 - f) min d, (1 + f) max d] when f < 1.
-    - eigvalsh is backward stable: it returns the exact eigenvalues of G + E
-      with ||E||_2 <= p(n) u ||G||_2, so by Weyl each moves by at most
-      p(n) u (1 + f) max d.  p(n) = (n + 8)^2 is charged to both ends.
-    - When the lower end less that is a positive normal double and the
-      ends' ratio is at most ILL_CONDITIONED / 2, eigvalsh finds min > 0 and
-      max / min <= ILL_CONDITIONED; the factor 2 covers the rounding of the
-      ends and of the ratio.
+      [(1 - f) min d, (1 + f) max d] when f < 1, so the condition number is
+      at most the ratio of those ends.  The lower end must be a positive
+      normal double.
 
     This is the Frobenius certificate of _GapBlock.  A NaN, an inf or a
     diagonal entry <= 0 proves nothing.  The scaled lower triangle is one
-    n x n float temporary (np.tril's mask adds n x n bytes), in place of the
-    copy that eigvalsh makes.
+    n x n float temporary (np.tril's mask adds n x n bytes).
     """
     d = gamma.diagonal()
     d_min, d_max = float(d.min(initial=math.inf)), float(d.max(initial=0.0))
@@ -292,22 +288,20 @@ def _well_conditioned(gamma: NDArray[np.float64]) -> bool:
     f = math.sqrt(f_sq) * (1.0 + slack) + slack
     if not f < 1.0:  # inf and NaN fail too
         return False
-    top = (1.0 + f) * (1.0 + slack) * d_max
-    bottom = (1.0 - f) * d_min - slack * (1.0 + f) * d_max
-    return float(np.finfo(float).tiny) <= bottom and top <= ILL_CONDITIONED / 2.0 * bottom
+    bottom = (1.0 - f) * d_min
+    return float(np.finfo(float).tiny) <= bottom and (1.0 + f) * d_max <= ILL_CONDITIONED * bottom
 
 
 def _spectrum_schur(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     n = gamma.shape[0] // 2
     with _one_blas_thread():
         w, u = np.linalg.eigh(gamma)
-    if w[0] <= 0.0:  # eigvalsh may round the least eigenvalue of a near-singular gamma up
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
-    root = u * np.sqrt(w)
-    # L^T Sigma L is real antisymmetric with eigenvalues +-i*d, so the
-    # Hermitian matrix i L^T Sigma L has eigenvalues +-d, the upper n ascending
-    form = 1j * (root.T @ symplectic_form(n) @ root)
-    with _one_blas_thread():
+        if not w[0] > 0.0:  # a NaN fails too
+            raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
+        root = u * np.sqrt(w)
+        # L^T Sigma L is real antisymmetric with eigenvalues +-i*d, so the
+        # Hermitian matrix i L^T Sigma L has eigenvalues +-d, the upper n ascending
+        form = 1j * (root.T @ symplectic_form(n) @ root)
         return np.linalg.eigvalsh(form)[n:]
 
 
@@ -375,12 +369,11 @@ def _one_blas_thread() -> Iterator[None]:
 
 
 def is_valid_covariance(gamma: NDArray[np.float64]) -> bool:
-    """True when Gamma is symmetric, positive definite and Gamma + i Sigma >= 0 to COV_TOL."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
-        return False
-    if not np.allclose(gamma, gamma.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(gamma).max())):
-        return False
+    """True when Gamma is symmetric, positive definite and Gamma + i Sigma >= 0 to COV_TOL.
+
+    The shape, finiteness and symmetry checks are symplectic_spectrum's;
+    symmetry holds to 1e-10 (1 + max|Gamma|).
+    """
     try:
         spec = symplectic_spectrum(gamma)
     except ValueError:

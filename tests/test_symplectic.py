@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import importlib.util
+import math
 import os
 import sys
 import threading
@@ -68,6 +69,14 @@ def test_thermal_factor_rejects_nonpositive():
     for x in (0.0, -1.0):
         with pytest.raises(ValueError):
             thermal_factor(x)
+
+
+def test_thermal_factor_and_diagonal_reject_nan():
+    for x in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="^thermal_factor requires a positive argument$"):
+            thermal_factor(x)
+    with pytest.raises(ValueError, match="^thermal_factor requires a positive argument$"):
+        qbmsim.symplectic.thermal_diagonal(np.array([1.0, np.nan]), 1.0)
 
 
 @given(st.floats(min_value=0.01, max_value=20.0),
@@ -260,8 +269,8 @@ def test_symplectic_spectrum_rejects_an_empty_matrix(monkeypatch):
 
 
 def test_schur_route_rejects_what_eigh_finds_indefinite():
-    # eigvalsh and eigh may round the least eigenvalue of a near-singular matrix
-    # to opposite signs; the Schur route must raise, not take the root of a negative
+    # the Schur route's eigh alone decides positive definiteness: on a near-singular
+    # matrix it must raise, not take the root of a negative
     with pytest.raises(ValueError, match="not positive definite"):
         qbmsim.symplectic._spectrum_schur(np.diag([1e10, 1.0, -1e-3, 1.0]))
 
@@ -394,12 +403,54 @@ def spectrum_or_error(gamma):
     """symplectic_spectrum's bits, or the type and message of what it raised."""
     try:
         return symplectic_spectrum(gamma).view(np.int64).tolist()
-    except Exception as exc:  # every kind counts: the proof must not change which
+    except Exception as exc:  # every kind counts: the route must not change which
         return type(exc), str(exc)
 
 
+def eigvals_oracle(gamma):
+    """The eigvals route, written out: |Im| of the eigenvalues of Sigma Gamma, paired."""
+    with qbmsim.symplectic._one_blas_thread():
+        eigs = np.linalg.eigvals(symplectic_form(gamma.shape[0] // 2) @ gamma)
+    return np.sort(np.abs(eigs.imag))[1::2].view(np.int64).tolist()
+
+
+def hermitian_oracle(gamma):
+    """The Hermitian route, written out: the upper half of eigvalsh(i L^T Sigma L)."""
+    n = gamma.shape[0] // 2
+    with qbmsim.symplectic._one_blas_thread():
+        w, u = np.linalg.eigh(gamma)
+        if not w[0] > 0.0:
+            return ValueError, f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
+        root = u * np.sqrt(w)
+        form = 1j * (root.T @ symplectic_form(n) @ root)
+        return np.linalg.eigvalsh(form)[n:].view(np.int64).tolist()
+
+
+def eigvalsh_era_bound(gamma):
+    """The route proof from when eigvalsh(gamma) picked the route wherever it failed.
+
+    It had to predict eigvalsh's verdict, so it charged eigvalsh's backward
+    error to both ends and asked for half of ILL_CONDITIONED.
+    """
+    d = gamma.diagonal()
+    d_min, d_max = float(d.min(initial=np.inf)), float(d.max(initial=0.0))
+    if not 0.0 < d_min <= d_max < np.inf:
+        return False
+    slack = (gamma.shape[0] + 8) ** 2 * float(np.finfo(float).eps) / 2.0
+    s = 1.0 / np.sqrt(d)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        h = np.tril(gamma, -1) * s[:, None] * s
+        f = math.sqrt(2.0 * float(np.vdot(h, h))) * (1.0 + slack) + slack
+    if not f < 1.0:
+        return False
+    top = (1.0 + f) * (1.0 + slack) * d_max
+    bottom = (1.0 - f) * d_min - slack * (1.0 + f) * d_max
+    ill = qbmsim.symplectic.ILL_CONDITIONED
+    return float(np.finfo(float).tiny) <= bottom and top <= ill / 2.0 * bottom
+
+
 def route_proof_cases(rng):
-    """Inputs on both sides of the route proof, and inputs it must leave to eigvalsh."""
+    """Finite symmetric inputs on both sides of the route proof, indefinite ones too."""
     cases = [g for seed in range(4) for g in onset_workload_states(seed)]
     for n in (1, 2, 3, 5, 8, 17, 33, 65):
         for spread in (0.05, 0.3, 1.0):
@@ -410,50 +461,39 @@ def route_proof_cases(rng):
     # a product state and its partial transpose hold +0.0 and -0.0 off the diagonal
     product = product_initial_covariance(make_pure_gaussian(0.7, 0.3), random_network(rng, 4), 1.5)
     cases += [product, partial_transpose(product)]
-    # the Schur route, and indefinite inputs that eigvalsh rejects
+    # the Hermitian route, and indefinite inputs that its eigh rejects
     mixed = np.zeros((4, 4))
     mixed[:2, :2] = make_pure_gaussian(5.0, 0.0)
     mixed[2:, 2:] = 1.8 * np.eye(2)
     cases += [make_pure_gaussian(5.0, 0.4), mixed, np.diag([1.0, -1.0]),
-              np.diag([1e10, 1.0, -1e-3, 1.0]), np.zeros((2, 2)), np.zeros((0, 0)),
+              np.diag([1e10, 1.0, -1e-3, 1.0]), np.zeros((2, 2)),
               np.diag([5e-324, 5e-324]), np.diag([1e308, 1e308])]
     # nearly diagonal, with condition numbers on both sides of ILL_CONDITIONED
     near_identity = np.eye(8) + 0.01 * random_covariance(rng, 4)
     for ratio in (1e6, 6e7, 1.5e8, 1e12):
         root = np.sqrt(np.geomspace(1.0, ratio, 8))
         cases.append(root[:, None] * near_identity * root)
-    # eigvalsh reads the lower triangle only: an upper one that differs, or is not finite
-    upper = np.triu_indices(4, 1)
-    for value in (0.5, 3.0, np.nan, np.inf):
-        gamma = np.eye(4)
-        gamma[upper] = value
-        cases += [gamma, gamma.T.copy()]
-    for value in (np.nan, np.inf, -np.inf):
-        for index in ((0, 0), (1, 0), (0, 1)):
-            gamma = np.eye(2) + 0.1
-            gamma[index] = value
-            cases.append(gamma)
     return cases
 
 
-def test_route_proof_keeps_every_spectrum_and_error(rng, monkeypatch):
-    # the oracle is symplectic_spectrum with the proof switched off, which runs eigvalsh
+def test_route_proof_keeps_every_spectrum_and_error(rng):
     cases = route_proof_cases(rng)
     proved = [bool(qbmsim.symplectic._well_conditioned(g)) for g in cases]
     assert any(proved) and not all(proved)
-    results = [spectrum_or_error(g) for g in cases]
-    monkeypatch.setattr(qbmsim.symplectic, "_well_conditioned", lambda gamma: False)
-    for gamma, result in zip(cases, results):
-        assert spectrum_or_error(gamma) == result
+    # the proof only loosened: what the eigvalsh-era bound proved stays proved
+    assert all(p for g, p in zip(cases, proved) if eigvalsh_era_bound(g))
+    for gamma, p in zip(cases, proved):
+        if p:
+            evals = np.linalg.eigvalsh(gamma)
+            assert 0.0 < evals[0] and evals[-1] / qbmsim.symplectic.ILL_CONDITIONED <= evals[0]
+            assert spectrum_or_error(gamma) == eigvals_oracle(gamma)
+        else:
+            assert spectrum_or_error(gamma) == hermitian_oracle(gamma)
 
 
-def test_onset_spectra_run_no_eigvalsh(monkeypatch):
-    # every dense spectrum of the onset-n64 input is proved well conditioned, so a
-    # bound that is loosened or dropped fails here, not only in the benchmark
-    for seed in range(4):
-        assert all(qbmsim.symplectic._well_conditioned(g) for g in onset_workload_states(seed))
-    gamma_sys, net, beta, times = onset_workload_input(0)
-    calls = {"eigvalsh": 0, "eigvals": 0}
+def count_eigensolves(monkeypatch):
+    """Spy on numpy's eigensolvers: a dict of calls per name, filled as they run."""
+    calls = {"eigvals": 0, "eigvalsh": 0, "eigh": 0}
     for name in calls:
         solve = getattr(np.linalg, name)
 
@@ -462,8 +502,65 @@ def test_onset_spectra_run_no_eigvalsh(monkeypatch):
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_unproved_spectrum_runs_one_eigh_and_no_eigvals(monkeypatch):
+    gamma = make_pure_gaussian(5.0, 0.4)
+    assert not qbmsim.symplectic._well_conditioned(gamma)
+    calls = count_eigensolves(monkeypatch)
+    symplectic_spectrum(gamma)
+    # the eigvalsh is the one on the complex Hermitian form
+    assert calls == {"eigvals": 0, "eigvalsh": 1, "eigh": 1}
+
+
+def test_onset_spectra_run_no_eigvalsh(monkeypatch):
+    # every dense spectrum of the onset-n64 input is proved well conditioned, so a
+    # bound that is tightened or dropped fails here, not only in the benchmark
+    for seed in range(4):
+        assert all(qbmsim.symplectic._well_conditioned(g) for g in onset_workload_states(seed))
+    gamma_sys, net, beta, times = onset_workload_input(0)
+    calls = count_eigensolves(monkeypatch)
     immediate_entanglement_check(gamma_sys, net, beta, times)
-    assert times.size == 30 and calls == {"eigvalsh": 0, "eigvals": 30}
+    assert times.size == 30 and calls == {"eigvals": 30, "eigvalsh": 0, "eigh": 0}
+
+
+def contract_violations():
+    """Inputs with an entry that is not finite, or an upper triangle unlike the lower."""
+    cases = []
+    for value in (np.nan, np.inf, -np.inf):
+        for index in ((0, 0), (1, 0), (0, 1)):
+            gamma = np.eye(2) + 0.1
+            gamma[index] = value
+            cases.append(gamma)
+    upper = np.triu_indices(4, 1)
+    for value in (0.5, 3.0):
+        gamma = np.eye(4)
+        gamma[upper] = value
+        cases += [gamma, gamma.T.copy()]
+    # its lower triangle is the identity; unchecked it gave the spectrum [0.]
+    cases.append(np.array([[1.0, 3.0], [0.0, 1.0]]))
+    # Gamma - Gamma^T overflows
+    cases.append(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+    return cases
+
+
+@pytest.mark.parametrize("proved", [False, True])
+def test_spectrum_rejects_what_breaks_its_contract_on_either_route(monkeypatch, proved):
+    monkeypatch.setattr(qbmsim.symplectic, "_well_conditioned", lambda gamma: proved)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in contract_violations():
+            with pytest.raises(ValueError, match="^covariance matrix (has an entry that is "
+                               "not finite|is not symmetric: .*)$") as info:
+                symplectic_spectrum(gamma)
+            assert "\n" not in str(info.value)
+            assert not is_valid_covariance(gamma)
+        # asymmetry within 1e-10 (1 + max|Gamma|) passes
+        gamma = np.eye(2)
+        gamma[0, 1] = 1.5e-10
+        assert is_valid_covariance(gamma)
+        npt.assert_allclose(symplectic_spectrum(gamma), [1.0], rtol=1e-9)
 
 
 def test_sigma_times_is_the_product_bit_for_bit(rng):
@@ -482,6 +579,14 @@ def test_validity_checks():
     assert is_valid_covariance(np.eye(4))
     assert not is_valid_covariance(0.5 * np.eye(2))
     assert not is_valid_covariance(np.array([[1.0, 0.2], [0.1, 1.0]]))
+
+
+def test_spectrum_rejects_a_shape_that_is_not_square_and_even():
+    for gamma in (1.0, np.ones(2), np.eye(3), np.ones((2, 4)), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="^covariance matrix must be square with even "
+                                             "dimension$"):
+            symplectic_spectrum(gamma)
+        assert not is_valid_covariance(gamma)
 
 
 def test_purity_checks():
