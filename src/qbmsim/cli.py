@@ -38,10 +38,10 @@ from .entanglement import PPT_TOL, product_state_pt_minima, verdict_from_pt_mini
 from .model import OscillatorNetwork, SpectralFamily, _check_squares, make_spectral_model
 from .symplectic import (
     _MAX_STATE_ENTRY,
+    _thermal_factors,
     is_valid_covariance,
     make_pure_gaussian,
     thermal_diagonal,
-    thermal_factor,
 )
 
 
@@ -379,9 +379,15 @@ def emit(table: ResultTable, fmt: str, path: str) -> None:
                 fh.write(f"# {key}: {_format_cell(table.metadata[key])}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(table.columns)
-            # a Python float, the common cell, skips _format_cell's type dispatch
-            writer.writerows([f"{c:.17g}" if type(c) is float else _format_cell(c) for c in row]
-                             for row in table.rows)
+            if set(map(type, chain.from_iterable(table.rows))) == {float}:
+                # %.17g of a float holds no delimiter, quote or newline, so a row of
+                # Python floats needs no quoting: one format per row, one write
+                line = ",".join(["%.17g"] * len(table.columns)) + "\n"
+                fh.write("".join(map(line.__mod__, map(tuple, table.rows))))
+            else:
+                # a Python float, the common cell, skips _format_cell's type dispatch
+                writer.writerows([f"{c:.17g}" if type(c) is float else _format_cell(c)
+                                  for c in row] for row in table.rows)
     elif fmt == "svg":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_svg_line_chart(table))
@@ -465,7 +471,7 @@ def _base_metadata(config: ExperimentConfig, command: str) -> dict:
 
 def _product_state_spectrum(gamma_sys: np.ndarray, net: OscillatorNetwork, beta: float):
     """det gamma_sys, f(beta omega_j) and the product state's least symplectic eigenvalue."""
-    det_sys, f = float(np.linalg.det(gamma_sys)), thermal_factor(beta * net.omegas[1:])
+    det_sys, f = float(np.linalg.det(gamma_sys)), _thermal_factors(net.omegas[1:], beta)
     return det_sys, f, min(math.sqrt(det_sys), float(f.min()))
 
 

@@ -350,41 +350,50 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
     before, so its bracket stays put.  Once such times are half of the
     chunk and hold _DROP_ELEMENTS (time, mode) elements, they leave it, so
     that the passes still to come run on the other times alone.
+
+    The state is one entry per time of the chunk.  The bracket's ends are
+    one (2, T) array of bits, lo over hi, and the poles below them another,
+    so that one putmask per array moves whichever end each probe replaces;
+    the count at hi, the estimate under check and its window are (T,)
+    arrays.
     """
     poles = sorted(nu.tolist())
     above = np.array(poles + [math.inf])  # above[k]: the least pole >= lam when k poles lie below
     below = np.array([-poles[0]] + poles)  # below[k]: the greatest pole < lam
-    lo, hi = (np.full(coef.shape[1], end).view(np.int64) for end in bracket)
-    counts, newton_step, k_lo = _positive_eigenvalues_below(lo.view(np.float64), coef,
+    size = coef.shape[1]
+    ends = np.repeat(np.array(bracket)[:, None], size, axis=1).view(np.int64)  # lo, hi as bits
+    counts, newton_step, k_lo = _positive_eigenvalues_below(ends[0].view(np.float64), coef,
                                                             quad, nu_s, nu)
-    lo[counts >= 1.0] = 0
-    k_lo[counts >= 1.0] = 0  # k_lo, k_hi: the poles below lo and below hi
-    k_hi = np.full(lo.size, float(nu.size))
-    x = lo.copy()  # the last probe; newton_step gives F/F' there
-    top = np.zeros(lo.size)  # count(hi), 0 until a probe sets hi
-    est = np.zeros(lo.size, dtype=np.int64)  # the estimate under check
-    rad = np.zeros(lo.size, dtype=np.int64)  # its window's half width: 0 not yet, -1 never
-    minima = np.empty(lo.size)
-    at = np.arange(lo.size)  # the time of each entry of the arrays above
+    k_ends = np.stack((k_lo, np.full(size, float(nu.size))))  # the poles below lo and below hi
+    ends[0, counts >= 1.0] = 0
+    k_ends[0, counts >= 1.0] = 0
+    x = ends[0].copy()  # the last probe; newton_step gives F/F' there
+    top = np.zeros(size)  # count(hi), 0 until a probe sets hi
+    est = np.zeros(size, dtype=np.int64)  # the estimate under check
+    rad = np.zeros(size, dtype=np.int64)  # its window's half width: 0 not yet, -1 never
+    minima = np.empty(size)
+    at = np.arange(size)  # the time of each entry of the arrays above
     for passes in range(1, _MAX_PASSES):
+        lo, hi = ends
         width = hi - lo
         done = width <= 1
-        converged = int(done.sum())
+        converged = np.count_nonzero(done)
         if converged == done.size:
             break
         # passes + ceil(log2 width) < _MAX_PASSES: the pass need not halve the bracket
         spare = width <= 1 << (_MAX_PASSES - 1 - passes)
-        newton = (top == 1.0) & spare & (rad == 0) & (k_lo == k_hi)
+        newton = (top == 1.0) & spare & (rad == 0) & (k_ends[0] == k_ends[1])
         # F/F' only on a pass where some time may take Newton's step; the count's
         # arrays are released before the next count either way
         steps = newton_step() if newton.any() else None
         newton_step = None
         if 2 * converged >= done.size and converged * nu.size >= _DROP_ELEMENTS:
             minima[at[done]] = hi[done].view(np.float64)
-            live = ~done
-            at, lo, hi, k_lo, k_hi, x, top, est, rad, width, spare, newton = (
-                a[live] for a in (at, lo, hi, k_lo, k_hi, x, top, est, rad, width, spare,
-                                  newton))
+            live = np.flatnonzero(~done)
+            ends, k_ends = ends[:, live], k_ends[:, live]
+            at, x, top, est, rad, width, spare, newton = (
+                a[live] for a in (at, x, top, est, rad, width, spare, newton))
+            lo, hi = ends
             steps = None if steps is None else steps[live]
             coef, quad = coef[:, live], quad[:, :, live]
         probe = lo + width // 2
@@ -397,33 +406,36 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
             ahead = np.where(from_lo, guess - x, x - guess)  # ulps from x towards the far end
             settled = newton & (ahead <= 2)
             if settled.any():
-                est = np.where(settled, np.where(ahead > 0, guess, x), est)
-                rad = np.where(settled, 8, rad)
-            newton &= ~settled & (2.0 * np.abs(steps)
-                                  < np.minimum(above[k_hi.astype(np.intp)] - xf, xf - below[k_lo.astype(np.intp)]))
-            ahead[(width > 1 << max(_MAX_PASSES - 3 - passes, 0)) & (width > 4 * ahead)] *= 2
-            probe = np.where(newton & (ahead < width),
-                             np.where(from_lo, x + ahead, x - ahead), probe)
+                np.putmask(est, settled, np.where(ahead > 0, guess, x))
+                np.putmask(rad, settled, 8)
+                newton ^= settled
+            # the poles around x, read where k_lo = k_hi, as it is wherever newton holds
+            k_x = k_ends[1].astype(np.intp)
+            newton &= 2.0 * np.abs(steps) < np.minimum(above[k_x] - xf, xf - below[k_x])
+            ahead <<= (width > 1 << max(_MAX_PASSES - 3 - passes, 0)) & (width > 4 * ahead)
+            np.putmask(probe, newton & (ahead < width), np.where(from_lo, x + ahead, x - ahead))
         checking = (rad > 0) & spare
         check = checking.any()
         if check:
             low, high = est - rad, est + rad
-            probe = np.where(checking & (lo < low), low,
-                             np.where(checking & (high < hi), high, probe))
+            np.putmask(probe, checking & (high < hi), high)
+            np.putmask(probe, checking & (lo < low), low)
         counts, newton_step, k = _positive_eigenvalues_below(probe.view(np.float64), coef,
                                                              quad, nu_s, nu)
-        up = counts >= 1.0
+        sides = np.empty(ends.shape, dtype=bool)  # where the probe replaces lo, and hi
+        up = np.greater_equal(counts, 1.0, out=sides[1])
+        np.logical_not(up, out=sides[0])
         if check:
             # the root lies outside the window: widen it, or give up on it
-            missed = checking & np.where(up, probe == low, probe == high)
-            rad = np.where(missed, np.where(rad < 512, 8 * rad, -1), rad)
-        hi = np.where(up, probe, hi)
-        lo = np.where(up, lo, probe)
-        k_hi = np.where(up, k, k_hi)
-        k_lo = np.where(up, k_lo, k)
-        top = np.where(up, counts, top)
+            missed = checking & (probe == np.where(up, low, high))
+            if missed.any():
+                np.putmask(rad, missed, np.where(rad < 512, 8 * rad, -1))
+        # putmask repeats the (T,) values over each row of the (2, T) arrays
+        np.putmask(ends, sides, probe)
+        np.putmask(k_ends, sides, k)
+        np.putmask(top, up, counts)
         x = probe
-    minima[at] = hi.view(np.float64)
+    minima[at] = ends[1].view(np.float64)
     return minima
 
 
@@ -468,7 +480,9 @@ def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float
             probe = _off_the_poles(probe, dist, nu)
             dist = nu - probe[:, None]
         dist *= nu + probe[:, None]
-        below = (dist < 0.0).sum(axis=1, dtype=float)  # #(nu_j < lam)
+        # #(nu_j < lam); a product with ones sums the mask exactly, and faster than
+        # a reduction along rows as short as a small bath's
+        below = (dist < 0.0) @ np.ones(nu.size)
         inv = np.divide(1.0, dist, out=dist)
         g = np.einsum("ktn,tn->kt", coef, inv)
         # A = [[gaa, gab + iq], [gab - iq, gbb]]

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -608,6 +609,28 @@ def test_immediate_frozen_bath_writes_nan_derivatives(tmp_path):
     assert meta["lambda_dot0_fd"] == "nan"
 
 
+@pytest.mark.parametrize("command, grid", [
+    ("evolve", {"start": 0.0, "stop": 20.0, "points": 20}),
+    ("immediate", {"start": 1e-3, "stop": 1.0, "points": 10, "spacing": "log"}),
+])
+def test_a_beta_at_the_top_of_the_double_range_is_the_frozen_bath(tmp_path, command, grid):
+    # beta * omega overflows to inf at beta 1e308, and f(inf) = 1 as f(beta omega) is
+    # at 1e300: the outputs are the same bits, and no overflow warns
+    written = {}
+    for beta in (1e308, 1e300):
+        config = write_config(tmp_path, {"model": dict(FAMILY), "beta": beta,
+                                         "time_grid": grid})
+        out = str(tmp_path / f"{beta:g}.csv")
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            assert main([command, "--config", config, "--out", out]) == 0
+        meta, header, rows = read_csv(out)
+        for key in ("config", "beta", "wall_clock_s"):
+            del meta[key]
+        written[beta] = meta, header, rows
+    assert written[1e308] == written[1e300]
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -793,6 +816,58 @@ def test_csv_floats_roundtrip(tmp_path):
     emit(table, "csv", str(path))
     _, _, rows = read_csv(str(path))
     assert [float(r[1]) for r in rows] == values
+
+
+def per_cell_csv(table, path):
+    """emit's CSV with every row through csv.writer, cell by cell: the oracle of its rows."""
+    def cell(value):
+        if type(value) is float:
+            return f"{value:.17g}"
+        if isinstance(value, bool):
+            return str(value)
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return f"{float(value):.17g}"
+        return str(value)
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for key in sorted(table.metadata):
+            fh.write(f"# {key}: {cell(table.metadata[key])}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.columns)
+        writer.writerows([cell(c) for c in row] for row in table.rows)
+
+
+#: doubles whose %.17g takes each form: signed zero, subnormal, integral, exponent
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 2.0, 1e16, 1.7976931348623157e308, 0.1, -1.5e-300)
+CSV_FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.builds(math.nextafter, st.sampled_from(EDGE_FLOATS), st.sampled_from((-math.inf, math.inf)))
+    .filter(math.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False))
+CSV_CELLS = st.one_of(
+    CSV_FLOATS, CSV_FLOATS.map(np.float64), st.booleans(), st.integers(-10**20, 10**20),
+    st.integers(0, 9).map(np.int64),
+    st.text(alphabet=st.sampled_from(list('ab ,"\n\r-')), max_size=6))
+
+
+def csv_tables(cells):
+    return st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.tuples(*[cells] * width), min_size=1, max_size=12).map(
+        lambda rows: ResultTable(columns=[f"c{i}" for i in range(width)], rows=rows,
+                                 metadata={"n": len(rows), "x": 0.5})))
+
+
+@given(st.one_of(csv_tables(CSV_FLOATS), csv_tables(CSV_CELLS)))
+@settings(max_examples=300, deadline=None)
+def test_emit_writes_the_bytes_of_the_per_cell_writer(table):
+    # a table of Python floats takes one format per row, any other csv.writer
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, oracle = Path(tmp) / "ours.csv", Path(tmp) / "oracle.csv"
+        emit(table, "csv", str(ours))
+        per_cell_csv(table, str(oracle))
+        assert ours.read_bytes() == oracle.read_bytes()
 
 
 def test_emit_rejects_empty_and_unknown_format(tmp_path):

@@ -450,6 +450,22 @@ def test_pt_minima_take_few_passes_on_the_benchmark_inputs(monkeypatch, workload
                             rtol=1e-13, atol=0.0)
 
 
+def test_pt_search_starts_from_zero_where_the_lower_end_counts(monkeypatch):
+    # a lower end above the root of half the times: the first pass sees it count
+    # >= 1 there and starts those times from 0, with hi and the poles below it
+    # as they were.  Other probes may stop on another turn of the count within
+    # rounding of the kernel's root (see _positive_eigenvalues_below)
+    roots = record_roots(monkeypatch)
+    run_evolve(benchmark_config("evolve-n8", 0))
+    monkeypatch.undo()
+    ((bracket, *inputs), minima, _), = roots
+    found = qbmsim.entanglement._smallest_root((float(np.median(minima)), bracket[1]), *inputs)
+    npt.assert_allclose(found, minima, rtol=1e-12, atol=0.0)
+    count = qbmsim.entanglement._positive_eigenvalues_below
+    assert count(found, *inputs)[0].min() >= 1.0
+    npt.assert_array_equal(count(np.nextafter(found, 0.0), *inputs)[0], 0.0)
+
+
 def minima_with_newton_steps(monkeypatch, run, eager):
     """run()'s PT minima, and per count whether its Newton step F/F' was evaluated.
 

@@ -138,6 +138,14 @@ def test_thermal_diagonal_rows_are_the_position_and_momentum_entries(rng):
         assert np.array_equal(bath, np.diag(np.diag(bath)))
 
 
+def test_thermal_diagonal_at_the_top_of_the_double_range_is_the_ground_state():
+    # beta * omega overflows to inf, whose thermal factor is 1, and does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = qbmsim.symplectic.thermal_diagonal([1.0, 2.0], 1e308)
+    assert np.array_equal(d, [[1.0, 0.5], [1.0, 2.0]])
+
+
 def test_gibbs_single_mode_values():
     net = OscillatorNetwork(omegas=[2.0], kappas=[])
     modes = normal_modes(build_potential_matrix(net))
@@ -561,6 +569,28 @@ def test_spectrum_rejects_what_breaks_its_contract_on_either_route(monkeypatch, 
         gamma[0, 1] = 1.5e-10
         assert is_valid_covariance(gamma)
         npt.assert_allclose(symplectic_spectrum(gamma), [1.0], rtol=1e-9)
+
+
+def test_max_skew_is_the_transposed_difference_bit_for_bit(rng):
+    # the strips meet each pair of entries once; the value must be the float of
+    # the whole-matrix form, so that the verdict and its message stay the same
+    cases = [rng.standard_normal((n, n)) for n in (2, 4, 63, 64, 65, 130, 200)]
+    sym = random_covariance(rng, 70)
+    # one pair off: across the first and last strips, at a strip's edge, on a diagonal block
+    for i, j in ((139, 0), (0, 139), (70, 64), (5, 6)):
+        lopsided = sym.copy()
+        lopsided[i, j] += 1e-9
+        cases.append(lopsided)
+    huge = np.finfo(float).max
+    cases.append(huge * rng.uniform(-1.0, 1.0, (130, 130)))  # differences overflow to inf
+    cases.append(np.array([[1.0, huge], [-huge, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in cases:
+            with np.errstate(over="ignore"):
+                expected = float(np.abs(gamma - gamma.T).max())
+            assert qbmsim.symplectic._max_skew(gamma) == expected
+    assert qbmsim.symplectic._max_skew(sym) == 0.0
 
 
 def test_sigma_times_is_the_product_bit_for_bit(rng):
