@@ -228,10 +228,10 @@ def _mirror_lower(a: NDArray[np.float64]) -> None:
 class _GapBlock:
     """One n x n block A = diag(d) - E - margin * I of the bath gap, for bisection.
 
-    decide(d, margin) returns exactly the boolean that np.linalg.cholesky
-    gives on the gap built as gap = 0 - E, gap_ii += d_i, gap_ii -= margin,
-    deciding in O(n) or O(n^2) from rigorous bounds wherever they settle it
-    and running that very Cholesky otherwise.  With a_i = ((0 - E_ii) + d_i)
+    decide(d) returns exactly the boolean that np.linalg.cholesky gives on
+    the gap built as gap = 0 - E, gap_ii += d_i, gap_ii -= margin, deciding
+    in O(n) or O(n^2) from rigorous bounds wherever they settle it and
+    running that very Cholesky otherwise.  With a_i = ((0 - E_ii) + d_i)
     - margin, the diagonal of that gap, and H = S A S for S = diag(a^-1/2)
     (unit diagonal, so H = I - K with K = S offdiag(E) S):
 
@@ -272,8 +272,8 @@ class _GapBlock:
 
     Rounding is monotone, so a = ((0 - E_ii) + d_i) - margin is nondecreasing
     in the thermal diagonal d in rounded arithmetic too.  prove therefore
-    keeps the last proof of each kind on d, for one margin throughout, and
-    settles a later d' >= d or d' <= d by one comparison in O(n).
+    keeps the last proof of each kind on d, for the margin fixed when the
+    block is built, and settles a later d' >= d or d' <= d in O(n).
 
     The bounds also leave what a Newton search for the edge needs: the
     Rayleigh quotient c of the warm power vector y, x = K y, and w = 1/a
@@ -288,8 +288,9 @@ class _GapBlock:
     chunks (see _CHUNK_ENTRIES).
     """
 
-    def __init__(self, env: NDArray[np.float64]) -> None:
+    def __init__(self, env: NDArray[np.float64], margin: float) -> None:
         n = env.shape[0]
+        self.margin = margin
         self.diag = env.diagonal().copy()
         # env itself becomes the zero-diagonal E, lower triangle mirrored without
         # temporaries: K's matvecs, ||K||_F and the fallback's off-diagonal
@@ -316,19 +317,19 @@ class _GapBlock:
         n = self.off.shape[0]
         return (slice(i, min(i + self.rows, n)) for i in range(0, n, self.rows))
 
-    def decide(self, d: NDArray[np.float64], margin: float) -> bool:
+    def decide(self, d: NDArray[np.float64]) -> bool:
         """True exactly when np.linalg.cholesky accepts this block's gap."""
-        verdict = self.prove(d, margin)
+        verdict = self.prove(d)
         return self._cholesky() if verdict is None else verdict
 
-    def prove(self, d: NDArray[np.float64], margin: float) -> bool | None:
+    def prove(self, d: NDArray[np.float64]) -> bool | None:
         """The verdict of a kept proof, or of a new one, kept; None when only Cholesky can tell."""
         self.c = self.open = None
         if self.certified is not None and (d >= self.certified).all():
             return True
         if self.refuted is not None and (d <= self.refuted).all():
             return False
-        a = ((0.0 - self.diag) + d) - margin
+        a = ((0.0 - self.diag) + d) - self.margin
         verdict = self._bound(a) if (a > 0.0).all() else False
         if verdict:
             self.certified = d
@@ -421,7 +422,7 @@ class _GapBlock:
 
 
 def _evaluate_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
-                   beta: float, margin: float) -> tuple[bool | None, float | None]:
+                   beta: float) -> tuple[bool | None, float | None]:
     """What kept proofs and bounds settle at beta, and the edge Newton steps predict.
 
     The verdict is None unless a block is proved infeasible or both are
@@ -432,8 +433,7 @@ def _evaluate_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
     """
     f = thermal_factor(beta * omega_bath)
     # thermal_diagonal's rows, f / w and f w, from the f that the Newton slope needs too
-    verdicts = [block.prove(d, margin)
-                for block, d in zip(blocks, (f / omega_bath, f * omega_bath))]
+    verdicts = [block.prove(d) for block, d in zip(blocks, (f / omega_bath, f * omega_bath))]
     verdict = False if False in verdicts else None if None in verdicts else True
     if all(block.c is None for block in blocks):
         return verdict, None
@@ -446,15 +446,15 @@ def _evaluate_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
 
 
 def _bath_feasible(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
-                   beta: float, margin: float) -> tuple[bool, float | None]:
+                   beta: float) -> tuple[bool, float | None]:
     """Cholesky's verdict on both blocks, run where _evaluate_beta left one open; its estimate."""
-    verdict, estimate = _evaluate_beta(omega_bath, blocks, beta, margin)
+    verdict, estimate = _evaluate_beta(omega_bath, blocks, beta)
     if verdict is None:
         verdict = all(block._cholesky() for block in blocks if block.open is not None)
     return verdict, estimate
 
 
-def _search_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margin: float,
+def _search_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock],
                  lo: float, hi: float, beta: float) -> float | None:
     """Newton's estimate of beta* in (lo, hi), from a first estimate beta; None without one.
 
@@ -469,7 +469,7 @@ def _search_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margi
     for _ in range(_SEARCH_STEPS):
         if not lo < beta < hi:
             beta = 0.5 * (lo + hi)
-        verdict, estimate = _evaluate_beta(omega_bath, blocks, beta, margin)
+        verdict, estimate = _evaluate_beta(omega_bath, blocks, beta)
         if verdict is not None:
             lo, hi = (beta, hi) if verdict else (lo, beta)
         if estimate is None:
@@ -481,8 +481,7 @@ def _search_beta(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margi
     return beta
 
 
-def _plant(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margin: float,
-           beta: float) -> None:
+def _plant(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], beta: float) -> None:
     """Prove infeasibility just above the estimate beta and feasibility just below it.
 
     Each side tries _PLANT_TRIES betas, each 16 times further from beta,
@@ -493,7 +492,7 @@ def _plant(omega_bath: NDArray[np.float64], blocks: list[_GapBlock], margin: flo
     for side in (1.0, -1.0):
         gap = _PLANT_GAP
         for _ in range(_PLANT_TRIES):
-            verdict, _ = _evaluate_beta(omega_bath, blocks, beta * (1.0 + side * gap), margin)
+            verdict, _ = _evaluate_beta(omega_bath, blocks, beta * (1.0 + side * gap))
             if verdict is (side < 0.0):
                 break
             gap *= 16.0
@@ -511,31 +510,32 @@ def _bisect_beta(omega_bath: NDArray[np.float64],
     whose bounds leave a Newton estimate inside the bracket the loop has
     reached starts _search_beta there, and _plant proves both sides of its
     estimate; the blocks keep those proofs, so the loop decides every later
-    midpoint outside the two in O(n).  The bisection works in env_blocks,
+    midpoint outside the two in O(n).  Both blocks are built with margin,
+    fixed for every proof they keep.  The bisection works in env_blocks,
     two writeable float64 arrays or views, and leaves each with a zero
     diagonal and its strict lower triangle mirrored onto the upper one.
     """
     if not margin > 0.0:
         raise ValueError("margin must be positive")
-    blocks = [_GapBlock(env) for env in env_blocks]
+    blocks = [_GapBlock(env, margin) for env in env_blocks]
     lo, hi = BETA_BRACKET
-    if not _bath_feasible(omega_bath, blocks, lo, margin)[0]:
+    if not _bath_feasible(omega_bath, blocks, lo)[0]:
         raise FeasibilityError(
             f"bath condition infeasible across the whole bracket ({lo:g}, {hi:g}); "
             f"margin {margin:g} may be too large for this model"
         )
-    if _bath_feasible(omega_bath, blocks, hi, margin)[0]:
+    if _bath_feasible(omega_bath, blocks, hi)[0]:
         return hi
     searching = True
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        feasible, estimate = _bath_feasible(omega_bath, blocks, mid, margin)
+        feasible, estimate = _bath_feasible(omega_bath, blocks, mid)
         lo, hi = (mid, hi) if feasible else (lo, mid)
         if searching and estimate is not None and lo < estimate < hi:
             searching = False
-            estimate = _search_beta(omega_bath, blocks, margin, lo, hi, estimate)
+            estimate = _search_beta(omega_bath, blocks, lo, hi, estimate)
             if estimate is not None and lo < estimate < hi:
-                _plant(omega_bath, blocks, margin, estimate)
+                _plant(omega_bath, blocks, estimate)
     return lo
 
 
@@ -622,13 +622,13 @@ def verify_all_times_separable(cert: SeparabilityCertificate,
     Each time costs O(n^2) and forms no 2n x 2n matrix: product_state_pt_minima
     reads the PT spectrum off rows 0 and 1 of S_t.  Raises ValueError if
     cert.gamma0_sys is unphysical, checked once (the symplectic flow keeps the
-    product state's symplectic spectrum), or if times is empty or not finite.
+    product state's symplectic spectrum), or if times is empty, not finite
+    or too large for its phases w t (see product_state_pt_minima).
     """
     if not is_valid_covariance(cert.gamma0_sys):
         raise ValueError("certificate gamma0_sys is not a valid single-mode covariance")
     times = _time_grid(times)
-    minima = product_state_pt_minima(cert.gamma0_sys, net.modes, net.omegas[1:],
-                                     cert.beta, times)
+    minima = product_state_pt_minima(cert.gamma0_sys, net, cert.beta, times)
     min_pt = float(minima.min())
     return VerificationReport(
         times=times,
@@ -681,7 +681,8 @@ def immediate_entanglement_check(gamma_sys: NDArray[np.float64],
     than raising, so the curve stays available for inspection.  Raises
     ImpureStateError, a ValueError, for an impure system state, and ValueError
     for a system state with an entry of magnitude 2^255 or more or for times
-    that are empty, not finite or not strictly positive.
+    that are empty, not finite, not strictly positive or too large for
+    their phases w t to be finite.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
     if not is_pure(gamma_sys, tol=1e-8):

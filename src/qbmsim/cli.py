@@ -486,7 +486,7 @@ def run_evolve(config: ExperimentConfig) -> ResultTable:
     _, f, min_symplectic = _product_state_spectrum(gamma_sys, net, beta)
     energy = float((net.omegas[0] ** 2 * gamma_sys[0, 0] + gamma_sys[1, 1]) / 4.0
                    + np.sum(net.omegas[1:] * f) / 2.0)
-    minima = product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], beta, times)
+    minima = product_state_pt_minima(gamma_sys, net, beta, times)
     verdicts = verdict_from_pt_minimum(minima, config.ppt_tol)
     rows = list(zip(times.tolist(), minima.tolist(), verdicts.log_negativity.tolist(),
                     repeat(energy), repeat(min_symplectic)))

@@ -17,9 +17,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .model import OscillatorNetwork
 from .symplectic import (
-    NormalModes,
     _require_bounded_entries,
+    _require_finite_phases,
     symplectic_spectrum,
     thermal_diagonal,
 )
@@ -131,14 +132,13 @@ _DROP_ELEMENTS = 512
 _MAX_PASSES = 64
 
 
-def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
-                            omega_bath: NDArray[np.float64], beta: float,
-                            times: Iterable[float]) -> NDArray[np.float64]:
+def product_state_pt_minima(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
+                            beta: float, times: Iterable[float]) -> NDArray[np.float64]:
     """Smallest PT symplectic eigenvalue of S_t Gamma_0 S_t^T at each time.
 
     Gamma_0 is gamma_sys (mode 0) tensored with the Gibbs state of the
-    uncoupled bath at inverse temperature beta, and S_t is the flow of the
-    network with normal modes `modes`.  Each time costs O(n^2) work: no
+    uncoupled bath of net at inverse temperature beta, and S_t is the flow
+    of net, read off its normal modes.  Each time costs O(n^2) work: no
     2n x 2n matrix is formed and no eigensolver runs, and the times are
     taken in chunks of at most _CHUNK_ELEMENTS / n, so memory does not grow
     with their number.  The values equal
@@ -210,14 +210,16 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
     pass left.  nu_s is not a pole in this bordered form, so at t = 0, where
     the minimum is nu_s itself, it is found to rounding; a secular equation
     over all 2n poles would put that root on a pole.
-    Raises ValueError for a non-finite time, a gamma_sys that is not a 2x2
-    positive definite matrix or has an entry of magnitude 2^255 or more, or
-    an omega_bath that does not match the bath modes.
+    Raises ValueError for a time that is not finite or whose phase w t
+    overflows, or a gamma_sys that is not a 2x2 positive definite matrix or
+    has an entry of magnitude 2^255 or more.
     """
     gamma_sys = np.asarray(gamma_sys, dtype=float)
     times = np.asarray(times, dtype=float).ravel()
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
+    m, w = net.modes.mode_matrix, net.modes.tilde_omegas
+    _require_finite_phases(times, w)
     if gamma_sys.shape != (2, 2):
         raise ValueError("system covariance must be 2x2")
     _require_bounded_entries(gamma_sys)
@@ -228,11 +230,7 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], modes: NormalModes,
     if not pivot > 0.0:
         raise ValueError("system covariance must be positive definite")
     chol = (l00, c / l00, math.sqrt(pivot))
-    root = np.sqrt(thermal_diagonal(omega_bath, beta))
-    m, w = modes.mode_matrix, modes.tilde_omegas
-    if root.shape[1] + 1 != w.size:
-        raise ValueError(f"omega_bath has {root.shape[1]} modes, "
-                         f"the network {w.size - 1} bath modes")
+    root = np.sqrt(thermal_diagonal(net.omegas[1:], beta))
     nu_s = chol[0] * chol[2]
     nu = root[0] * root[1]
     # lam_min(gamma_sys) as det / lam_max: the closed form for lam_min cancels

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import sys
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -174,8 +175,8 @@ def propagator(net: OscillatorNetwork, t: float) -> NDArray[np.float64]:
 
     Built from the network's normal modes: each mode rotates as
     [[cos(w t), sin(w t)/w], [-w sin(w t), cos(w t)]], conjugated back to
-    the original coordinates.  Valid for any real t; S_0 is the identity
-    and S_{t+s} = S_t S_s.
+    the original coordinates.  Valid for any real t whose phases w t are
+    finite, a ValueError beyond; S_0 is the identity and S_{t+s} = S_t S_s.
     """
     return _propagator_from_modes(net.modes, t)
 
@@ -184,6 +185,7 @@ def _propagator_from_modes(modes: NormalModes, t: float,
                            tmat: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
     """S_t from the modes; tmat, when given, is embed_orthogonal(modes.mode_matrix.T)."""
     tw = modes.tilde_omegas
+    _require_finite_phases(t, tw)
     n = tw.size
     r = np.zeros((2 * n, 2 * n))
     c, s = np.cos(tw * t), np.sin(tw * t)
@@ -430,6 +432,21 @@ def _require_bounded_entries(gamma: NDArray[np.float64]) -> None:
     if np.abs(gamma).max() >= _MAX_STATE_ENTRY:
         raise ValueError("system covariance entries must be below 2^255 in magnitude, "
                          "beyond which products of entries overflow double precision")
+
+
+def _require_finite_phases(times: float | NDArray[np.float64],
+                           tilde_omegas: NDArray[np.float64]) -> None:
+    """Raise ValueError naming the first time whose phase w t overflows for some mode.
+
+    The test is |t| > max double / w_max, taken one ulp below the rounded
+    quotient, so that neither it nor a phase of a time it passes overflows.
+    """
+    w_max = float(tilde_omegas[-1])  # tilde_omegas ascend
+    times = np.atleast_1d(times)
+    far = np.flatnonzero(np.abs(times) > math.nextafter(sys.float_info.max / w_max, 0.0))
+    if far.size:
+        raise ValueError(f"time {float(times[far[0]])!r} is too large: its phase w t "
+                         f"overflows at the fastest normal mode, w = {w_max!r}")
 
 
 def _purity_bound(gamma: NDArray[np.float64], tol: float) -> float:

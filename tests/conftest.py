@@ -1,3 +1,7 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,16 @@ from qbmsim.entanglement import DISCRIMINANT_FLOOR, TwoModeBlock
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@functools.cache
+def perfbench_workloads():
+    """perfbench/workloads.py of this checkout, loaded once: the benchmark's configs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def random_network(rng, n_env, omega_lo=0.2, omega_hi=3.0, fill=None):

@@ -1,10 +1,9 @@
-import importlib.util
+import itertools
 import math
 import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -37,7 +36,12 @@ from qbmsim import (
 from qbmsim.certify import DEGENERATE_DET_B, ImpureStateError
 from qbmsim.symplectic import thermal_diagonal
 
-from conftest import random_explicit_network, random_network, random_pure_system
+from conftest import (
+    perfbench_workloads,
+    random_explicit_network,
+    random_network,
+    random_pure_system,
+)
 
 OHMIC = SpectralFamily(exponent=1.0, omega_max=2.0, coupling_norm=0.1, n_env=8)
 
@@ -354,26 +358,25 @@ def test_gap_block_mirrors_the_lower_triangle_bit_for_bit(rng, n):
     np.fill_diagonal(expected, 0.0)
     for i in range(n - 1):  # the row-by-row mirror the tiles replace
         expected[i, i + 1:] = expected[i + 1:, i]
-    block = qbmsim.certify._GapBlock(env.copy())
+    block = qbmsim.certify._GapBlock(env.copy(), 1e-6)
     assert np.array_equal(block.off.view(np.int64), expected.view(np.int64))
 
 
 def test_gap_block_decides_like_cholesky(rng):
-    margin = 1e-6
     settled = Counter()
-    for net, env_blocks in decision_cases(rng):
+    for (net, env_blocks), margin in itertools.product(decision_cases(rng), (1e-6, 1e-3)):
         omega_bath = net.omegas[1:]
         probes = decision_probes(net, env_blocks, margin)
         for k, env in enumerate(env_blocks):
             # copies throughout: a block consumes the array it is given
-            warm = qbmsim.certify._GapBlock(env.copy())
+            warm = qbmsim.certify._GapBlock(env.copy(), margin)
             for beta in probes:
                 diag = thermal_diagonal(omega_bath, beta)[k]
                 expected = cholesky_accepts(env, diag, margin)
                 # a fresh block starts its power steps cold; the warm one has
                 # seen every earlier probe, as in a bisection
-                assert qbmsim.certify._GapBlock(env.copy()).decide(diag, margin) == expected
-                assert warm.decide(diag, margin) == expected
+                assert qbmsim.certify._GapBlock(env.copy(), margin).decide(diag) == expected
+                assert warm.decide(diag) == expected
                 settled[expected] += 1
     assert min(settled.values()) > 400
 
@@ -393,12 +396,12 @@ def test_gap_block_never_reads_the_upper_triangle(rng):
             blank[upper] = np.nan
             # a block consumes the array it is given: warm consumes noisy, which
             # is not read again, and every fresh block gets a copy of blank
-            warm = qbmsim.certify._GapBlock(noisy)
+            warm = qbmsim.certify._GapBlock(noisy, margin)
             for beta in probes:
                 diag = thermal_diagonal(omega_bath, beta)[k]
                 expected = cholesky_accepts(env, diag, margin)
-                assert warm.decide(diag, margin) == expected
-                assert qbmsim.certify._GapBlock(blank.copy()).decide(diag, margin) == expected
+                assert warm.decide(diag) == expected
+                assert qbmsim.certify._GapBlock(blank.copy(), margin).decide(diag) == expected
                 settled[expected] += 1
     assert min(settled.values()) > 400
 
@@ -421,8 +424,8 @@ def test_gap_block_on_the_strided_view_gives_the_contiguous_bits(n_env):
     probes = decision_probes(net, tuple(g[1:, 1:] for g in ref), margin)
     settled = Counter()
     for k, g in enumerate(ref):
-        contiguous = qbmsim.certify._GapBlock(np.ascontiguousarray(g[1:, 1:]))
-        strided = qbmsim.certify._GapBlock(g[1:, 1:])
+        contiguous = qbmsim.certify._GapBlock(np.ascontiguousarray(g[1:, 1:]), margin)
+        strided = qbmsim.certify._GapBlock(g[1:, 1:], margin)
         assert not strided.off.flags.c_contiguous and np.shares_memory(strided.off, g)
         for beta in probes:
             f = thermal_factor(beta * omega_bath)
@@ -431,7 +434,7 @@ def test_gap_block_on_the_strided_view_gives_the_contiguous_bits(n_env):
             verdicts = []
             for block in (strided, contiguous):
                 block.certified = block.refuted = None  # the bounds run at every probe
-                verdict = block.prove(d, margin)
+                verdict = block.prove(d)
                 state = [bits(block.c), bits(block.newton_step(a_dot)), bits(block.y),
                          bits(block.x)]
                 # Cholesky at every probe, not only where the bounds leave it open
@@ -446,10 +449,7 @@ def test_gap_block_on_the_strided_view_gives_the_contiguous_bits(n_env):
 
 def test_critical_beta_is_bit_identical_to_cholesky_bisection_at_512():
     # the margins of the sweep-n8-512 benchmark: 1e-6 times a stretch of up to 1.1
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     margins = {workloads.make_config("sweep-n8-512", seed)["tolerances"]["margin"]
                for seed in range(workloads.VARIANTS)}
     assert len(margins) == 4 and all(1e-6 <= m <= 1.1e-6 for m in margins)
@@ -477,10 +477,7 @@ def test_critical_beta_runs_at_most_four_choleskys(monkeypatch, n_env):
 
 def sweep_workload():
     """The sweep-n8-512 benchmark's bath sizes and its four margins, 1e-6 times up to 1.1."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     configs = [workloads.make_config("sweep-n8-512", seed) for seed in range(workloads.VARIANTS)]
     margins = sorted({config["tolerances"]["margin"] for config in configs})
     assert len(margins) == 4 and all(1e-6 <= m <= 1.1e-6 for m in margins)
@@ -515,13 +512,13 @@ def test_every_bisection_step_decides_like_cholesky(monkeypatch, rng):
     margin, steps, proved = 1e-6, [], []
     bath_feasible, evaluate = qbmsim.certify._bath_feasible, qbmsim.certify._evaluate_beta
 
-    def spying(omega_bath, blocks, beta, step_margin):
-        verdict, estimate = bath_feasible(omega_bath, blocks, beta, step_margin)
+    def spying(omega_bath, blocks, beta):
+        verdict, estimate = bath_feasible(omega_bath, blocks, beta)
         steps.append((beta, verdict))
         return verdict, estimate
 
-    def spying_evaluate(omega_bath, blocks, beta, step_margin):
-        verdict, estimate = evaluate(omega_bath, blocks, beta, step_margin)
+    def spying_evaluate(omega_bath, blocks, beta):
+        verdict, estimate = evaluate(omega_bath, blocks, beta)
         proved.append((beta, verdict))
         return verdict, estimate
 
@@ -546,9 +543,9 @@ def test_critical_beta_evaluates_no_beta_twice_at_the_sweep_sizes(monkeypatch):
     betas = []
     evaluate = qbmsim.certify._evaluate_beta
 
-    def spying(omega_bath, blocks, beta, margin):
+    def spying(omega_bath, blocks, beta):
         betas.append(beta)
-        return evaluate(omega_bath, blocks, beta, margin)
+        return evaluate(omega_bath, blocks, beta)
 
     monkeypatch.setattr(qbmsim.certify, "_evaluate_beta", spying)
     sizes, margins = sweep_workload()
@@ -579,9 +576,9 @@ def test_a_kept_proof_settles_its_side_without_bounds(monkeypatch, rng):
         probes = decision_probes(net, env_blocks, margin)[::5]
         for k, env in enumerate(env_blocks):
             for beta in probes:
-                block = qbmsim.certify._GapBlock(env.copy())
+                block = qbmsim.certify._GapBlock(env.copy(), margin)
                 d = thermal_diagonal(omega_bath, beta)[k]
-                verdict = block.prove(d, margin)
+                verdict = block.prove(d)
                 if verdict is None:
                     continue
                 settled[verdict] += 1
@@ -589,8 +586,8 @@ def test_a_kept_proof_settles_its_side_without_bounds(monkeypatch, rng):
                 up = d * (1.0 + rng.uniform(0.0, 0.5, d.size) * (rng.random(d.size) < 0.5))
                 moved = up if verdict else d - (up - d)
                 calls.clear()
-                assert block.prove(moved, margin) is verdict
-                assert block.prove(d, margin) is verdict
+                assert block.prove(moved) is verdict
+                assert block.prove(d) is verdict
                 assert not calls
                 assert cholesky_accepts(env, moved, margin) == verdict
     assert min(settled.values()) > 20
@@ -645,9 +642,9 @@ def test_block_proved_feasible_once_is_skipped_after(monkeypatch):
     block_type = qbmsim.certify._GapBlock
     init, chunks, power = block_type.__init__, block_type._chunks, block_type._power
 
-    def recording_init(self, env):
+    def recording_init(self, env, margin):
         blocks.append(self)
-        init(self, env)
+        init(self, env, margin)
 
     def counting_chunks(self):
         sweeps[id(self)] += 1

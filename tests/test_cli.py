@@ -1459,6 +1459,32 @@ def test_every_subcommand_runs_with_scipy_unimportable(tmp_path):
     assert proc.stdout.count("result: OK") == 4
 
 
+def test_times_whose_phase_overflows_fail_in_one_line(tmp_path):
+    # on this family w t overflows past t = 8.98e307 (w_max = 2.0026): evolve and
+    # certify wrote rows computed from NaN phases and exited 0, immediate warned
+    # and failed on a non-finite covariance
+    grid = {"start": 0.0, "stop": 1e308, "points": 3}
+    family = {"family": dict(FAMILY["family"], n_env=8)}
+    configs = {
+        "evolve": {"model": family, "beta": 1.0, "time_grid": grid},
+        "certify": {"model": family, "time_grid": grid},
+        "immediate": {"model": family, "beta": 1.0, "system_state": {"kind": "vacuum"},
+                      "time_grid": dict(grid, start=1e-3, spacing="log")},
+    }
+    src = str(Path(qbmsim.__file__).resolve().parents[1])
+    for command, data in configs.items():
+        out = tmp_path / f"{command}.csv"
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "qbmsim", command,
+                               "--config", write_config(tmp_path, data, f"{command}.json"),
+                               "--out", str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("failure: time 1e+308 is too large: "), proc.stderr
+        assert proc.stdout == "" and not out.exists()
+
+
 def test_readme_library_example_runs_with_scipy_unimportable():
     # the documented public API, the sweep row from its primitives included,
     # runs on numpy alone and raises no warning

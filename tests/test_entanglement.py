@@ -1,9 +1,8 @@
-import importlib.util
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -39,6 +38,7 @@ from qbmsim.symplectic import thermal_diagonal
 
 from conftest import (
     bisect_smallest_root,
+    perfbench_workloads,
     random_covariance,
     random_explicit_network,
     random_network,
@@ -354,7 +354,7 @@ def dense_pt_minimum(gamma_sys, net, beta, t):
 
 
 def assert_matches_dense(gamma_sys, net, beta, times, label):
-    got = product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], beta, times)
+    got = product_state_pt_minima(gamma_sys, net, beta, times)
     assert got.shape == (len(times),)
     for t, value in zip(times, got):
         ref = dense_pt_minimum(gamma_sys, net, beta, t)
@@ -419,7 +419,7 @@ def test_pt_minima_stop_where_the_count_turns(rng, monkeypatch):
     count = qbmsim.entanglement._positive_eigenvalues_below
     for _, gamma_sys, net, beta, times in oracle_draws(rng):
         roots.clear()
-        product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], beta, times)
+        product_state_pt_minima(gamma_sys, net, beta, times)
         ((_, *inputs), minima, _), = roots
         assert count(minima, *inputs)[0].min() >= 1.0
         npt.assert_array_equal(count(np.nextafter(minima, 0.0), *inputs)[0], 0.0)
@@ -427,11 +427,7 @@ def test_pt_minima_stop_where_the_count_turns(rng, monkeypatch):
 
 def benchmark_config(workload, seed):
     """The config of one perfbench workload and seed, parsed."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return parse_config(workloads.make_config(workload, seed))
+    return parse_config(perfbench_workloads().make_config(workload, seed))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -501,8 +497,7 @@ def workflow_minima(config, run):
 
 def oracle_draw_minima(seed):
     return bits([m for _, gamma_sys, net, beta, times in oracle_draws(np.random.default_rng(seed))
-                 for m in product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:],
-                                                  beta, times)])
+                 for m in product_state_pt_minima(gamma_sys, net, beta, times)])
 
 
 #: CI's cold bath: dozens of poles on 1.0 and on runs of consecutive doubles above it
@@ -544,7 +539,7 @@ def test_pt_minima_above_two_match_dense(rng):
     net = random_explicit_network(rng, 6)
     times = np.concatenate(([0.0, 1e-8], rng.uniform(0.0, 40.0, 10)))
     hot = 5.0 * np.eye(2)
-    minima = product_state_pt_minima(hot, net.modes, net.omegas[1:], 0.05, times)
+    minima = product_state_pt_minima(hot, net, 0.05, times)
     assert minima.min() >= 2.0
     assert_matches_dense(hot, net, 0.05, times, "hot")
 
@@ -554,7 +549,7 @@ def test_pt_minima_drop_converged_times_without_moving_any(monkeypatch):
     # nu_j, a pole of F that only bisection finds, so that time runs on alone
     net = make_spectral_model(SpectralFamily(1.0, 2.0, 0.1, 8))
     times = np.linspace(0.0, 200.0, 500)
-    args = (3.0 * np.eye(2), net.modes, net.omegas[1:], 1.0, times)
+    args = (3.0 * np.eye(2), net, 1.0, times)
     probes = spy_on_count(monkeypatch)
     minima = product_state_pt_minima(*args)
     sizes = [lam.size for lam, _ in probes]
@@ -579,8 +574,7 @@ def test_pt_count_at_a_time_does_not_depend_on_its_batch(rng, monkeypatch):
     # the count and the step at a time must not move with the times beside it
     net = random_explicit_network(rng, 40)
     roots = record_roots(monkeypatch)
-    product_state_pt_minima(random_pure_system(rng), net.modes, net.omegas[1:], 0.5,
-                            rng.uniform(0.0, 40.0, 33))
+    product_state_pt_minima(random_pure_system(rng), net, 0.5, rng.uniform(0.0, 40.0, 33))
     ((_, coef, quad, nu_s, nu), minima, _), = roots
     count = count_and_step
     for lam in (minima, np.nextafter(minima, 0.0), minima * rng.uniform(0.999, 1.001, 33)):
@@ -598,8 +592,7 @@ def test_pt_count_nudges_only_the_times_on_a_pole(monkeypatch):
     net = OscillatorNetwork(omegas=[2.1, 0.7, 2.1, 1.3, 2.1], kappas=[0.1, 0.2, 0.0, 0.15])
     gamma_sys = np.diag(thermal_diagonal([2.1], 1.0).T.ravel())
     probes = spy_on_count(monkeypatch)
-    minima = product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:], 1.0,
-                                     [0.0, 0.3, 0.0, 7.0])
+    minima = product_state_pt_minima(gamma_sys, net, 1.0, [0.0, 0.3, 0.0, 7.0])
     args = probes[0][1]
     nu = args[-1]
     pole = minima[0]
@@ -679,8 +672,8 @@ def test_pt_minima_when_system_and_bath_symplectic_eigenvalues_collide(beta):
     times = [0.0, 1e-8, 1e-4, 0.3, 7.0]
     assert_matches_dense(gamma_sys, net, beta, times, "thermal")
     nu_s = np.sqrt(d[0]) * np.sqrt(d[1])
-    npt.assert_allclose(product_state_pt_minima(gamma_sys, net.modes, net.omegas[1:],
-                                                beta, [0.0]), nu_s, rtol=4e-16)
+    npt.assert_allclose(product_state_pt_minima(gamma_sys, net, beta, [0.0]), nu_s,
+                        rtol=4e-16)
 
 
 def test_pt_minima_memory_does_not_grow_with_the_time_grid():
@@ -692,7 +685,7 @@ def test_pt_minima_memory_does_not_grow_with_the_time_grid():
         times = np.linspace(0.0, 100.0, size)
         tracemalloc.start()
         try:
-            minima = product_state_pt_minima(np.eye(2), net.modes, net.omegas[1:], 1.0, times)
+            minima = product_state_pt_minima(np.eye(2), net, 1.0, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -702,19 +695,27 @@ def test_pt_minima_memory_does_not_grow_with_the_time_grid():
 
 def test_pt_minima_input_errors():
     net = OscillatorNetwork(omegas=[1.0, 1.5, 2.0], kappas=[0.2, 0.1])
-    args = (net.modes, net.omegas[1:], 1.0)
+    args = (net, 1.0)
     with pytest.raises(ValueError, match="finite"):
         product_state_pt_minima(np.eye(2), *args, [0.0, np.nan])
     with pytest.raises(ValueError, match="2x2"):
         product_state_pt_minima(np.eye(4), *args, [0.0])
     with pytest.raises(ValueError, match="positive definite"):
         product_state_pt_minima(-np.eye(2), *args, [0.0])
-    with pytest.raises(ValueError, match="bath modes"):
-        product_state_pt_minima(np.eye(2), net.modes, net.omegas[2:], 1.0, [0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the bound goes first: 1e151 overflows the PT count
         for entry in (1e151, 2.0**255):
             with pytest.raises(ValueError, match=r"entries must be below 2\^255"):
                 product_state_pt_minima(np.diag([entry, entry]), *args,
                                         np.geomspace(1e-3, 1.0, 4))
+        # w t overflows to inf past max double / w_max, and cos(inf) is NaN: the
+        # largest time within that bound runs, the next double up is named
+        w_max = net.modes.tilde_omegas[-1]
+        edge = np.nextafter(np.finfo(float).max / w_max, 0.0)
+        assert np.isfinite(product_state_pt_minima(np.eye(2), *args, [edge, -edge])).all()
+        for t in (1e308, -1e308, float(np.nextafter(edge, np.inf))):
+            with pytest.raises(ValueError, match=re.escape(f"time {t!r} is too large")):
+                product_state_pt_minima(np.eye(2), *args, [0.0, t])
+        with pytest.raises(ValueError, match="time 1e\\+308 is too large"):
+            propagator(net, 1e308)
     assert product_state_pt_minima(np.eye(2), *args, []).shape == (0,)

@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import importlib.util
 import math
 import os
 import sys
@@ -41,7 +40,7 @@ from qbmsim import (
     trajectory,
 )
 
-from conftest import random_covariance, random_network
+from conftest import perfbench_workloads, random_covariance, random_network
 
 
 def test_symplectic_form_structure():
@@ -373,11 +372,7 @@ def test_concurrent_spectra_leave_the_blas_thread_count_as_they_found_it(rng):
 
 def onset_workload_input(seed):
     """The system state, network, beta and 30 times of the onset-n64 benchmark input."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    config = workloads.make_config("onset-n64", seed)
+    config = perfbench_workloads().make_config("onset-n64", seed)
     fam = config["model"]["family"]
     net = make_spectral_model(SpectralFamily(exponent=fam["p"], omega_max=fam["omega_max"],
                                              coupling_norm=fam["coupling_norm"],
