@@ -131,6 +131,14 @@ _DROP_ELEMENTS = 512
 #: 63 value bits of a positive double take at most 63 more
 _MAX_PASSES = 64
 
+#: an estimate past an end of the bracket by at most this many ulps is checked
+#: there: rounding moves the count's turn by up to a few hundred ulps
+_SETTLE_ULPS = 1 << 10
+
+#: the count is unsteady within a few ulps of a pole, so a bracket is cut this
+#: many ulps off the poles inside it
+_POLE_ULPS = 1 << 12
+
 
 def product_state_pt_minima(gamma_sys: NDArray[np.float64], net: OscillatorNetwork,
                             beta: float, times: Iterable[float]) -> NDArray[np.float64]:
@@ -179,41 +187,50 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], net: OscillatorNetwo
     The smallest lam with one positive eigenvalue below it is found to one
     ulp by a search that the count alone steers: a double of the result
     counts >= 1 and the double below it 0.  Each pass probes every time of
-    the chunk once with one vectorised count.  The count also returns Newton's
-    step on the smooth function
+    the chunk once with one vectorised count, whatever the other times do, so
+    a time's minimum does not depend on its grid.  The count also returns
+    Newton's step on the smooth function
 
         F(lam) = det A det Schur_s = det(P)^2 - lam (n_0 + n_1)
                  + (lam^2 - nu_s^2) det A - 2 nu_s n_3,
 
     n the contraction of quad with g before the quotient by det A.  F's zeros
-    are the PT symplectic eigenvalues and its poles the nu_j.  Where count(hi)
-    is 1 and no pole lies in the bracket, the next probe is Newton's estimate;
-    once that estimate has converged it is checked 8 ulps to either side, and
-    elsewhere the bracket's bits are bisected (see _smallest_root).  A chunk
-    of an unsqueezed state's evolution takes about 21 passes where bisection
-    took 56, and F and F' are evaluated on about 13 of them, the passes
-    where some time may take Newton's step; a minimum on a pole, the least
-    nu_j at t = 0 when the system is hotter than the bath for one, is still
-    found by bisection alone.
+    are the PT symplectic eigenvalues and its poles the nu_j; it is
+    det(H - lam) over prod(nu_j^2 - lam^2) up to a constant, so even in lam.
+    From its last probe a time steps with Newton's method in lam^2, or with
+    a model of the nearest pole where that pole holds F back (see
+    _estimate); it checks a converged estimate by counting it and the double
+    below it, and bisects the bracket's bits elsewhere (see _smallest_root).
+    A chunk of an unsqueezed state's evolution takes 15-18 passes where
+    bisection took 56, and F and F' are evaluated on about 9 of them, the
+    passes where some time may take a step.  A minimum on a pole, the least
+    nu_j at t = 0 when the system is hotter than the bath for one, is found
+    by cutting the bracket next to that pole.
 
     The bracket holds at every t.  Above: the update has one positive and
     one negative eigenvalue, so by Weyl's inequalities the smallest positive
     eigenvalue of H is at most the second smallest of nu_s and the nu_j.
-    Below: a symplectic eigenvalue of a positive matrix is at least its
-    smallest eigenvalue, which the partial transpose keeps, and each mode
-    rotates on an ellipse of axis ratio w_k, so ||S_t^-1|| <= kappa =
-    max(w_max, 1/w_min) and lam_min(Gamma_t) >= lam_min(Gamma_0) / kappa^2.
-    The bracket [lam_min(Gamma_0) / (2 kappa^2), 2 x second smallest] spans
-    far fewer bit patterns than one from 0, and a time that has bisected it
-    takes no more than 64 passes, one of them the check of its lower end:
-    the search keeps to that bound, bisecting a time that has no spare
-    pass left.  nu_s is not a pole in this bordered form, so at t = 0, where
-    the minimum is nu_s itself, it is found to rounding; a secular equation
-    over all 2n poles would put that root on a pole.
-    Raises ValueError for a time that is not finite or whose phase w t
-    overflows, or a gamma_sys that is not a 2x2 positive definite matrix or
-    has an entry of magnitude 2^255 or more.
+    The search starts there, so where nu_s is the least, as for a system no
+    hotter than the bath, no pole lies in the bracket; elsewhere one probe
+    next to the least pole splits it.  Rounding can put the count's turn a
+    few ulps past that bound, which then counts 0 and doubles.  Below: a
+    symplectic eigenvalue of a positive matrix is at least its smallest
+    eigenvalue, which the partial transpose keeps, and each mode rotates on
+    an ellipse of axis ratio w_k, so ||S_t^-1|| <= kappa = max(w_max,
+    1/w_min) and lam_min(Gamma_t) >= lam_min(Gamma_0) / kappa^2.  The
+    bracket [lam_min(Gamma_0) / (2 kappa^2), second smallest] spans far fewer
+    bit patterns than one from 0, and a time that has bisected it takes no
+    more than 64 passes, one of them the check of its lower end: the search
+    keeps to that bound, bisecting a time that has no spare pass left.  nu_s
+    is not a pole in this bordered form, so at t = 0, where the minimum is
+    nu_s itself, it is found to rounding; a secular equation over all 2n
+    poles would put that root on a pole.
+    Raises ValueError for a network with no bath mode, a time that is not
+    finite or whose phase w t overflows, or a gamma_sys that is not a 2x2
+    positive definite matrix or has an entry of magnitude 2^255 or more.
     """
+    if net.omegas.size < 2:
+        raise ValueError("the partial transpose needs at least one bath mode")
     gamma_sys = np.asarray(gamma_sys, dtype=float)
     times = np.asarray(times, dtype=float).ravel()
     if not np.isfinite(times).all():
@@ -238,7 +255,7 @@ def product_state_pt_minima(gamma_sys: NDArray[np.float64], net: OscillatorNetwo
     lam_min = min(nu_s * nu_s / (0.5 * (a + b) + math.hypot(0.5 * (a - b), c)),
                   float(root.min()) ** 2)
     kappa = max(float(w[-1]), 1.0 / float(w[0]))
-    bracket = (0.5 * lam_min / (kappa * kappa), 2.0 * sorted([nu_s, *nu.tolist()])[1])
+    bracket = (0.5 * lam_min / (kappa * kappa), sorted([nu_s, *nu.tolist()])[1])
     minima = np.empty(times.size)
     step = max(1, _CHUNK_ELEMENTS // w.size)
     for start in range(0, times.size, step):
@@ -316,71 +333,73 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
     that counts 0.  A positive double and the int64 of its bits order alike,
     so the search ends on one ulp, on a double that counts >= 1 while the one
     below it counts 0.  The first pass checks that the lower end counts 0
-    and starts a time where it does not from 0 instead.  What the search
-    chooses is the next probe, from the step F/F' that the count returns at
-    the last probe x, which is lo or hi, and which is evaluated only when
-    some time meets the first rule's conditions on count(hi), the poles, the
-    window and the spare passes:
+    and starts a time where it does not from 0 instead.  The upper end is
+    counted once the bracket closes on it, and doubles where it counts 0.
+    What the search chooses is each time's next probe, from its own state
+    alone and the step F/F' that the count returns at its last probe x,
+    which is lo or hi, evaluated only when some time meets the first rule's
+    conditions on the poles, count(hi), the window and the spare passes:
 
-    - Newton's estimate x - F(x)/F'(x), when count(hi) is 1 and no nu_j lies
-      in [lo, hi), so that F has one simple zero and no pole there, and the
-      estimate falls strictly inside the bracket.  A pole within twice the
-      step of x dominates F there, and the step then only crawls away from
-      it: such a time bisects.
-    - Once the step is within 2 ulps of x, or points back past x's own end
-      of the bracket, the estimate is checked: the probes are the estimate
-      -+ 8 ulps, where they fall inside the bracket.  A probe on the wrong
-      side of the count's root widens the window x8, at most twice; then the
-      time bisects.
-    - Otherwise the midpoint of the bits, lo + (hi - lo) // 2: both ends of
-      a bracket above 2 have bits beyond 2^62, and their sum overflows.
+    - The estimate of _estimate from x, when no nu_j lies inside the
+      bracket and count(hi) is at most 1, so that F has at most one zero
+      there, where it falls inside the bracket more than 2 ulps from x.
+    - Once it falls within 2 ulps of x, or past an end of the bracket by at
+      most _SETTLE_ULPS, the estimate est is checked: the window [est - 1,
+      est] is counted, the double below first, where they lie inside the
+      bracket.  A probe on the wrong side of the count's root widens the
+      window x8, at most three times; then the time bisects.  Rounding in
+      the count moves its turn up to a few hundred ulps from F's root, and
+      where F is not steep it turns more than once.
+    - A nu_j inside the bracket: the probe is _POLE_ULPS below the least,
+      or above it once lo is there.  Within a few ulps of a pole the count
+      is unsteady, and a probe there could meet a turn that is no root.
+    - Otherwise the middle of the bits, lo + (hi - lo + 1) // 2: both ends
+      of a bracket above 2 have bits beyond 2^62, and their sum overflows.
 
     A time whose passes so far plus ceil(log2(hi - lo)) reach _MAX_PASSES
-    only bisects, so no time takes more.  Newton's steps from one end leave
-    the far end where it was and spend that budget, so with two spare passes
-    left a step whose far end is more than four steps away goes twice as
-    far: once Newton converges quadratically that probe lies past the root
-    and closes the bracket from the far end.  One spare pass is enough to
-    check a converged estimate: its first probe leaves the bracket about a
-    window wide, which frees the passes for the second.
-
-    A time whose bracket is one ulp wide probes lo again, which counted 0
-    before, so its bracket stays put.  Once such times are half of the
-    chunk and hold _DROP_ELEMENTS (time, mode) elements, they leave it, so
-    that the passes still to come run on the other times alone.
+    only bisects, so no time takes more.  A time whose bracket is one ulp
+    wide probes hi again, which counted >= 1 before, so its bracket stays
+    put.  Once such times are half of the chunk and hold _DROP_ELEMENTS
+    (time, mode) elements, they leave it, so that the passes still to come
+    run on the other times alone.
 
     The state is one entry per time of the chunk.  The bracket's ends are
-    one (2, T) array of bits, lo over hi, and the poles below them another,
-    so that one putmask per array moves whichever end each probe replaces;
-    the count at hi, the estimate under check and its window are (T,)
-    arrays.
+    one (2, T) array of bits, lo over hi, so that one putmask moves
+    whichever end each probe replaces; the poles below lo, the count at hi,
+    the estimate under check and its window are (T,) arrays.
     """
     poles = sorted(nu.tolist())
     above = np.array(poles + [math.inf])  # above[k]: the least pole >= lam when k poles lie below
-    below = np.array([-poles[0]] + poles)  # below[k]: the greatest pole < lam
+    below = np.array([-poles[0]] + poles)  # below[k]: the greatest pole < lam, or -nu_min
     size = coef.shape[1]
     ends = np.repeat(np.array(bracket)[:, None], size, axis=1).view(np.int64)  # lo, hi as bits
     counts, newton_step, k_lo = _positive_eigenvalues_below(ends[0].view(np.float64), coef,
                                                             quad, nu_s, nu)
-    k_ends = np.stack((k_lo, np.full(size, float(nu.size))))  # the poles below lo and below hi
     ends[0, counts >= 1.0] = 0
-    k_ends[0, counts >= 1.0] = 0
+    k_lo[counts >= 1.0] = 0
     x = ends[0].copy()  # the last probe; newton_step gives F/F' there
-    top = np.zeros(size)  # count(hi), 0 until a probe sets hi
-    est = np.zeros(size, dtype=np.int64)  # the estimate under check
-    rad = np.zeros(size, dtype=np.int64)  # its window's half width: 0 not yet, -1 never
+    top = np.zeros(size)  # count(hi), 0 while no probe has counted hi
+    est = np.zeros(size, dtype=np.int64)  # the converged estimate under check
+    rad = np.zeros(size, dtype=np.int64)  # its window's half width: 0 not yet, -1 done
     minima = np.empty(size)
     at = np.arange(size)  # the time of each entry of the arrays above
     for passes in range(1, _MAX_PASSES):
         lo, hi = ends
         width = hi - lo
-        done = width <= 1
+        if not width.all():
+            # an uncounted hi that counts 0: the root lies past it by rounding
+            np.putmask(hi, width == 0, (2.0 * hi.view(np.float64)).view(np.int64))
+            width = hi - lo
+        done = (width <= 1) & (top > 0.0)
         converged = np.count_nonzero(done)
         if converged == done.size:
             break
         # passes + ceil(log2 width) < _MAX_PASSES: the pass need not halve the bracket
         spare = width <= 1 << (_MAX_PASSES - 1 - passes)
-        newton = (top == 1.0) & spare & (rad == 0) & (k_ends[0] == k_ends[1])
+        k = k_lo.astype(np.intp)
+        pole_up, pole_down = above[k], below[k]
+        inside = pole_up < hi.view(np.float64)  # a pole lies inside the bracket
+        newton = (rad == 0) & spare & (top <= 1.0) & ~inside
         # F/F' only on a pass where some time may take Newton's step; the count's
         # arrays are released before the next count either way
         steps = newton_step() if newton.any() else None
@@ -388,53 +407,83 @@ def _smallest_root(bracket: tuple[float, float], coef: NDArray[np.float64],
         if 2 * converged >= done.size and converged * nu.size >= _DROP_ELEMENTS:
             minima[at[done]] = hi[done].view(np.float64)
             live = np.flatnonzero(~done)
-            ends, k_ends = ends[:, live], k_ends[:, live]
-            at, x, top, est, rad, width, spare, newton = (
-                a[live] for a in (at, x, top, est, rad, width, spare, newton))
+            ends, k_lo = ends[:, live], k_lo[live]
+            at, x, top, est, rad, width, spare, newton, inside, pole_up, pole_down = (
+                a[live] for a in (at, x, top, est, rad, width, spare, newton, inside,
+                                  pole_up, pole_down))
             lo, hi = ends
             steps = None if steps is None else steps[live]
             coef, quad = coef[:, live], quad[:, :, live]
-        probe = lo + width // 2
+        probe = lo + (width + 1) // 2  # the middle of the bits, or hi once one ulp apart
+        if inside.any():
+            # a pole inside the bracket: count _POLE_ULPS below it, or above it once lo
+            # is there, as the count is unsteady within a few ulps of a pole
+            pole = pole_up.view(np.int64)
+            cut = np.where(pole - _POLE_ULPS > lo, pole - _POLE_ULPS, pole + _POLE_ULPS)
+            np.putmask(probe, inside & spare & (cut < hi), cut)
         if steps is not None:
-            newton &= np.isfinite(steps)
-        if newton.any():
-            xf = x.view(np.float64)
-            guess = (xf - steps).view(np.int64)
-            from_lo = x == lo
-            ahead = np.where(from_lo, guess - x, x - guess)  # ulps from x towards the far end
-            settled = newton & (ahead <= 2)
+            guess = _estimate(x.view(np.float64), steps, pole_up, pole_down,
+                              lo.view(np.float64), hi.view(np.float64))
+            newton &= guess > 0.0
+            guess = guess.view(np.int64)
+            ahead = np.where(x == lo, guess - x, x - guess)  # ulps from x towards the far end
+            past = np.maximum(-ahead, ahead - width)  # ulps past an end of the bracket
+            far = (past < 0) & (ahead > 2)
+            settled = newton & ~far & (past <= _SETTLE_ULPS)
             if settled.any():
-                np.putmask(est, settled, np.where(ahead > 0, guess, x))
-                np.putmask(rad, settled, 8)
-                newton ^= settled
-            # the poles around x, read where k_lo = k_hi, as it is wherever newton holds
-            k_x = k_ends[1].astype(np.intp)
-            newton &= 2.0 * np.abs(steps) < np.minimum(above[k_x] - xf, xf - below[k_x])
-            ahead <<= (width > 1 << max(_MAX_PASSES - 3 - passes, 0)) & (width > 4 * ahead)
-            np.putmask(probe, newton & (ahead < width), np.where(from_lo, x + ahead, x - ahead))
+                np.putmask(est, settled, np.minimum(np.maximum(guess, lo + 1), hi))
+                np.putmask(rad, settled, 1)
+            newton &= far
+            np.putmask(probe, newton, guess)
         checking = (rad > 0) & spare
         check = checking.any()
         if check:
-            low, high = est - rad, est + rad
+            # the window [est - rad, est + rad - 1]: its low end counts 0, its high end >= 1
+            low, high = est - rad, est + rad - 1
             np.putmask(probe, checking & (high < hi), high)
             np.putmask(probe, checking & (lo < low), low)
-        counts, newton_step, k = _positive_eigenvalues_below(probe.view(np.float64), coef,
-                                                             quad, nu_s, nu)
+        counts, newton_step, k_probe = _positive_eigenvalues_below(probe.view(np.float64),
+                                                                   coef, quad, nu_s, nu)
         sides = np.empty(ends.shape, dtype=bool)  # where the probe replaces lo, and hi
         up = np.greater_equal(counts, 1.0, out=sides[1])
         np.logical_not(up, out=sides[0])
         if check:
-            # the root lies outside the window: widen it, or give up on it
+            # the root lies outside the window: widen it, or give it up for the bracket
             missed = checking & (probe == np.where(up, low, high))
             if missed.any():
                 np.putmask(rad, missed, np.where(rad < 512, 8 * rad, -1))
         # putmask repeats the (T,) values over each row of the (2, T) arrays
         np.putmask(ends, sides, probe)
-        np.putmask(k_ends, sides, k)
+        np.putmask(k_lo, sides[0], k_probe)
         np.putmask(top, up, counts)
         x = probe
     minima[at] = ends[1].view(np.float64)
     return minima
+
+
+def _estimate(x: NDArray[np.float64], steps: NDArray[np.float64],
+              pole_up: NDArray[np.float64], pole_down: NDArray[np.float64],
+              lo: NDArray[np.float64], hi: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The next estimate of the root from x, given Newton's step F/F' there.
+
+    F is even in lam and smooth in u = lam^2 between its poles +-nu_j, so the
+    estimate is Newton's in u, sqrt(x^2 - 2 x F/F').  Where Newton's step heads
+    away from the nearest pole nu, at most four steps from x, that pole holds
+    F back: the estimate is then the root of R / (nu - lam) + c fitted to F
+    and F' at x, Newton's step on (nu - lam) F, x - F/F' / (1 - F/F' /
+    (nu - x)).  So it is also where the step in u leaves the bracket, as it
+    does from far below a pole that lies close above the root.  NaN within
+    _POLE_ULPS of a pole, where F/F' is as unsteady as the count.
+    """
+    up, down = pole_up - x, x - pole_down
+    near = np.where(up < down, up, -down)  # signed: the nearest pole is x + near
+    # F/F' is as unsteady as the count within _POLE_ULPS ulps of a pole
+    steps = np.where(np.abs(near) > x * (_POLE_ULPS * 2.0 ** -52), steps, np.nan)
+    ratio = steps / near
+    squared = np.sqrt(np.maximum(x * (x - 2.0 * steps), 0.0))
+    pole = x - steps / np.where(ratio < 1.0, 1.0 - ratio, 1.0)
+    use = (ratio < 1.0) & ((ratio > 0.25) | (squared <= lo) | (squared >= hi))
+    return np.where(use, pole, squared)
 
 
 def _positive_eigenvalues_below(lam: NDArray[np.float64], coef: NDArray[np.float64],

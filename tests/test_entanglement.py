@@ -1,13 +1,16 @@
+import json
 import re
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import qbmsim.cli
 import qbmsim.entanglement
 from qbmsim import (
     ENTANGLED,
@@ -430,20 +433,68 @@ def benchmark_config(workload, seed):
     return parse_config(perfbench_workloads().make_config(workload, seed))
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("workload, max_passes", [("evolve-n8", 24), ("certify-n256", 32)])
-def test_pt_minima_take_few_passes_on_the_benchmark_inputs(monkeypatch, workload,
-                                                           max_passes, seed):
-    # the bisection took 56 passes on every evolve-n8 variant and 57-58 on certify-n256
-    config = benchmark_config(workload, seed)
+def pass_bound_config(name, seed):
+    """The config of a benchmark workload and seed, of CI's cold bath, or of a shipped config."""
+    if name == "cold bath":
+        return parse_config(COLD_BATH)
+    if seed is None:
+        path = Path(__file__).parents[1] / "configs" / f"{name}.json"
+        return parse_config(json.loads(path.read_text()))
+    return benchmark_config(name, seed)
+
+
+def assert_passes_at_most(monkeypatch, name, seed, max_passes):
+    """Every chunk of the input's workflow takes at most max_passes, with bisection's minima."""
+    config = pass_bound_config(name, seed)
     roots = record_roots(monkeypatch)
-    run_evolve(config) if workload == "evolve-n8" else run_certify(config)
+    run_certify(config) if name.startswith("certify") else run_evolve(config)
     monkeypatch.undo()
     assert roots
     for (bracket, coef, quad, nu_s, nu), minima, passes in roots:
         assert passes <= max_passes
         npt.assert_allclose(minima, bisect_smallest_root(bracket, coef, quad, nu_s, nu),
                             rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("workload, max_passes", [("evolve-n8", 24), ("certify-n256", 32)])
+def test_pt_minima_take_few_passes_on_the_benchmark_inputs(monkeypatch, workload,
+                                                           max_passes, seed):
+    # the bisection took 56 passes on every evolve-n8 variant and 57-58 on certify-n256
+    assert_passes_at_most(monkeypatch, workload, seed, max_passes)
+
+
+@pytest.mark.parametrize("name, seed, max_passes",
+                         [("evolve-n8", s, 18) for s in range(4)]
+                         + [("certify-n256", s, 10) for s in range(4)]
+                         + [("cold bath", None, 57), ("certify_ohmic8", None, 24)])
+def test_pt_minima_start_at_the_weyl_bound_in_fewer_passes(monkeypatch, name, seed,
+                                                           max_passes):
+    # the most passes a chunk takes on each input.  The search that started
+    # from twice the Weyl bound took 21-22 on evolve-n8, 24-28 on certify-n256, 57
+    # on CI's cold bath and 24 on certify_ohmic8, which bound the last two
+    assert_passes_at_most(monkeypatch, name, seed, max_passes)
+
+
+def test_pt_minima_do_not_depend_on_the_other_times(monkeypatch, rng):
+    # a time's probes follow from its own counts alone, so its minimum keeps its
+    # bits in any part of the grid, in any order, and in a grid of several chunks
+    calls = []
+    kernel = qbmsim.cli.product_state_pt_minima
+    monkeypatch.setattr(qbmsim.cli, "product_state_pt_minima",
+                        lambda *args: calls.append(args) or kernel(*args))
+    run_evolve(benchmark_config("evolve-n8", 0))
+    monkeypatch.undo()
+    (gamma_sys, net, beta, times), = calls
+    minima = product_state_pt_minima(gamma_sys, net, beta, times)
+    for part in np.array_split(rng.permutation(times.size), 7):
+        npt.assert_array_equal(product_state_pt_minima(gamma_sys, net, beta, times[part]),
+                               minima[part])
+    chunk = qbmsim.entanglement._CHUNK_ELEMENTS // net.modes.tilde_omegas.size
+    grid = rng.uniform(0.0, 250.0, 3 * chunk)
+    at = rng.choice(grid.size, times.size, replace=False)
+    grid[at] = times
+    npt.assert_array_equal(product_state_pt_minima(gamma_sys, net, beta, grid)[at], minima)
 
 
 def test_pt_search_starts_from_zero_where_the_lower_end_counts(monkeypatch):
@@ -529,8 +580,8 @@ def test_pt_search_evaluates_newton_steps_only_where_one_may_be_taken(monkeypatc
     assert minima == every_minima
     assert len(evaluated) == len(every_pass)
     assert 0 < sum(evaluated) < len(evaluated)
-    # the first count, at the bracket's lower end, never steers a Newton step
-    assert not evaluated[0]
+    # the first step starts from the bracket's lower end, which the first count checks
+    assert evaluated[0]
 
 
 def test_pt_minima_above_two_match_dense(rng):
@@ -545,15 +596,16 @@ def test_pt_minima_above_two_match_dense(rng):
 
 
 def test_pt_minima_drop_converged_times_without_moving_any(monkeypatch):
-    # a system hotter than the bath: at t = 0 the minimum is the bath's least
-    # nu_j, a pole of F that only bisection finds, so that time runs on alone
+    # a system hotter than the bath: the least nu_j lies inside every bracket,
+    # and at t = 0 the minimum is that pole; the times that take longest to
+    # settle run on without the others
     net = make_spectral_model(SpectralFamily(1.0, 2.0, 0.1, 8))
     times = np.linspace(0.0, 200.0, 500)
     args = (3.0 * np.eye(2), net, 1.0, times)
     probes = spy_on_count(monkeypatch)
     minima = product_state_pt_minima(*args)
     sizes = [lam.size for lam, _ in probes]
-    assert sizes[0] == times.size and sizes[-1] < times.size // 50 and len(sizes) <= 64
+    assert sizes[0] == times.size and sizes[-1] < times.size // 10 and len(sizes) <= 64
     d = thermal_diagonal(net.omegas[1:], 1.0)
     assert minima[0] == np.min(np.sqrt(d[0]) * np.sqrt(d[1]))
     # each time's probes are its own, so keeping every time changes no value
@@ -696,6 +748,9 @@ def test_pt_minima_memory_does_not_grow_with_the_time_grid():
 def test_pt_minima_input_errors():
     net = OscillatorNetwork(omegas=[1.0, 1.5, 2.0], kappas=[0.2, 0.1])
     args = (net, 1.0)
+    with pytest.raises(ValueError, match="needs at least one bath mode"):
+        product_state_pt_minima(np.eye(2), OscillatorNetwork(omegas=[1.0], kappas=[]), 1.0,
+                                [0.0])
     with pytest.raises(ValueError, match="finite"):
         product_state_pt_minima(np.eye(2), *args, [0.0, np.nan])
     with pytest.raises(ValueError, match="2x2"):

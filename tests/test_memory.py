@@ -61,8 +61,9 @@ def test_certificate_path_peak_rss_stays_within_six_arrays():
     n_env = 1024
     src = str(Path(qbmsim.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, str(n_env)],
-                          capture_output=True, text=True, timeout=300, check=True,
+                          capture_output=True, text=True, timeout=300,
                           env={**os.environ, **SINGLE_THREAD, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
     network, bisection, certificate = json.loads(proc.stdout)
     assert network <= 6.0, network
     assert bisection <= 6.0, bisection
