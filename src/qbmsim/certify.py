@@ -86,6 +86,7 @@ class SeparabilityCertificate:
     beta: float
     gamma0_sys: NDArray[np.float64]
     margin: float
+    margin_floor: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -558,6 +559,25 @@ def critical_beta(net: OscillatorNetwork, margin: float = DEFAULT_MARGIN) -> flo
     return _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)
 
 
+def _schur_entry(diff: NDArray[np.float64], gap_diagonal: NDArray[np.float64],
+                 margin: float) -> tuple[float, float, float]:
+    """g00 + q + margin, g00 and q = r^T gap^-1 r of reference block diff, by one Cholesky.
+
+    diff becomes product - reference with the system row last and a large finite
+    corner, which the factor's last row z = L^-1 r does not read; LinAlgError when
+    Cholesky rejects the gap.
+    """
+    n, g00 = diff.shape[0] - 1, float(diff[0, 0])
+    np.subtract(0.0, diff, out=diff)  # (0 - g) + d rounds like d - g, signed zeros too
+    np.fill_diagonal(diff[1:, 1:], gap_diagonal)
+    diff[0, 0] = 1e300
+    diff[[0, n]] = diff[[n, 0]]
+    diff[:, [0, n]] = diff[:, [n, 0]]
+    z = np.linalg.cholesky(diff)[n, :n]
+    q = float(z @ z)
+    return g00 + q + margin, g00, q
+
+
 def build_certificate(net: OscillatorNetwork,
                       margin: float = DEFAULT_MARGIN) -> SeparabilityCertificate:
     """Construct an initial system state that stays separable for all times.
@@ -566,41 +586,37 @@ def build_certificate(net: OscillatorNetwork,
     the product state dominate the reference Gibbs state, via the Schur
     complement of the bath gap, plus margin times the identity.  Positions
     and momenta never mix, so each quadrature is one (n+1) x (n+1) block
-    diff = product - reference, built in the reference block itself: the
-    bisection leaves its bath block as E, which the kept bath diagonal turns
-    into the gap, solved for the Schur step.  The certificate is accepted
-    only when Cholesky accepts diff, the verdict every bisection step uses
-    (see _GapBlock); a RuntimeError names a block it rejects.  The Schur
+    diff = product - reference, built in the reference block, whose one
+    Cholesky gives both the Schur step and the verdict every bisection step
+    uses (see _schur_entry): it accepts the gap, and its last pivot (entry -
+    g00) - q, the margin up to 2 ulp(g00 + q) of rounding, exceeds the floor
+    4 ulp(g00 + q), the larger of which is margin_floor.  So at any BLAS
+    thread count a margin below half the floor is rejected and one above 1.5
+    times it accepted; a RuntimeError names a block it rejects.  The Schur
     complement is at least the reference state's system block, which is >= 1
     (see certificate_constants), so the diagonal gamma0_sys >= (1 + margin) I
     obeys the uncertainty relation; a RuntimeError guards the rounding.
     """
     constants = certificate_constants(net)
     # the bisection zeroes each bath diagonal, which the gap needs.  Allocated before the
-    # blocks, the copies split no hole that the Schur solve's copy of the gap fits into
+    # blocks, the copies split no hole that a block's Cholesky factor fits into
     g_diags = np.empty((2, net.n_env))
     ref = _gibbs_blocks(net.modes, constants.gamma_ref)
     for g_diag, g in zip(g_diags, ref):
         g_diag[:] = g.diagonal()[1:]
     beta_star = _bisect_beta(net.omegas[1:], tuple(g[1:, 1:] for g in ref), margin)
     beta = 0.5 * beta_star
-    entries = []
+    entries, floors = [], []
     for name, diff, g_diag, diag in zip(("position", "momentum"), ref, g_diags,
                                         thermal_diagonal(net.omegas[1:], beta)):
-        # (0 - g) + d rounds exactly like d - g, signed zeros included; the bath block is
-        # the bisection's E, and row 0 stays g's until the Schur step has read it
-        gap, row, col = diff[1:, 1:], diff[0], diff[1:, 0]
-        np.subtract(0.0, gap, out=gap)
-        np.fill_diagonal(gap, (0.0 - g_diag) + diag)
-        entry = row[0] + row[1:] @ np.linalg.solve(gap, row[1:]) + margin
-        for edge in (row, col):
-            np.subtract(0.0, edge, out=edge)
-        diff[0, 0] += entry
         try:
-            np.linalg.cholesky(diff)
+            entry, g00, q = _schur_entry(diff, (0.0 - g_diag) + diag, margin)
         except np.linalg.LinAlgError:
+            entry = g00 = q = math.nan
+        floors.append(4.0 * math.ulp(g00 + q))
+        if not (entry - g00) - q > floors[-1]:
             raise RuntimeError(f"certificate does not dominate the reference state in "
-                               f"the {name} block at margin {margin:g}") from None
+                               f"the {name} block at margin {margin:g}")
         entries.append(entry)
     # the symplectic eigenvalue of diag(x, p) is sqrt(x p): is_valid_covariance's test
     if not math.sqrt(entries[0] * entries[1]) >= 1.0 - COV_TOL:
@@ -611,6 +627,7 @@ def build_certificate(net: OscillatorNetwork,
         beta=beta,
         gamma0_sys=np.diag(entries),
         margin=margin,
+        margin_floor=max(floors),
     )
 
 

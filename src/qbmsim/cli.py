@@ -514,7 +514,7 @@ def run_certify(config: ExperimentConfig) -> tuple[ResultTable, SeparabilityCert
     cert_fields = certificate_to_dict(cert)
     cert_fields.update(cert_fields.pop("constants"), min_pt_overall=report.min_pt)
     meta.update(cert_fields, gamma0_sys=json.dumps(cert_fields["gamma0_sys"]),
-                passed=report.passed)
+                margin_floor=cert.margin_floor, passed=report.passed)
     meta["wall_clock_s"] = f"{time.perf_counter() - t0:.6f}"
     table = ResultTable(columns=["t", "min_pt_symplectic"], rows=rows, metadata=meta)
     return table, cert

@@ -1,9 +1,13 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -788,16 +792,16 @@ def test_certificate_builds_no_dense_matrix():
     assert certificate <= 3.5 * unit, certificate / unit
 
 
-def lowering_solve(block, k, margin):
-    """np.linalg.solve whose call number `block` lowers that Schur step by k margins."""
-    solve, calls = np.linalg.solve, []
+def lowering_entry(block, k, margin):
+    """_schur_entry whose call number `block` lowers that Schur entry by k margins."""
+    schur_entry, calls = qbmsim.certify._schur_entry, []
 
-    def lowered(a, b):
-        x = solve(a, b)
+    def lowered(*args):
+        entry, g00, q = schur_entry(*args)
         if len(calls) == block:
-            x = x - k * margin * b / (b @ b)
+            entry -= k * margin
         calls.append(block)
-        return x
+        return entry, g00, q
 
     return lowered
 
@@ -810,21 +814,68 @@ def test_domination_check_rejects_a_system_block_lowered_past_the_margin(monkeyp
     margin = qbmsim.certify.DEFAULT_MARGIN
     exact = build_certificate(net).gamma0_sys
     for block, name in enumerate(("position", "momentum")):
-        monkeypatch.setattr(np.linalg, "solve", lowering_solve(block, 0.9, margin))
+        monkeypatch.setattr(qbmsim.certify, "_schur_entry", lowering_entry(block, 0.9, margin))
         lowered = build_certificate(net).gamma0_sys
         assert lowered[block, block] < exact[block, block] - 0.8 * margin
-        monkeypatch.setattr(np.linalg, "solve", lowering_solve(block, 1.1, margin))
+        monkeypatch.setattr(qbmsim.certify, "_schur_entry", lowering_entry(block, 1.1, margin))
         with pytest.raises(RuntimeError, match=f"in the {name} block at margin 1e-06"):
             build_certificate(net)
 
 
+def test_certificate_factors_each_block_once(monkeypatch):
+    shapes, cholesky = [], np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_certificate ran np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    build_certificate(make_spectral_model(OHMIC))
+    assert shapes == [(9, 9), (9, 9)]
+
+
 def test_certificate_margin_below_the_rounding_floor_is_rejected():
-    # at n_env = 256 and p = 0.5, 1e-15 is below the rounding of the Cholesky
-    # verdict on the position block; 1e-12 is well above it
+    # at n_env = 256 and p = 0.5, 1e-15 is below half the pivot floor of the
+    # position block, 4 ulp(g00 + q) = 7.1e-15; 1e-12 is well above it
     net = make_spectral_model(replace(OHMIC, exponent=0.5, n_env=256))
     with pytest.raises(RuntimeError, match="in the position block at margin 1e-15"):
         build_certificate(net, 1e-15)
-    assert build_certificate(net, 1e-12).margin == 1e-12
+    cert = build_certificate(net, 1e-12)
+    assert cert.margin == 1e-12
+    assert 1e-15 < 0.5 * cert.margin_floor < 1.5 * cert.margin_floor < 1e-12
+
+
+FLOOR_PROBE = """
+from qbmsim import SpectralFamily, build_certificate, make_spectral_model
+net = make_spectral_model(SpectralFamily(exponent=0.5, omega_max=2.0, coupling_norm=0.1,
+                                         n_env=256))
+try:
+    build_certificate(net, 1e-15)
+except RuntimeError as exc:
+    print(exc)
+print(build_certificate(net, 1e-12).margin)
+"""
+
+
+def test_certificate_rounding_floor_holds_at_one_blas_thread():
+    # the verdict on margins far from the floor must not move with the BLAS
+    # thread count, which changes the rounding of the factor's last row
+    src = str(Path(qbmsim.__file__).resolve().parents[1])
+    one_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", FLOOR_PROBE], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, **one_thread, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "certificate does not dominate the reference state in the position block "
+        "at margin 1e-15",
+        "1e-12",
+    ]
 
 
 def test_certificate_runs_no_eigensolver(monkeypatch):

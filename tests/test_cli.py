@@ -465,6 +465,9 @@ def test_certify_metadata_roundtrip():
     npt.assert_array_equal(stored, cert.gamma0_sys)
     assert len(table.rows) == 50
     assert min(r[1] for r in table.rows) == float(table.metadata["min_pt_overall"])
+    # the domination verdict's pivot floor, which the certificate JSON leaves out
+    assert float(table.metadata["margin_floor"]) == cert.margin_floor
+    assert 0.0 < cert.margin_floor < 1e-3 * cert.margin
 
 
 def test_certify_writes_sidecar(tmp_path, capsys):
